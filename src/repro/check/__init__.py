@@ -16,37 +16,18 @@ Three core passes, exposed as ``repro check [configs|aliasing|code|all]``:
   pre-declared metric names, atomic artifact writes, checkpoint-key
   stability).
 
-Plus two opt-in passes (never part of a bare ``all``):
+Plus one opt-in pass (never part of a bare ``all``):
 
 * :mod:`repro.check.estimator` (``repro check dealias``) — static
   dealiasing-benefit estimation: an analytic row-occupancy mixture
   model predicting the misprediction-rate delta dealiasing each sweep
   split would yield; ``--validate`` cross-checks the predictions
   against the real engine on the Figure-9 micro workloads.
-* :mod:`repro.check.batchplan` (``repro check batchplan``; joins
-  ``all`` behind ``--with-batchplan``) — the static batchability
-  planner: proves, over the symbolic index algebra of
-  :mod:`repro.check.symbolic`, which sweep tiers can share one decoded
-  trace pass and stack their counter state into a single batched
-  kernel, verifies every symbolic expression bit-exactly against the
-  concrete ``index_stream`` on micro traces, and emits a content-keyed
-  :class:`~repro.check.batchplan.BatchPlan` artifact the batched
-  simulation path consumes.
 
 All passes emit :class:`~repro.check.findings.Finding` records;
 exit codes are 0 (clean), 1 (findings), 2 (internal error).
 """
 
-from repro.check.batchplan import (
-    BatchPlan,
-    SplitPlan,
-    TierPlan,
-    build_batchplan,
-    check_batchplan,
-    load_plan,
-    plan_tier,
-    verify_tier_plan,
-)
 from repro.check.configs import (
     canonical_specs,
     check_configs,
@@ -65,21 +46,6 @@ from repro.check.estimator import (
 from repro.check.findings import SEVERITIES, CheckReport, Finding
 from repro.check.lint import lint_paths, lint_source
 from repro.check.runner import OPT_IN_PASSES, PASSES, run_checks
-from repro.check.symbolic import (
-    Bits,
-    Cat,
-    Const,
-    Expr,
-    Sym,
-    Xor,
-    equivalent,
-    evaluate,
-    expr_width,
-    normal_form,
-    render,
-    symbolic_index,
-    transform_compatible,
-)
 from repro.check.static_alias import (
     AliasPressure,
     StaticBranchInfo,
@@ -117,25 +83,4 @@ __all__ = [
     "predict_dealias_delta",
     "predicted_split_deltas",
     "validate_dealias",
-    "Sym",
-    "Const",
-    "Bits",
-    "Xor",
-    "Cat",
-    "Expr",
-    "expr_width",
-    "normal_form",
-    "equivalent",
-    "evaluate",
-    "render",
-    "symbolic_index",
-    "transform_compatible",
-    "BatchPlan",
-    "TierPlan",
-    "SplitPlan",
-    "build_batchplan",
-    "plan_tier",
-    "verify_tier_plan",
-    "check_batchplan",
-    "load_plan",
 ]

@@ -24,10 +24,8 @@ PASSES = ("configs", "aliasing", "code")
 
 #: Opt-in passes: runnable by name, never part of "all". The dealias
 #: estimator stays out because its ``--validate`` mode simulates —
-#: "all" must remain a pure static (milliseconds) gate. The batch
-#: planner simulates micro traces for its symbolic-vs-concrete
-#: verification, so it joins "all" only behind ``--with-batchplan``.
-OPT_IN_PASSES = ("dealias", "batchplan")
+#: "all" must remain a pure static (milliseconds) gate.
+OPT_IN_PASSES = ("dealias",)
 
 
 def run_checks(
@@ -44,9 +42,6 @@ def run_checks(
     micros: Optional[Sequence[str]] = None,
     bht_entries: Optional[int] = None,
     bht_assoc: int = 4,
-    figure: Optional[str] = None,
-    with_batchplan: bool = False,
-    plan_out: Optional[str] = None,
 ) -> CheckReport:
     """Run one pass (or all core passes) and aggregate the findings."""
     if which != "all" and which not in PASSES + OPT_IN_PASSES:
@@ -55,7 +50,7 @@ def run_checks(
             f"{PASSES + OPT_IN_PASSES + ('all',)}"
         )
     if which == "all":
-        selected = PASSES + ("batchplan",) if with_batchplan else PASSES
+        selected = PASSES
     else:
         selected = (which,)
 
@@ -89,15 +84,6 @@ def run_checks(
             micros=micros,
             bht_entries=bht_entries,
             bht_assoc=bht_assoc,
-        ),
-        "batchplan": lambda: _run_batchplan(
-            schemes=schemes,
-            figure=figure,
-            size_bits=size_bits,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
-            micros=micros,
-            plan_out=plan_out,
         ),
     }
 
@@ -146,28 +132,6 @@ def _run_dealias(
         seed=seed,
         bht_entries=bht_entries,
         bht_assoc=bht_assoc,
-    )
-
-
-def _run_batchplan(
-    schemes: Optional[Sequence[str]],
-    figure: Optional[str],
-    size_bits: Optional[Sequence[int]],
-    bht_entries: Optional[int],
-    bht_assoc: int,
-    micros: Optional[Sequence[str]],
-    plan_out: Optional[str],
-) -> List[Finding]:
-    from repro.check.batchplan import check_batchplan
-
-    return check_batchplan(
-        schemes=schemes,
-        figure=figure,
-        size_bits=size_bits,
-        bht_entries=bht_entries,
-        bht_assoc=bht_assoc,
-        micros=micros,
-        plan_out=plan_out,
     )
 
 

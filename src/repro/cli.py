@@ -144,16 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--batched",
-        action="store_true",
-        help=(
-            "advance all splits of a tier per trace pass when the "
-            "static batch planner (`repro check batchplan`) proves the "
-            "tier safe; bit-identical to the serial path, one trace "
-            "decode per tier (serial sweeps only)"
-        ),
-    )
-    run.add_argument(
         "--no-cache",
         dest="use_cache",
         action="store_false",
@@ -182,13 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "aliasing",
             "code",
             "dealias",
-            "batchplan",
             "all",
         ),
         metavar="pass",
         help="which pass to run: configs, aliasing, code, dealias, "
-        "batchplan, or all (default; dealias and batchplan are opt-in "
-        "and not part of all unless --with-batchplan)",
+        "or all (default; dealias is opt-in and not part of all)",
     )
     check.add_argument(
         "--json",
@@ -281,35 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=4,
         metavar="W",
         help="first-level associativity for the aliasing/dealias passes",
-    )
-    check.add_argument(
-        "--figure",
-        choices=("fig4", "fig6", "fig9"),
-        default=None,
-        help="batchplan pass: plan the scheme behind this figure's "
-        "surface (fig4=gas, fig6=gshare, fig9=pas)",
-    )
-    check.add_argument(
-        "--tier",
-        type=int,
-        action="append",
-        dest="tiers",
-        metavar="N",
-        help="batchplan pass: tier exponent (2^N counters) to plan "
-        "(repeatable; overrides --sizes; default: 6 and 10)",
-    )
-    check.add_argument(
-        "--with-batchplan",
-        action="store_true",
-        help="include the batchplan pass when running `check all` "
-        "(off by default: it simulates micro traces to verify)",
-    )
-    check.add_argument(
-        "--plan-out",
-        metavar="PATH",
-        default=None,
-        help="batchplan pass: write the content-keyed BatchPlan JSON "
-        "artifact here (atomic write)",
     )
     _add_obs_options(check)
 
@@ -989,7 +948,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             shard_size=args.shard_size,
             plan_from_estimate=args.plan_from_estimate,
             dashboard=args.dashboard,
-            batched=args.batched,
             use_cache=args.use_cache,
         )
         result = run_experiment(args.experiment, options)
@@ -1006,9 +964,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "check":
         from repro.check.runner import render, run_checks
 
-        sizes = tuple(args.sizes) if args.sizes else None
-        if args.tiers and args.check_pass == "batchplan":
-            sizes = tuple(args.tiers)
         report = run_checks(
             which=args.check_pass,
             spec_file=args.spec_file,
@@ -1016,16 +971,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             hot_suffixes=tuple(args.hot_suffixes or ()),
             benchmarks=args.benchmarks,
             schemes=args.schemes,
-            size_bits=sizes,
+            size_bits=tuple(args.sizes) if args.sizes else None,
             seed=args.seed,
             fix=args.fix,
             validate=args.validate,
             micros=args.micros,
             bht_entries=args.bht_entries,
             bht_assoc=args.bht_assoc,
-            figure=args.figure,
-            with_batchplan=args.with_batchplan,
-            plan_out=args.plan_out,
         )
         print(render(report, as_json=args.json, strict=args.strict))
         return report.exit_code(args.strict)

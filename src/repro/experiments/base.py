@@ -44,12 +44,9 @@ class ExperimentOptions:
     points below a predicted-delta threshold (``--plan-from-estimate``).
     ``dashboard`` renders the live fleet table on stderr for parallel
     sweeps (``--dashboard``; see :mod:`repro.obs.dashboard`).
-    ``batched`` advances all splits of a tier per trace pass when the
-    static batch planner proves it safe (``--batched``; see
-    :mod:`repro.check.batchplan`). ``use_cache`` memoizes finished
-    points through the content-addressed result store when
-    ``$REPRO_RESULT_STORE`` is set (``--no-cache`` opts out; see
-    :mod:`repro.serve.results`).
+    ``use_cache`` memoizes finished points through the
+    content-addressed result store when ``$REPRO_RESULT_STORE`` is set
+    (``--no-cache`` opts out; see :mod:`repro.serve.results`).
     """
 
     length: int = DEFAULT_LENGTH
@@ -65,7 +62,6 @@ class ExperimentOptions:
     shard_size: Optional[int] = None
     plan_from_estimate: Optional[float] = None
     dashboard: bool = False
-    batched: bool = False
     use_cache: bool = True
 
     def sweep_kwargs(self) -> Dict[str, Any]:
@@ -80,7 +76,6 @@ class ExperimentOptions:
             "shard_size": self.shard_size,
             "plan_from_estimate": self.plan_from_estimate,
             "dashboard": self.dashboard,
-            "batched": self.batched,
             "use_cache": self.use_cache,
         }
 

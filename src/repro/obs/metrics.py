@@ -222,9 +222,6 @@ WELL_KNOWN = {
         "analyze.cfg.blocks",      # basic blocks across extracted CFGs
         "analyze.cfg.edges",       # CFG edges across extracted CFGs
         "analyze.branches_profiled",  # branch outcomes recorded at runtime
-        "check.batchplan.classes",    # transform-equivalence classes proved
-        "check.batchplan.rejected",   # tiers refused for batched stacking
-        "sim.batched_configs",        # configs advanced by batched tier passes
         "cache.hits",              # result-store points served without simulating
         "cache.misses",            # result-store lookups that had to simulate
         "serve.jobs_submitted",    # jobs accepted into the serve queue

@@ -439,27 +439,6 @@ def bht_set_index(spec: PredictorSpec, word: IntOrArray) -> IntOrArray:
     return word % bht_set_count(spec)
 
 
-def first_level_geometry(spec: PredictorSpec) -> Optional[str]:
-    """Canonical label of the first-level history structure, or ``None``
-    when the scheme keeps no first level (bimodal/global-history rows).
-
-    Splits of one tier can only share a decoded trace pass if their
-    first levels agree: a tagged BHT miss resets the history register,
-    so configs with different geometries see *different* register
-    streams for the same trace. The batch planner
-    (:mod:`repro.check.batchplan`) refuses to stack tiers whose splits
-    mix geometries.
-    """
-    if spec.scheme in SET_SCHEMES:
-        entries = spec.bht_entries or DEFAULT_SET_ENTRIES
-        return f"set:{entries}"
-    if spec.scheme in PER_ADDRESS_SCHEMES:
-        if spec.bht_entries is None:
-            return "perfect"
-        return f"bht:{spec.bht_entries}x{spec.bht_assoc}"
-    return None
-
-
 def static_collision_key(
     spec: PredictorSpec, word: IntOrArray
 ) -> Optional[IntOrArray]:

@@ -575,7 +575,7 @@ class ServeDaemon:
             return
         missing = 0
         first_error: Optional[str] = None
-        blocks = []
+        surfaces = []
         for unit in plan.units:
             surface = TierSurface(
                 scheme=plan.scheme, trace_name=unit.trace_name
@@ -589,7 +589,7 @@ class ServeDaemon:
                         first_error = errors[key]
                     continue
                 surface.add(n, point)
-            blocks.append(render_surface(surface))
+            surfaces.append(surface)
         if self._stop and missing:
             return  # draining: the job re-queues resumably at shutdown
         if missing:
@@ -612,7 +612,7 @@ class ServeDaemon:
                 "id": job.id,
                 "experiment": job.spec.experiment,
                 "title": experiment_title(job.spec.experiment),
-                "text": "\n\n".join(blocks),
+                "text": "\n\n".join(render_surface(s) for s in surfaces),
             }
             from repro.obs.ledger import _entry_crc
 

@@ -12,8 +12,11 @@ like the run ledger:
   valid event (no events = ``queued``).
 
 Durability and single-writer discipline: the header is written once by
-the submitting client through exclusive creation (two clients racing
-the same sequence number cannot both win); every later event is
+the submitting client, into a private staging file that is then
+hard-linked to the sequence-numbered name. The link fails if the name
+exists, so two clients racing the same sequence number cannot both
+win, and a job file is never visible before its header is complete
+and synced. Every later event is
 appended by the daemon alone via whole-file atomic rewrite. Cancel
 requests therefore travel out-of-band — a ``<job file>.cancel``
 sidecar created by the client, honored and recorded by the daemon — so
@@ -188,18 +191,21 @@ class JobQueue:
         Dedup: when a live job with the same spec key already exists,
         the submission *attaches* to it (``attached=True``, counted in
         ``serve.jobs_deduped``) instead of enqueueing a duplicate. Two
-        clients racing the same spec are serialized by ``O_EXCL``
-        creation of the sequence-numbered file — the loser rescans and
-        attaches to the winner's job.
+        clients racing the same spec are serialized by ``os.link`` of a
+        fully written staging file onto the sequence-numbered name — the
+        loser rescans and attaches to the winner's job.
         """
         os.makedirs(self.directory, exist_ok=True)
         spec_key = spec.key()
         for _attempt in range(50):
+            # Pick the seq before scanning for a live job: a job
+            # published after the pick either shows up in the scan or
+            # holds this seq, which makes the link below fail.
+            seq = self._next_seq(spec_key)
             live = self._live_job(spec_key)
             if live is not None:
                 counter("serve.jobs_deduped").inc()
                 return live, True
-            seq = self._next_seq(spec_key)
             path = self._job_path(spec_key, seq)
             header = {
                 "schema": JOB_SCHEMA,
@@ -209,14 +215,22 @@ class JobQueue:
                 "submitted": time.time(),
             }
             header["crc"] = _line_crc(header)
+            # The staging name never matches ``job-*.job``, so scans
+            # ignore it until the link publishes the finished header.
+            staging = os.path.join(
+                self.directory, f".submit-{spec_key}-{os.urandom(8).hex()}.tmp"
+            )
+            fd = os.open(staging, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+                with os.fdopen(fd, "w", encoding="ascii") as handle:
+                    handle.write(json.dumps(header, sort_keys=True) + "\n")
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.link(staging, path)
             except FileExistsError:
                 continue  # lost the race for this seq: rescan (may attach)
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            finally:
+                os.unlink(staging)
             counter("serve.jobs_submitted").inc()
             return (
                 Job(

@@ -14,11 +14,13 @@ run stopped. SIGINT finishes the in-flight point, flushes the journal,
 and exits cleanly; an optional ``deadline`` bounds the run the same
 way.
 
-Tier points are independent simulations, so ``workers > 1`` shards the
-pending points across a pool of processes coordinated through the same
-journal (see :mod:`repro.exec`) — results are point-for-point
-identical to a serial run. ``plan_from_estimate`` prunes points the
-static dealiasing estimator predicts to be uninteresting.
+Every point is one independent :func:`repro.sim.engine.simulate` call
+over the whole trace, whether it runs serially here or in a worker.
+``workers > 1`` shards the pending points across a pool of processes
+coordinated through the same journal (see :mod:`repro.exec`) — results
+are point-for-point identical to a serial run. ``plan_from_estimate``
+prunes points the static dealiasing estimator predicts to be
+uninteresting.
 """
 
 from __future__ import annotations
@@ -211,7 +213,6 @@ def sweep_tiers(
     shard_size: Optional[int] = None,
     plan_from_estimate: Optional[float] = None,
     dashboard: bool = False,
-    batched: bool = False,
     use_cache: bool = True,
 ) -> TierSurface:
     """Simulate every (columns x rows) split of every requested tier.
@@ -219,11 +220,13 @@ def sweep_tiers(
     Parameters
     ----------
     scheme:
-        One of ``gas``, ``gshare``, ``path``, ``pas``.
+        One of :data:`SWEEPABLE_SCHEMES`: ``gas``, ``gshare``,
+        ``path``, ``pas`` or ``sas``.
     size_bits:
         Tier exponents n (2^n counters each); the paper uses 4..15.
     bht_entries / bht_assoc:
-        First-level geometry for ``pas`` (None = perfect histories).
+        First-level geometry for ``pas`` (None = perfect histories)
+        and the per-set table size for ``sas``.
     row_bits_filter:
         Restrict each tier to these row exponents (used by difference
         grids and quick tests); default sweeps the full tier.
@@ -250,7 +253,7 @@ def sweep_tiers(
         The CLI exposes ``--no-precheck`` to skip it.
     workers:
         Processes to shard the sweep's points across. The default 1
-        runs today's serial loop unchanged; ``workers > 1`` delegates
+        runs the points serially in this process; ``workers > 1`` delegates
         pending points to :mod:`repro.exec` (shard leases over the
         checkpoint journal), producing point-for-point identical
         results. Without a ``checkpoint_dir`` a parallel run
@@ -266,14 +269,6 @@ def sweep_tiers(
         Render the live fleet table on stderr while workers run
         (``repro run --dashboard``); ignored for serial sweeps.
         Results are unaffected.
-    batched:
-        Advance all splits of a tier in one trace pass when the static
-        batch planner (:mod:`repro.check.batchplan`) proves the tier
-        shareable and stackable — one trace decode per tier instead of
-        one per point, bit-identical results. Tiers the planner
-        rejects, partially restored tiers, paranoid runs, and
-        ``engine="reference"`` fall back to the per-point path
-        (logged). Serial only; ignored when ``workers > 1``.
     use_cache:
         Consult the content-addressed result store
         (:mod:`repro.serve.results`, enabled by pointing
@@ -441,83 +436,49 @@ def sweep_tiers(
                     if n in surface.tiers
                 }
             else:
-                tier_rows: Dict[int, List[int]] = {}
                 for n, row_bits in plan:
-                    tier_rows.setdefault(n, []).append(row_bits)
-                for n, row_list in tier_rows.items():
-                    batch_points: Optional[List[TierPoint]] = None
-                    if batched and not any(
-                        (n, row_bits) in restored for row_bits in row_list
-                    ):
-                        batch_points = _simulate_tier_batched(
-                            scheme,
-                            trace,
-                            n,
-                            row_list,
-                            bht_entries=bht_entries,
-                            bht_assoc=bht_assoc,
-                            engine=engine,
-                            paranoid=paranoid,
-                            deadline=deadline,
-                            interrupt=interrupt,
-                        )
-                    if batch_points is not None:
-                        for point in batch_points:
-                            surface.add(n, point)
-                            if journal is not None:
-                                journal.append(n, point)
-                            completed += 1
-                            if on_point is not None:
-                                on_point(point, completed, total)
-                        continue
-                    for row_bits in row_list:
-                        done = restored.get((n, row_bits))
-                        if done is not None:
-                            surface.add(n, done)
-                            counter("sweep.points_restored").inc()
-                            completed += 1
-                            if on_point is not None:
-                                on_point(done, completed, total)
-                            continue
-                        if deadline is not None:
-                            deadline.check(f"sweep_tiers({scheme})")
-                        interrupt.checkpoint()
-                        maybe_inject("sweep.point")
-                        spec = spec_for_point(
-                            scheme,
-                            col_bits=n - row_bits,
-                            row_bits=row_bits,
-                            bht_entries=bht_entries,
-                            bht_assoc=bht_assoc,
-                        )
-                        started = time.perf_counter()
-                        with span(
-                            "sweep.point",
-                            scheme=scheme,
-                            n=n,
-                            row_bits=row_bits,
-                        ):
-                            result = simulate(
-                                spec, trace, engine=engine, paranoid=paranoid
-                            )
-                        histogram("sweep.point_s").observe(
-                            time.perf_counter() - started
-                        )
-                        counter("sweep.points_computed").inc()
-                        point = TierPoint(
-                            col_bits=n - row_bits,
-                            row_bits=row_bits,
-                            misprediction_rate=result.misprediction_rate,
-                            first_level_miss_rate=(
-                                result.first_level_miss_rate
-                            ),
-                        )
-                        surface.add(n, point)
-                        if journal is not None:
-                            journal.append(n, point)
+                    done = restored.get((n, row_bits))
+                    if done is not None:
+                        surface.add(n, done)
+                        counter("sweep.points_restored").inc()
                         completed += 1
                         if on_point is not None:
-                            on_point(point, completed, total)
+                            on_point(done, completed, total)
+                        continue
+                    if deadline is not None:
+                        deadline.check(f"sweep_tiers({scheme})")
+                    interrupt.checkpoint()
+                    maybe_inject("sweep.point")
+                    spec = spec_for_point(
+                        scheme,
+                        col_bits=n - row_bits,
+                        row_bits=row_bits,
+                        bht_entries=bht_entries,
+                        bht_assoc=bht_assoc,
+                    )
+                    started = time.perf_counter()
+                    with span(
+                        "sweep.point", scheme=scheme, n=n, row_bits=row_bits
+                    ):
+                        result = simulate(
+                            spec, trace, engine=engine, paranoid=paranoid
+                        )
+                    histogram("sweep.point_s").observe(
+                        time.perf_counter() - started
+                    )
+                    counter("sweep.points_computed").inc()
+                    point = TierPoint(
+                        col_bits=n - row_bits,
+                        row_bits=row_bits,
+                        misprediction_rate=result.misprediction_rate,
+                        first_level_miss_rate=result.first_level_miss_rate,
+                    )
+                    surface.add(n, point)
+                    if journal is not None:
+                        journal.append(n, point)
+                    completed += 1
+                    if on_point is not None:
+                        on_point(point, completed, total)
     except BaseException:
         # Interrupt, deadline, engine error: persist completed points
         # so the re-run resumes instead of restarting.
@@ -555,103 +516,6 @@ def sweep_tiers(
                     point,
                 )
     return surface
-
-
-def _simulate_tier_batched(
-    scheme: str,
-    trace: BranchTrace,
-    n: int,
-    row_list: Sequence[int],
-    bht_entries: Optional[int],
-    bht_assoc: int,
-    engine: str,
-    paranoid: bool,
-    deadline,
-    interrupt,
-) -> Optional[List[TierPoint]]:
-    """One full tier through the batched kernel, planner permitting.
-
-    Returns the tier's points in split order, or ``None`` to fall back
-    to the per-point path: the tier is partial (``row_bits_filter`` or
-    estimator pruning), the run is paranoid or reference-pinned, the
-    static planner refuses to prove it, or the kernel itself fails
-    (logged — results are never silently degraded, just recomputed
-    point by point).
-    """
-    import numpy as np
-
-    from repro.check.batchplan import plan_tier
-    from repro.obs.logging import get_logger
-    from repro.runtime.faults import maybe_inject
-    from repro.sim.vectorized import simulate_batched_tier
-
-    if paranoid or engine == "reference":
-        return None
-    if list(row_list) != list(range(n + 1)):
-        return None
-    tier = plan_tier(scheme, n, bht_entries=bht_entries, bht_assoc=bht_assoc)
-    if not tier.stackable:
-        get_logger("repro.sim.sweep").info(
-            "tier 2^%d of %s not batchable (%s); using the per-point path",
-            n,
-            scheme,
-            "; ".join(tier.rejections),
-        )
-        return None
-    if deadline is not None:
-        deadline.check(f"sweep_tiers({scheme})")
-    interrupt.checkpoint()
-    maybe_inject("sweep.point")
-    specs = [
-        spec_for_point(
-            scheme,
-            col_bits=n - row_bits,
-            row_bits=row_bits,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
-        )
-        for row_bits in row_list
-    ]
-    started = time.perf_counter()
-    try:
-        with span(
-            "sweep.tier_batched", scheme=scheme, n=n, points=len(specs)
-        ):
-            predictions = simulate_batched_tier(
-                specs, trace, exprs=[split.expr for split in tier.splits]
-            )
-    except Exception as error:
-        get_logger("repro.sim.sweep").warning(
-            "batched kernel failed on tier 2^%d of %s (%s: %s); "
-            "recomputing per point",
-            n,
-            scheme,
-            type(error).__name__,
-            error,
-        )
-        return None
-    elapsed = time.perf_counter() - started
-    # Mirror the per-engine-call accounting the guard layer does for
-    # serial points: one batched pass advanced len(specs) configs over
-    # the whole trace, and its wall clock amortizes over the points.
-    counter("sim.branches").inc(len(trace) * len(specs))
-    counter("sim.wall_s").inc(elapsed)
-    counter("engine.vectorized.runs").inc(len(specs))
-    counter("sweep.points_computed").inc(len(specs))
-    per_point = elapsed / len(specs)
-    points: List[TierPoint] = []
-    for row_bits, predicted in zip(row_list, predictions):
-        histogram("sweep.point_s").observe(per_point)
-        mispredicted = int(np.count_nonzero(predicted != trace.taken))
-        points.append(
-            TierPoint(
-                col_bits=n - row_bits,
-                row_bits=row_bits,
-                misprediction_rate=mispredicted / len(trace),
-                first_level_miss_rate=None,
-            )
-        )
-    return points
 
 
 def sweep_shapes(

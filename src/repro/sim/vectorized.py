@@ -23,25 +23,19 @@ prediction-by-prediction in ``tests/test_sim_equivalence.py``.
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # import cycle: check.symbolic builds on the spec layer
-    from repro.check.symbolic import Expr
 
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors.bht import reset_history
 from repro.predictors.counters import counter_init_state, counter_outputs
 from repro.predictors.specs import (
-    DEFAULT_SET_ENTRIES,
     PredictorSpec,
-    bht_set_count,
     bht_set_index,
     counter_index,
     word_index,
 )
-from repro.obs.metrics import counter as metric_counter
 from repro.obs.profile import phase
 from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
 from repro.sim.results import SimulationResult
@@ -300,142 +294,6 @@ def _index_stream(spec: PredictorSpec, trace: BranchTrace) -> np.ndarray:
 def _dense_pc_ids(pc: np.ndarray) -> np.ndarray:
     _, inverse = np.unique(pc, return_inverse=True)
     return inverse.astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-# Batched tier kernel (pilot: the ROADMAP's multi-config pass)
-# ----------------------------------------------------------------------
-
-
-def tier_environment(
-    specs: Sequence[PredictorSpec], trace: BranchTrace
-) -> Dict[Tuple[str, str], np.ndarray]:
-    """One shared decode of ``trace``: every base stream the specs'
-    symbolic index expressions read, each materialized once at the
-    widest width any spec needs.
-
-    This is the "decode the trace once" half of the batched kernel —
-    for a tier the planner proved shareable, the returned environment
-    is the *only* per-trace work; every split's index stream is then a
-    pure :func:`repro.check.symbolic.evaluate` over it.
-    """
-    from repro.check.symbolic import symbol_extent, symbolic_index
-
-    needs: Dict[Tuple[str, str], int] = {}
-    by_param: Dict[str, PredictorSpec] = {}
-    for spec in specs:  # check: allow(hot-loop)
-        extents = symbol_extent(symbolic_index(spec))
-        for (name, param, _lag), bits in extents.items():  # check: allow(hot-loop)
-            key = (name, param)
-            needs[key] = max(needs.get(key, 0), bits)
-            if name == "lhist":
-                by_param[param] = spec
-
-    env: Dict[Tuple[str, str], np.ndarray] = {}
-    for (name, param), bits in sorted(needs.items()):  # check: allow(hot-loop)
-        if name == "word":
-            env[(name, param)] = word_index(trace.pc)
-        elif name == "ghist":
-            env[(name, param)] = global_history_stream(trace.taken, bits)
-        elif name == "tgt":
-            went = np.where(
-                trace.taken, trace.target, trace.pc + np.uint64(4)
-            ).astype(np.int64)
-            env[(name, param)] = went >> 2
-        elif name == "lhist":
-            spec = by_param[param]
-            miss = None
-            if (
-                spec.scheme in ("pag", "pas")
-                and spec.bht_entries is not None
-            ):
-                miss = bht_miss_stream(
-                    trace, spec.bht_entries, spec.bht_assoc
-                )
-            group_key = None
-            if spec.scheme in ("sag", "sas"):
-                group_key = np.asarray(
-                    bht_set_index(spec, word_index(trace.pc)),
-                    dtype=np.int64,
-                )
-            env[(name, param)] = per_address_history_stream(
-                trace, max(1, bits), miss=miss, group_key=group_key
-            )
-        else:
-            raise ConfigurationError(
-                f"no decoder for symbolic stream {name!r}"
-            )
-    return env
-
-
-def simulate_batched_tier(
-    specs: Sequence[PredictorSpec],
-    trace: BranchTrace,
-    exprs: Optional[Sequence["Expr"]] = None,
-) -> List[np.ndarray]:
-    """Advance every spec of one proven tier in a single trace pass.
-
-    All specs must share one counter budget and counter width (the
-    batch planner's stacking proof). Config ``i``'s counters occupy the
-    disjoint flat block ``[i * budget, (i + 1) * budget)`` of one
-    stacked index space, so a single segmented automaton scan over the
-    offset-concatenated streams is bit-identical to ``len(specs)``
-    independent scans: the stable sort preserves each config's access
-    order and no counter is shared across blocks.
-
-    ``exprs`` are the per-spec index expressions (default: derived via
-    :func:`repro.check.symbolic.symbolic_index`; a consumer holding a
-    verified :class:`~repro.check.batchplan.BatchPlan` passes the
-    plan's expressions). Returns per-spec prediction arrays in input
-    order. Callers are expected to pre-prove batchability — an
-    unshareable or non-uniform tier raises.
-    """
-    from repro.check.symbolic import evaluate, expr_width, symbolic_index
-
-    if len(trace) == 0:
-        raise TraceError("cannot simulate an empty trace")
-    if not specs:
-        raise ConfigurationError("batched tier needs at least one spec")
-    budget = specs[0].num_counters
-    counter_bits = specs[0].counter_bits
-    for spec in specs:  # check: allow(hot-loop)
-        if spec.num_counters != budget or spec.counter_bits != counter_bits:
-            raise ConfigurationError(
-                "batched tier requires one counter budget and width; "
-                f"got {spec.describe()} in a {budget}-counter tier"
-            )
-    if exprs is None:
-        exprs = [symbolic_index(spec) for spec in specs]
-    if len(exprs) != len(specs):
-        raise ConfigurationError(
-            f"{len(exprs)} index expressions for {len(specs)} specs"
-        )
-    for expr in exprs:  # check: allow(hot-loop)
-        width = expr_width(expr)
-        if width is None or (1 << width) > budget:
-            raise ConfigurationError(
-                f"index expression width {width} exceeds the "
-                f"{budget}-counter block; stacking would alias configs"
-            )
-
-    with phase("trace_decode"):
-        env = tier_environment(specs, trace)
-    total = len(trace)
-    with phase("index_stream"):
-        stacked = np.empty(total * len(specs), dtype=np.int64)
-        for i, expr in enumerate(exprs):  # check: allow(hot-loop)
-            block = stacked[i * total : (i + 1) * total]
-            block[:] = evaluate(expr, env)
-            block += i * budget
-    outcomes = np.tile(trace.taken, len(specs))
-    predictions = segmented_counter_predictions(
-        stacked, outcomes, counter_bits=counter_bits
-    )
-    metric_counter("sim.batched_configs").inc(len(specs))
-    return [
-        predictions[i * total : (i + 1) * total]
-        for i in range(len(specs))
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -161,6 +161,26 @@ class TestServeFailures:
             fetch_result(str(tmp_path), job.id)
 
 
+class TestServeDrain:
+    def test_stop_before_any_point_lands_requeues(self, tmp_path):
+        # A stop signal that arrives as the first pool round starts
+        # leaves every point missing; the drain must requeue the job,
+        # not try to render its empty surfaces.
+        job, _ = submit_job(str(tmp_path), "fig4", **MICRO)
+        daemon = ServeDaemon(str(tmp_path), workers=2, once=True)
+        daemon._run_rounds = lambda plans, tasks: setattr(
+            daemon, "_stop", True
+        )
+        assert daemon.run() == 0
+        (row,) = job_status(str(tmp_path), job.id)
+        assert row["state"] == "queued"
+
+        _serve_once(tmp_path)
+        (row,) = job_status(str(tmp_path), job.id)
+        assert row["state"] == "done"
+        assert row["computed"] == MICRO_POINTS
+
+
 class TestServeCancel:
     def test_cancel_before_serving(self, tmp_path):
         job, _ = submit_job(str(tmp_path), "fig4", **MICRO)

@@ -107,6 +107,45 @@ class TestSubmit:
         assert len(ids) == 1
         assert sum(1 for _, attached in outcomes if not attached) == 1
 
+    def test_submitter_paused_before_publish_attaches_to_winner(
+        self, tmp_path, monkeypatch
+    ):
+        # A writes its staging file, then stalls before linking it to
+        # the seq name; B submits in that gap and must not see A's
+        # half-published job. When A resumes its link loses, and A
+        # attaches to B's job.
+        queue_dir = str(tmp_path)
+        real_link = os.link
+        staged = threading.Event()
+        resume = threading.Event()
+        outcomes = {}
+
+        def paused_link(src, dst):
+            if threading.current_thread().name == "submitter-a":
+                staged.set()
+                resume.wait(timeout=10)
+            return real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", paused_link)
+
+        def submit_a():
+            outcomes["a"] = JobQueue(queue_dir).submit(_spec())
+
+        thread = threading.Thread(target=submit_a, name="submitter-a")
+        thread.start()
+        assert staged.wait(timeout=10)
+        outcomes["b"] = JobQueue(queue_dir).submit(_spec())
+        resume.set()
+        thread.join(timeout=10)
+
+        (job_a, attached_a), (job_b, attached_b) = outcomes["a"], outcomes["b"]
+        assert job_a.id == job_b.id
+        assert [attached_a, attached_b] == [True, False]
+        assert len(JobQueue(queue_dir).jobs()) == 1
+        assert sorted(os.listdir(queue_dir)) == [
+            os.path.basename(job_b.path)
+        ]
+
 
 class TestEventsAndState:
     def test_state_follows_last_event(self, tmp_path):

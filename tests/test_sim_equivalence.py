@@ -14,9 +14,16 @@ from hypothesis import strategies as st
 
 from repro.predictors import make_predictor_spec
 from repro.sim import simulate, simulate_reference, simulate_vectorized
+from repro.sim.sweep import spec_for_point
 from repro.sim.vectorized import bht_miss_stream, has_vectorized_engine
 from repro.traces import BranchTrace
 from repro.workloads import make_workload
+from repro.workloads.micro import (
+    alternating_trace,
+    correlated_pair_trace,
+    interference_field_trace,
+    loop_trace,
+)
 
 
 def random_trace(seed, length=600, npcs=12):
@@ -53,22 +60,25 @@ SPECS = [
 ]
 
 
+def _assert_engines_agree(spec, trace):
+    fast = simulate_vectorized(spec, trace)
+    slow = simulate_reference(spec, trace)
+    mismatches = np.flatnonzero(fast.predictions != slow.predictions)
+    assert mismatches.size == 0, (
+        f"{spec.describe()} first mismatch at access {mismatches[:5]}"
+    )
+    if slow.first_level_miss_rate is not None:
+        assert fast.first_level_miss_rate == pytest.approx(
+            slow.first_level_miss_rate
+        )
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "spec", SPECS, ids=[s.describe() for s in SPECS]
     )
     def test_exact_match_on_random_trace(self, spec):
-        trace = random_trace(11)
-        fast = simulate_vectorized(spec, trace)
-        slow = simulate_reference(spec, trace)
-        mismatches = np.flatnonzero(fast.predictions != slow.predictions)
-        assert mismatches.size == 0, (
-            f"first mismatch at access {mismatches[:5]}"
-        )
-        if slow.first_level_miss_rate is not None:
-            assert fast.first_level_miss_rate == pytest.approx(
-                slow.first_level_miss_rate
-            )
+        _assert_engines_agree(spec, random_trace(11))
 
     @pytest.mark.parametrize(
         "spec", SPECS, ids=[s.describe() for s in SPECS]
@@ -103,6 +113,49 @@ class TestEngineEquivalence:
         spec = make_predictor_spec("gshare", rows=16)
         result = simulate(spec, random_trace(3))
         assert result.engine == "vectorized"
+
+
+#: Adversarial micro traces: a counted loop, a never-saturating
+#: alternation, a correlated branch pair under noise, and a field of
+#: branches contending for the same rows.
+MICROS = {
+    "loop": lambda: loop_trace(trips=7, repeats=48),
+    "alternating": lambda: alternating_trace(384),
+    "correlated-pair": lambda: correlated_pair_trace(512, noise=0.1, seed=3),
+    "interference-field": lambda: interference_field_trace(
+        branches=8, length=1536, seed=1
+    ),
+}
+
+#: Every split of one tier, including the ``row_bits=0`` bimodal edge
+#: and the single-column edge.
+TIER_BITS = 5
+TIER_SPLITS = [
+    (scheme, row_bits)
+    for scheme in ("gas", "gshare", "path", "pas", "sas")
+    for row_bits in range(TIER_BITS + 1)
+]
+
+
+class TestMicroTraceTiers:
+    @pytest.mark.parametrize(
+        "scheme,row_bits",
+        TIER_SPLITS,
+        ids=[f"{scheme}-r{row_bits}" for scheme, row_bits in TIER_SPLITS],
+    )
+    @pytest.mark.parametrize("micro", sorted(MICROS))
+    def test_every_split_matches_reference(self, micro, scheme, row_bits):
+        spec = spec_for_point(
+            scheme, col_bits=TIER_BITS - row_bits, row_bits=row_bits
+        )
+        _assert_engines_agree(spec, MICROS[micro]())
+
+    @pytest.mark.parametrize("micro", sorted(MICROS))
+    def test_pas_with_finite_bht_matches_reference(self, micro):
+        spec = spec_for_point(
+            "pas", col_bits=2, row_bits=3, bht_entries=64, bht_assoc=4
+        )
+        _assert_engines_agree(spec, MICROS[micro]())
 
 
 class TestBhtMissStream:
