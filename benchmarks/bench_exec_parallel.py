@@ -1,7 +1,7 @@
 """Serial vs parallel sweep wall-clock on a Figure-9-style tier.
 
 One ``pas`` tier, computed twice over the same trace: once with the
-serial runner, once sharded across two workers. Asserts the parallel
+serial runner, once on a pool of two workers. Asserts the parallel
 surface is byte-identical to the serial one and that two workers buy a
 real speedup, then records both runs in the perf trajectory so the
 serial/parallel ratio is tracked across PRs.

@@ -5,9 +5,9 @@ Runs a tiny Figure-4 sweep three times:
 
 1. uninterrupted, as the golden baseline;
 2. with an injected SIGINT mid-sweep and a checkpoint directory — the
-   run must die with the journal holding the completed points;
-3. resumed from that journal — the output must be bit-identical to the
-   baseline.
+   run must die with the completed points already stored there;
+3. resumed from that directory — the output must be bit-identical to
+   the baseline.
 
 Usage::
 
@@ -54,14 +54,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             run_experiment("fig4", options(workdir))
         except KeyboardInterrupt:
-            print("      interrupted as planned; journal flushed")
+            print("      interrupted as planned; finished points stored")
         else:
             print("FAIL: injected interrupt never fired", file=sys.stderr)
             return 1
         finally:
             clear_faults()
 
-        print("[3/3] resuming from the checkpoint journal ...")
+        print("[3/3] resuming from the checkpoint dir ...")
         resumed = run_experiment("fig4", options(workdir))
 
     if resumed.text != baseline.text:

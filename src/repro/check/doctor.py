@@ -1,25 +1,20 @@
-"""Integrity doctor: scan and repair journals and the trace store.
+"""Integrity doctor: scan and repair checkpoints, stores and queues.
 
 ``repro doctor`` is the operational answer to "a host died mid-sweep /
-a disk lied — can I trust what's on disk?". It scans two artifact
+a disk lied — can I trust what's on disk?". It scans these artifact
 families:
 
-* **Checkpoint journals** — header/key validation, per-line CRC and
-  JSON checks, fencing-token monotonicity per shard, and a rebuilt
-  ``completed()`` summary. ``--repair`` preserves the original bytes
-  to a ``.quarantine`` sidecar and truncates the journal to its last
-  good line, leaving a cleanly resumable file.
 * **The trace store** — every ``.npz`` is loaded and, for
   fingerprint-keyed files (``fp-<hash>.npz``), re-hashed against its
   filename. ``--repair`` moves corrupt or mismatched artifacts aside
   (``.quarantine`` suffix) so the store regenerates them on next use.
-* **The result store** (``--results``) — every ``rs-<key>.json``
-  cache artifact is schema-, CRC- and key-verified; repair quarantines
-  liars so the next request is an honest cache miss.
-* **The serve queue** (``--queue``) — job files get the journal
-  treatment (unrecoverable headers quarantine the file, torn event
-  tails truncate to the last good event) and finished-job result
-  artifacts are CRC-verified.
+* **The result store** (``--results``, and ``--checkpoint-dir``, which
+  is a result store) — every ``rs-<key>.json`` artifact is schema-,
+  CRC- and key-verified; repair quarantines liars so the next request
+  is an honest cache miss that recomputes the point.
+* **The serve queue** (``--queue``) — unrecoverable job-file headers
+  quarantine the file, torn event tails truncate to the last good
+  event, and finished-job result artifacts are CRC-verified.
 
 Findings reuse the ``repro check`` machinery: exit 0 clean, 1 when
 something needs attention, 2 on internal error. Repairs count the
@@ -31,17 +26,12 @@ from __future__ import annotations
 import glob
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.check.findings import CheckReport, Finding
 from repro.errors import CheckError
 from repro.obs.metrics import counter
-from repro.runtime.checkpoint import (
-    JOURNAL_VERSION,
-    _decode_point_line,
-    atomic_write_text,
-    quarantine_path,
-)
+from repro.runtime.durable import atomic_write_text, quarantine_path
 
 
 def _read_lines(path: str) -> List[str]:
@@ -59,172 +49,6 @@ def _repair_journal(
     atomic_write_text(quarantine_path(path), "\n".join(original) + "\n")
     atomic_write_text(path, "\n".join(good) + "\n")
     counter("doctor.repairs").inc()
-
-
-def scan_journal(
-    path: str, key: Optional[str] = None, repair: bool = False
-) -> List[Finding]:
-    """Findings for one checkpoint journal; optionally repair it.
-
-    ``key`` (when given) must match the journal's header key — a
-    mismatch is reported, not repaired, because the journal may simply
-    belong to a different sweep.
-    """
-    findings: List[Finding] = []
-    if not os.path.exists(path):
-        return [
-            Finding(
-                check="doctor.journal-missing",
-                severity="error",
-                why="journal file does not exist",
-                location=path,
-            )
-        ]
-    lines = _read_lines(path)
-    if not lines:
-        return [
-            Finding(
-                check="doctor.journal-empty",
-                severity="warning",
-                why="journal is empty (nothing to resume)",
-                location=path,
-            )
-        ]
-    header_ok = False
-    try:
-        header = json.loads(lines[0])
-        header_ok = (
-            isinstance(header, dict)
-            and header.get("kind") == "header"
-            and header.get("version") == JOURNAL_VERSION
-        )
-    except ValueError:
-        header = None
-    if not header_ok:
-        findings.append(
-            Finding(
-                check="doctor.journal-header",
-                severity="error",
-                why="corrupt or unrecognized journal header",
-                location=f"{path}:1",
-            )
-        )
-        if repair:
-            # Nothing after a bad header is trustworthy: quarantine
-            # the whole file and remove it so the sweep starts clean.
-            atomic_write_text(
-                quarantine_path(path), "\n".join(lines) + "\n"
-            )
-            os.remove(path)
-            counter("doctor.repairs").inc()
-            findings.append(
-                Finding(
-                    check="doctor.journal-repaired",
-                    severity="info",
-                    why="journal quarantined and removed "
-                    "(unrecoverable header)",
-                    location=path,
-                )
-            )
-        return findings
-    if key is not None and header.get("key") != key:
-        findings.append(
-            Finding(
-                check="doctor.journal-key",
-                severity="warning",
-                why=f"journal key {header.get('key')!r} does not match "
-                f"expected {key!r} (different sweep)",
-                location=f"{path}:1",
-            )
-        )
-        return findings
-
-    good: List[str] = [lines[0]]
-    completed: set = set()
-    fence_high: Dict[int, int] = {}
-    bad_lines = 0
-    superseded = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        payload = _decode_point_line(line)
-        if payload is None:
-            bad_lines += 1
-            at_end = lineno == len(lines)
-            findings.append(
-                Finding(
-                    check="doctor.journal-line",
-                    severity="warning" if at_end else "error",
-                    why=(
-                        "torn tail (truncated final line)"
-                        if at_end
-                        else "corrupt entry (bad JSON or CRC mismatch)"
-                    ),
-                    location=f"{path}:{lineno}",
-                )
-            )
-            continue
-        token = payload.get("token")
-        shard = payload.get("shard")
-        if isinstance(token, int) and isinstance(shard, int):
-            high = fence_high.get(shard, 0)
-            if token < high:
-                superseded += 1
-                findings.append(
-                    Finding(
-                        check="doctor.journal-fence",
-                        severity="error",
-                        why=f"zombie append: token {token} for shard "
-                        f"{shard} is superseded (current {high})",
-                        location=f"{path}:{lineno}",
-                    )
-                )
-                continue
-            fence_high[shard] = max(high, token)
-        good.append(line)
-        completed.add((payload["n"], payload["row_bits"]))
-    if bad_lines == 0 and superseded == 0:
-        findings.append(
-            Finding(
-                check="doctor.journal-ok",
-                severity="info",
-                why=f"journal intact: {len(completed)} completed "
-                "point(s) resumable",
-                location=path,
-            )
-        )
-    elif repair:
-        _repair_journal(path, lines, good)
-        findings.append(
-            Finding(
-                check="doctor.journal-repaired",
-                severity="info",
-                why=f"journal truncated to last good line: "
-                f"{len(completed)} point(s) kept, "
-                f"{bad_lines + superseded} line(s) quarantined",
-                location=path,
-            )
-        )
-    return findings
-
-
-def scan_checkpoint_dir(
-    directory: str, repair: bool = False
-) -> List[Finding]:
-    """Scan every ``*.journal`` under a checkpoint directory."""
-    findings: List[Finding] = []
-    pattern = os.path.join(directory, "*.journal")
-    paths = sorted(glob.glob(pattern))
-    if not paths:
-        findings.append(
-            Finding(
-                check="doctor.no-journals",
-                severity="info",
-                why="no journals found",
-                location=directory,
-            )
-        )
-    for path in paths:
-        findings.extend(scan_journal(path, repair=repair))
-    return findings
 
 
 def _store_fingerprint_of(path: str) -> Optional[str]:
@@ -335,8 +159,6 @@ def scan_result_store(
     quarantines the artifact; the next request for that key is simply
     a cache miss that recomputes it.
     """
-    import json as _json
-
     from repro.obs.ledger import _entry_crc
 
     from repro.serve.results import RESULT_SCHEMA, ResultStore
@@ -360,7 +182,7 @@ def scan_result_store(
         why = None
         try:
             with open(path, "r", encoding="ascii") as handle:
-                payload = _json.load(handle)
+                payload = json.load(handle)
         except (OSError, ValueError):
             payload = None
             why = "unparseable result artifact"
@@ -415,15 +237,12 @@ def scan_result_store(
 def scan_queue(directory: str, repair: bool = False) -> List[Finding]:
     """Findings for a serve queue directory; optionally repair it.
 
-    Job files get the journal treatment: an unreadable header
-    quarantines the whole file (the job is unrecoverable — resubmit
+    An unreadable job-file header quarantines the whole file (the job is unrecoverable — resubmit
     it), while torn or corrupt event lines truncate back to the last
     good event, which is always safe because every job state is either
     re-derivable by the daemon or terminal. Finished-job result
     artifacts are CRC-verified the same way the fetch client does.
     """
-    import json as _json
-
     from repro.obs.ledger import _entry_crc
 
     from repro.serve.daemon import JOB_RESULT_SCHEMA
@@ -508,7 +327,7 @@ def scan_queue(directory: str, repair: bool = False) -> List[Finding]:
         why = None
         try:
             with open(path, "r", encoding="ascii") as handle:
-                payload = _json.load(handle)
+                payload = json.load(handle)
         except (OSError, ValueError):
             payload = None
             why = "unparseable job result artifact"
@@ -552,7 +371,6 @@ def scan_queue(directory: str, repair: bool = False) -> List[Finding]:
 
 
 def run_doctor(
-    journals: Tuple[str, ...] = (),
     checkpoint_dir: Optional[str] = None,
     store_dir: Optional[str] = None,
     results_dir: Optional[str] = None,
@@ -562,25 +380,19 @@ def run_doctor(
     """Aggregate scans into one report (the CLI entry point)."""
     report = CheckReport()
     if (
-        not journals
-        and checkpoint_dir is None
+        checkpoint_dir is None
         and store_dir is None
         and results_dir is None
         and queue_dir is None
     ):
         raise CheckError(
-            "doctor needs something to scan: --journal, "
-            "--checkpoint-dir, --store, --results, or --queue"
+            "doctor needs something to scan: --checkpoint-dir, "
+            "--store, --results, or --queue"
         )
-    if journals:
-        journal_findings: List[Finding] = []
-        for path in journals:
-            journal_findings.extend(scan_journal(path, repair=repair))
-        report.extend("doctor.journal", journal_findings)
     if checkpoint_dir is not None:
         report.extend(
             "doctor.checkpoints",
-            scan_checkpoint_dir(checkpoint_dir, repair=repair),
+            scan_result_store(checkpoint_dir, repair=repair),
         )
     if store_dir is not None:
         report.extend("doctor.store", scan_store(store_dir, repair=repair))

@@ -18,14 +18,14 @@ this codebase relies on:
   ``counter()``/``gauge()``/``histogram()`` must be pre-declared in
   :data:`repro.obs.metrics.WELL_KNOWN`, keeping snapshots schema-stable.
 * ``code.raw-write`` — artifact writes go through the atomic writer
-  (:func:`repro.runtime.checkpoint.atomic_write_text`), not bare
+  (:func:`repro.runtime.durable.atomic_write_text`), not bare
   ``open(..., "w")``; the writer implementations themselves are
   allowlisted.
 * ``code.bare-except`` — a bare ``except:`` swallows ``SystemExit`` and
   ``KeyboardInterrupt``, breaking the cooperative-interrupt runtime.
 * ``code.mutable-default`` — mutable default arguments.
-* ``code.checkpoint-key`` — :func:`repro.runtime.checkpoint.sweep_key`
-  is the identity of every resumable sweep journal; its parameter
+* ``code.checkpoint-key`` — :func:`repro.runtime.durable.sweep_key`
+  is the identity of every stored sweep point; its parameter
   tuple, payload dict keys, and ``sort_keys=True`` serialization are
   pinned here. An edit that changes any of them silently orphans every
   existing checkpoint, so it must trip this rule (and the golden-key
@@ -76,13 +76,13 @@ HOT_PATH_SUFFIXES: Tuple[str, ...] = (
 #: Modules allowed to call ``open`` for writing: they *are* the atomic
 #: writer (temp file + rename) or the trace serializer built on it.
 WRITER_SUFFIXES: Tuple[str, ...] = (
-    "runtime/checkpoint.py",
+    "runtime/durable.py",
     "traces/io.py",
 )
 
 #: Modules holding checkpoint-identity code the key-stability rule pins.
 CHECKPOINT_SUFFIXES: Tuple[str, ...] = (
-    "runtime/checkpoint.py",
+    "runtime/durable.py",
 )
 
 #: The one module allowed to touch version-gated interpreter surface
@@ -143,7 +143,7 @@ NARROW_DTYPES: FrozenSet[str] = frozenset(
 
 #: Pinned ``sweep_key`` signature: the checkpoint identity function's
 #: parameters, in order. Changing this tuple (or the function to not
-#: match it) orphans every existing sweep journal.
+#: match it) orphans every stored result artifact.
 SWEEP_KEY_PARAMS: Tuple[str, ...] = (
     "scheme",
     "trace_fingerprint",
@@ -363,8 +363,8 @@ class _Linter(ast.NodeVisitor):
                 "error",
                 node.lineno,
                 "sweep_key() parameters changed from the pinned "
-                f"{SWEEP_KEY_PARAMS} to {params}; every existing sweep "
-                "journal keys on this signature — update the pin (and "
+                f"{SWEEP_KEY_PARAMS} to {params}; every stored result "
+                "artifact keys on this signature — update the pin (and "
                 "the golden-key fixtures) only as a deliberate format "
                 "break",
             )
@@ -402,7 +402,7 @@ class _Linter(ast.NodeVisitor):
                 payload_line,
                 "sweep_key() payload keys changed from the pinned "
                 f"{SWEEP_KEY_PAYLOAD_KEYS} to {payload_keys}; old "
-                "journals would silently never resume — update the "
+                "checkpoints would silently never resume — update the "
                 "pin (and the golden-key fixtures) only as a "
                 "deliberate format break",
             )

@@ -61,9 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "stream completed sweep points to journals under DIR; an "
-            "interrupted run re-invoked with the same options resumes "
-            "instead of restarting"
+            "write every finished sweep point to a result store in DIR "
+            "as it lands; an interrupted run re-invoked with the same "
+            "options restores those points instead of recomputing them "
+            "(*.journal files from older versions are ignored and their "
+            "points recomputed)"
         ),
     )
     run.add_argument(
@@ -71,9 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help=(
-            "restore progress from existing checkpoint journals "
-            "(--no-resume discards them; only meaningful with "
-            "--checkpoint-dir)"
+            "restore finished points from --checkpoint-dir "
+            "(--no-resume recomputes and overwrites them)"
         ),
     )
     run.add_argument(
@@ -99,19 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "shard sweep points across N worker processes coordinated "
-            "through the checkpoint journal; results are identical to "
-            "a serial run (default: 1, serial)"
-        ),
-    )
-    run.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "points per worker shard for --workers (default: sized so "
-            "each worker gets several shards)"
+            "run sweep points on a pool of N worker processes; this "
+            "process writes every finished point, and results are "
+            "identical to a serial run (default: 1, serial)"
         ),
     )
     run.add_argument(
@@ -130,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "instrument the simulator's hot stages (trace decode, "
-            "index stream, fsm scan, counter update, checkpoint flush) "
+            "index stream, fsm scan, counter update, point persist) "
             "into sim.phase.* histograms; render them with "
             "`repro obs summarize --phases`"
         ),
@@ -140,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with --workers N: render a live per-worker fleet table "
-            "(shards, points/s, stragglers) on stderr while polling"
+            "(points, points/s, stragglers) on stderr while polling"
         ),
     )
     run.add_argument(
@@ -372,25 +363,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor",
-        help="scan (and repair) checkpoint journals and the trace store",
+        help="scan (and repair) checkpoints, stores and serve queues",
         description=(
-            "Integrity doctor. Validates journal headers, per-line CRCs "
-            "and fencing tokens, and re-hashes stored trace archives. "
+            "Integrity doctor. Verifies result artifacts (schema, CRC, "
+            "key), re-hashes stored trace archives, and checks serve "
+            "queue files. "
             "Exit 0 = healthy, 1 = findings, 2 = scan failed internally."
         ),
-    )
-    doctor.add_argument(
-        "--journal",
-        action="append",
-        dest="journals",
-        metavar="PATH",
-        help="scan one checkpoint journal file (repeatable)",
     )
     doctor.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="scan every *.journal under DIR",
+        help="verify every result artifact a --checkpoint-dir run left",
     )
     doctor.add_argument(
         "--store",
@@ -418,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "quarantine bad bytes (.quarantine sidecars) and truncate "
-            "journals to their last good line"
+            "queue files to their last good event"
         ),
     )
     doctor.add_argument(
@@ -438,11 +423,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="randomized fault-injection matrix over parallel sweeps",
         description=(
             "Run a seeded matrix of fault scenarios (worker crashes, "
-            "torn writes, stale clocks, lost heartbeats, journal "
-            "corruption) against a parallel micro sweep and assert the "
-            "executor's invariants: the sweep completes, the results "
-            "are bit-identical to a fault-free serial run, and no "
-            "superseded-token line survives in the journal. "
+            "kills and interrupts, slow workers and polls, torn and "
+            "corrupt result writes) against a parallel micro sweep and "
+            "assert the pool's invariants: the sweep completes, the "
+            "results are bit-identical to a fault-free serial run, and "
+            "a re-run over the same checkpoint dir prints the same "
+            "surface and leaves no damaged result artifact. "
             "Exit 0 = every scenario held, 1 = an invariant broke."
         ),
     )
@@ -816,8 +802,8 @@ def _add_trace_options(
 
 
 #: Exit codes: deliberate library errors get 2 (one-line message, no
-#: traceback); an interrupt gets the conventional 128+SIGINT after any
-#: open checkpoint journal has been flushed.
+#: traceback); an interrupt gets the conventional 128+SIGINT (every
+#: point that landed before it is already persisted).
 EXIT_ERROR = 2
 EXIT_INTERRUPT = 130
 
@@ -846,11 +832,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         diag.error("error: %s", error)
         code = EXIT_ERROR
     except KeyboardInterrupt:
-        from repro.runtime.checkpoint import flush_open_journals
-
-        flushed = flush_open_journals()
-        note = " (checkpoint journal flushed)" if flushed else ""
-        diag.error("interrupted%s", note)
+        diag.error("interrupted")
         code = EXIT_INTERRUPT
     except BrokenPipeError:
         # Downstream `head`/pager closed our stdout: exit quietly with
@@ -945,7 +927,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             on_point=on_point,
             precheck=args.precheck,
             workers=args.workers,
-            shard_size=args.shard_size,
             plan_from_estimate=args.plan_from_estimate,
             dashboard=args.dashboard,
             use_cache=args.use_cache,
@@ -1035,7 +1016,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.check.runner import render
 
         report = run_doctor(
-            journals=tuple(args.journals or ()),
             checkpoint_dir=args.checkpoint_dir,
             store_dir=args.store_dir,
             results_dir=args.results_dir,
@@ -1528,7 +1508,7 @@ def _export_result(result, path: str) -> None:
             f"experiment {result.experiment_id!r} has no CSV-exportable "
             "data (only surfaces, series and difference grids export)"
         )
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.durable import atomic_write_text
 
     atomic_write_text(path, text)
     print(f"[exported {result.experiment_id} data to {path}]")

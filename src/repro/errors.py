@@ -63,9 +63,8 @@ class AnalysisError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A checkpoint journal is corrupt, mismatched, or unwritable.
+    """A sweep's checkpoint directory cannot be created or written.
 
-    Examples: a journal whose content hash does not match its payload,
-    a resume attempted against a journal written for a different sweep
-    key, or a journal directory that cannot be created.
+    Examples: a ``--checkpoint-dir`` on a read-only filesystem, or a
+    finished point that cannot be persisted to it.
     """

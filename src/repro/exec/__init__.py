@@ -1,27 +1,20 @@
-"""Parallel sweep execution: sharded workers over the checkpoint journal.
+"""Parallel execution: one worker pool for sweep points.
 
 The paper's constant-size tiers are embarrassingly parallel — every
-``(c, r)`` split simulates independently — so this package shards a
-sweep's pending points across a pool of worker processes:
+``(c, r)`` split simulates independently — so sweep points run on a
+pool of worker processes:
 
-* :mod:`repro.exec.parallel` -- the parent-side orchestrator
-  (:func:`~repro.exec.parallel.run_parallel_sweep`) that
-  ``sweep_tiers(..., workers=N)`` delegates to;
-* :mod:`repro.exec.worker`   -- the worker process body: claim shards,
-  simulate with retry-backoff, journal every point atomically;
-* :mod:`repro.exec.leases`   -- crash-safe shard claiming by exclusive
-  lease files (dead owners' leases are reclaimed);
-* :mod:`repro.exec.merge`    -- join-time folding of worker journals
-  into the master and worker telemetry into ``run_metrics.json``.
+* :mod:`repro.exec.parallel` -- the pool (:func:`run_points`) that
+  ``sweep_tiers(..., workers=N)`` and ``repro serve`` both use:
+  workers return finished points, the parent writes them;
+* :mod:`repro.exec.chaos`    -- the seeded fault matrix behind
+  ``repro chaos``.
 
-Coordination rides entirely on the existing checkpoint journal format
-and sweep keys — parallel and serial runs of the same sweep share one
-resume key, and parallel results are exactly the serial results (same
-engine, same trace bytes via the trace store, deduplicated by journal
-point key).
+Parallel results are exactly the serial results: the same
+:func:`~repro.sim.sweep.compute_point` runs on the same trace bytes,
+and every point lands in the parent under its content key.
 """
 
-from repro.exec.parallel import run_parallel_sweep
-from repro.exec.worker import WorkerPlan, worker_main
+from repro.exec.parallel import PointTask, run_points
 
-__all__ = ["run_parallel_sweep", "WorkerPlan", "worker_main"]
+__all__ = ["PointTask", "run_points"]

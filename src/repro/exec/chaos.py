@@ -1,28 +1,27 @@
 """Chaos harness: randomized fault matrices over parallel sweeps.
 
 ``repro chaos`` answers the question the unit tests cannot: does the
-*composition* of lease fencing, journal CRCs, tolerant merges, respawn
-rounds, and the serial fallback actually hold up under arbitrary
-combinations of crashes, pauses, torn writes, and skewed clocks?
+*composition* of worker re-dispatch, the serial fallback, and
+recompute-on-miss result artifacts actually hold up under arbitrary
+combinations of crashes, kills, pauses, and torn or corrupt writes?
 
 The runner draws fault scenarios from a seeded catalog (every knob a
 deterministic function of ``--seed``), executes the same micro sweep
-under each, and asserts the two invariants the executor promises:
+under each, and asserts the invariants the pool promises:
 
 * **completion** — the sweep finishes despite the injected faults
-  (workers may die every round; the serial fallback guarantees it);
+  (workers may die on every point; the serial fallback guarantees it);
 * **bit identity** — the resulting surface is byte-for-byte identical
   to a fault-free serial run (faults may cost time, never results);
 
-plus a post-mortem: the master journal must pass the integrity doctor
-with no error-severity findings — in particular, no line stamped with
-a superseded fencing token may survive anywhere.
+plus a post-mortem: a fault-free re-run over the same checkpoint dir
+must print the identical surface (recomputing whatever a torn or
+corrupt write damaged) and leave the directory with no error findings
+from the result-store doctor.
 
-Faults are delivered through ``REPRO_FAULT_SPEC`` (inherited by worker
-processes over fork/spawn), the backend through ``REPRO_EXEC_BACKEND``
-and the lease TTL through ``REPRO_LEASE_TTL_S``, so a scenario
-exercises exactly the code paths a mis-behaving multi-host deployment
-would.
+Faults are delivered through ``REPRO_FAULT_SPEC``, which forked pool
+workers inherit, so a scenario exercises exactly the code paths a
+misbehaving deployment would.
 """
 
 from __future__ import annotations
@@ -38,93 +37,31 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, snapshot
 
-#: (name, spec template, backend, lease ttl) — ``{x}`` placeholders are
-#: filled from the seeded rng per draw.
-_TEMPLATES: Tuple[Tuple[str, str, str, Optional[float]], ...] = (
+#: (name, spec template) — ``{x}`` placeholders are filled from the
+#: seeded rng per draw.
+_TEMPLATES: Tuple[Tuple[str, str], ...] = (
+    ("worker-crash-early", "exec.worker:raise@{nth_small}"),
+    ("worker-crash-late", "exec.worker:raise@{nth_large}"),
+    ("worker-interrupt", "exec.worker:interrupt@{nth_small}"),
+    ("worker-kill", "exec.worker:kill@{nth_small}"),
+    ("slow-worker", "exec.worker:delay({pause})@{nth_small}"),
+    ("slow-poll", "exec.poll:delay({jitter})%{every}"),
+    ("torn-put", "results.put:torn-write@{nth_small}"),
+    ("corrupt-put", "results.put:corrupt@{nth_small}"),
     (
-        "worker-crash-early",
-        "exec.worker:raise@{nth_small}",
-        "local",
-        None,
-    ),
-    (
-        "worker-crash-late",
-        "exec.worker:raise@{nth_large}",
-        "local",
-        None,
-    ),
-    (
-        "worker-interrupt",
-        "exec.worker:interrupt@{nth_small}",
-        "local",
-        None,
-    ),
-    (
-        "torn-journal",
-        "checkpoint.flush:torn-write@{nth_small}",
-        "local",
-        None,
-    ),
-    (
-        "corrupt-journal",
-        "checkpoint.flush:corrupt@{nth_small}",
-        "local",
-        None,
-    ),
-    (
-        "zombie-delay",
-        "exec.worker:delay({pause})@{nth_small}",
-        "heartbeat",
-        0.15,
-    ),
-    (
-        "heartbeat-loss",
-        "lease.heartbeat:stale-clock(-{skew})@{nth_small}",
-        "heartbeat",
-        0.25,
-    ),
-    (
-        "future-claim",
-        "lease.claim:stale-clock({skew})@1",
-        "heartbeat",
-        0.25,
-    ),
-    (
-        "append-delay",
-        "journal.append:delay({jitter})%{every}",
-        "local",
-        None,
-    ),
-    (
-        "slow-poll",
-        "exec.poll:delay({jitter})%{every}",
-        "local",
-        None,
-    ),
-    (
-        "torn-write-plus-crash",
-        "checkpoint.flush:torn-write@{nth_small},exec.worker:raise@{nth_large}",
-        "local",
-        None,
-    ),
-    (
-        "claim-delay",
-        "lease.claim:delay({jitter})%2",
-        "heartbeat",
-        None,
+        "torn-put-plus-kill",
+        "results.put:torn-write@{nth_small},exec.worker:kill@{nth_large}",
     ),
 )
 
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One drawn scenario: a concrete fault spec plus coordination env."""
+    """One drawn scenario: a concrete fault spec."""
 
     index: int
     name: str
     fault_spec: str
-    backend: str
-    lease_ttl_s: Optional[float]
 
 
 @dataclass
@@ -133,7 +70,6 @@ class ScenarioResult:
     ok: bool
     duration_s: float
     detail: str = ""
-    fence_rejections: int = 0
     faults_injected: int = 0
 
 
@@ -161,7 +97,6 @@ class ChaosReport:
                 f"  [{result.scenario.index:2d}] {verdict:4s} "
                 f"{result.scenario.name:22s} {result.duration_s:6.2f}s "
                 f"faults={result.faults_injected:3d} "
-                f"fenced={result.fence_rejections:2d} "
                 f"spec={result.scenario.fault_spec}"
                 + (f"  <- {result.detail}" if result.detail else "")
             )
@@ -188,24 +123,15 @@ def draw_scenarios(seed: int, count: int) -> List[ChaosScenario]:
         if not order:
             order = list(range(len(_TEMPLATES)))
             rng.shuffle(order)
-        name, template, backend, ttl = _TEMPLATES[order.pop(0)]
+        name, template = _TEMPLATES[order.pop(0)]
         spec = template.format(
             nth_small=rng.randint(1, 3),
             nth_large=rng.randint(4, 7),
             pause=round(rng.uniform(0.5, 0.9), 2),
-            skew=rng.randint(120, 900),
             jitter=round(rng.uniform(0.02, 0.15), 2),
             every=rng.randint(2, 5),
         )
-        drawn.append(
-            ChaosScenario(
-                index=len(drawn),
-                name=name,
-                fault_spec=spec,
-                backend=backend,
-                lease_ttl_s=ttl,
-            )
-        )
+        drawn.append(ChaosScenario(index=len(drawn), name=name, fault_spec=spec))
     return drawn
 
 
@@ -220,9 +146,10 @@ def _surface_cells(surface) -> List[Tuple]:
 
 
 class _ScenarioEnv:
-    """Scoped environment mutation: fault spec, backend, lease TTL."""
+    """Scoped environment: the scenario's fault spec and no shared
+    result store (every scenario must really compute its points)."""
 
-    _KEYS = ("REPRO_FAULT_SPEC", "REPRO_EXEC_BACKEND", "REPRO_LEASE_TTL_S")
+    _KEYS = ("REPRO_FAULT_SPEC", "REPRO_RESULT_STORE")
 
     def __init__(self, scenario: Optional[ChaosScenario]):
         self.scenario = scenario
@@ -235,11 +162,6 @@ class _ScenarioEnv:
             self._saved[key] = os.environ.pop(key, None)
         if self.scenario is not None:
             os.environ["REPRO_FAULT_SPEC"] = self.scenario.fault_spec
-            os.environ["REPRO_EXEC_BACKEND"] = self.scenario.backend
-            if self.scenario.lease_ttl_s is not None:
-                os.environ["REPRO_LEASE_TTL_S"] = str(
-                    self.scenario.lease_ttl_s
-                )
         clear_faults()  # drop any cached plan (and its hit counts)
         return self
 
@@ -265,21 +187,29 @@ def run_chaos(
     on_scenario: Optional[Callable[[ScenarioResult], None]] = None,
 ) -> ChaosReport:
     """Run the seeded fault matrix; every scenario must hold the
-    completion + bit-identity + clean-journal invariants."""
-    from repro.check.doctor import scan_checkpoint_dir
+    completion + bit-identity + clean-rerun invariants."""
+    from repro.check.doctor import scan_result_store
     from repro.sim.sweep import sweep_tiers
     from repro.workloads.registry import make_workload
 
     log = get_logger("repro.exec.chaos")
     trace = make_workload(benchmark, length=length, seed=1)
 
-    # The reference results: one fault-free serial sweep.
-    with _ScenarioEnv(None):
-        baseline = _surface_cells(
-            sweep_tiers(
-                scheme, trace, size_bits=list(size_bits), precheck=False
+    def sweep(env, checkpoint_dir=None, workers=1) -> List[Tuple]:
+        with _ScenarioEnv(env):
+            return _surface_cells(
+                sweep_tiers(
+                    scheme,
+                    trace,
+                    size_bits=list(size_bits),
+                    checkpoint_dir=checkpoint_dir,
+                    workers=workers,
+                    precheck=False,
+                )
             )
-        )
+
+    # The reference results: one fault-free serial sweep.
+    baseline = sweep(None)
 
     report = ChaosReport(seed=seed, workers=workers, scheme=scheme)
     for scenario in draw_scenarios(seed, scenarios):
@@ -289,30 +219,25 @@ def run_chaos(
         checkpoint_dir = tempfile.mkdtemp(prefix="repro-chaos-")
         failure = ""
         try:
-            with _ScenarioEnv(scenario):
-                surface = sweep_tiers(
-                    scheme,
-                    trace,
-                    size_bits=list(size_bits),
-                    checkpoint_dir=checkpoint_dir,
-                    workers=workers,
-                    precheck=False,
-                )
-            cells = _surface_cells(surface)
-            if cells != baseline:
-                failure = (
-                    f"results diverged from serial baseline "
-                    f"({len(cells)} vs {len(baseline)} cells)"
-                )
+            for phase, cells in (
+                ("faulted run", sweep(scenario, checkpoint_dir, workers)),
+                ("re-run", sweep(None, checkpoint_dir, workers)),
+            ):
+                if cells != baseline:
+                    failure = (
+                        f"{phase} diverged from serial baseline "
+                        f"({len(cells)} vs {len(baseline)} cells)"
+                    )
+                    break
             else:
                 errors = [
                     f
-                    for f in scan_checkpoint_dir(checkpoint_dir)
+                    for f in scan_result_store(checkpoint_dir)
                     if f.severity == "error"
                 ]
                 if errors:
                     failure = (
-                        "journal not clean after completion: "
+                        "checkpoint dir not clean after re-run: "
                         + "; ".join(f.why for f in errors[:3])
                     )
         except Exception as exc:  # sweep must never die under chaos
@@ -325,10 +250,6 @@ def run_chaos(
             ok=not failure,
             duration_s=time.perf_counter() - started,
             detail=failure,
-            fence_rejections=int(
-                after.get("lease.fence_rejections", 0)
-                - before.get("lease.fence_rejections", 0)
-            ),
             faults_injected=int(
                 after.get("faults.injected", 0)
                 - before.get("faults.injected", 0)

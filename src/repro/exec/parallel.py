@@ -1,336 +1,362 @@
-"""The parallel sweep orchestrator (the parent side).
+"""The worker pool: point tasks in, finished points back to the parent.
 
-``sweep_tiers(..., workers=N)`` delegates its pending points here. The
-parent never simulates while workers are healthy; it
+One pool serves both ``repro run --workers N`` (through
+:func:`repro.sim.sweep.sweep_tiers`) and ``repro serve``. The caller
+hands :func:`run_points` a list of :class:`PointTask` and an
+``on_result`` callback; every point is a deterministic function of its
+task, so the pool needs no leases, fencing or journals:
 
-1. *salvages* any worker journals a previously killed run left in the
-   scratch directory (their points count as restored progress),
-2. *publishes* the trace once into the trace store (content
-   fingerprint key), so N workers load one ``.npz`` instead of
-   regenerating N traces,
-3. *spawns* a round of worker processes that race for shard leases,
-4. *polls*: tails worker journals for live progress (feeding the
-   ``on_point`` hook exactly like the serial loop), enforces the
-   deadline, honors cooperative SIGINT, and exposes the ``exec.poll``
-   fault site,
-5. *joins and merges*: folds worker journals into the master journal
-   and worker telemetry into the global registry/tracer,
-6. *retries*: while any worker died, respawns a fresh round (with
-   backoff) over whatever is still pending — points a dead worker
-   already journaled are never recomputed — and after the last round
-   finishes any stragglers serially in-process, so a sweep completes
-   even if every worker is killed every round.
+* workers are forked with the task list, receive task indices over a
+  pipe, and *return* ``(point, telemetry delta)`` — they write no
+  files, ignore SIGINT, and exit on their own when the parent dies;
+* the parent is the only process that writes: it folds each worker's
+  telemetry into its registry and calls ``on_result`` the moment a
+  point lands, so a killed parent loses only the in-flight points;
+* a task whose worker raised or died is re-dispatched (a dead worker
+  is replaced) until it has failed :data:`MAX_ROUNDS` times; whatever
+  is left then runs serially in the parent, and a point that fails
+  there too comes back as a per-key error instead of an exception.
 
-On SIGINT or deadline expiry the parent writes the scratch stop flag,
-lets workers finish their in-flight point and flush, merges their
-journals, flushes the master, and re-raises — the CLI then exits 130
-with all completed work resumable, exactly as in the serial path.
+``poll`` is called between scheduling steps and may raise to stop the
+pool (SIGINT, a deadline, a draining daemon): dispatch stops, in-flight
+points still land through ``on_result`` (bounded by
+:data:`DRAIN_TIMEOUT_S`), and the exception propagates.
 """
 
 from __future__ import annotations
 
-import glob
-import math
 import os
-import shutil
+import signal
+import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from multiprocessing.connection import wait
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs.dashboard import FleetDashboard
 from repro.obs.logging import get_logger
-from repro.obs.metrics import counter
-from repro.obs.profile import profiling_enabled
-from repro.obs.spans import span
-from repro.runtime.backoff import RESPAWN_BACKOFF
+from repro.obs.metrics import REGISTRY, counter, reset_metrics, snapshot
+from repro.obs.profile import (
+    disable_profiling,
+    enable_profiling,
+    profiling_enabled,
+)
+from repro.obs.spans import get_tracer, span
 from repro.runtime.faults import maybe_inject
-from repro.sim.results import TierPoint, TierSurface
+from repro.sim.results import TierPoint
+from repro.sim.sweep import compute_point
 from repro.traces.trace import BranchTrace
 
-from repro.exec.leases import default_ttl_s
-
-from repro.exec import merge
-from repro.exec.worker import (
-    WorkerPlan,
-    clear_stop,
-    compute_point,
-    request_stop,
-    worker_main,
-)
-
-#: Seconds between parent poll-loop ticks.
+#: Seconds the parent waits for a worker message before polling again.
 POLL_INTERVAL_S = 0.05
 
-#: Respawn rounds after worker failures before the parent finishes the
-#: remainder serially itself (guaranteed completion).
+#: Times a task may fail in a worker before the parent runs it serially.
 MAX_ROUNDS = 3
 
-#: Seconds a draining worker gets to finish its in-flight point before
-#: the parent terminates it (its journaled points survive either way).
+#: Seconds in-flight points get to land after ``poll`` stops the pool.
 DRAIN_TIMEOUT_S = 30.0
 
-#: Target shards per worker when --shard-size is not given: small
-#: enough shards to rebalance around a slow worker, big enough to keep
-#: lease traffic negligible next to simulation time.
-SHARDS_PER_WORKER = 4
+#: Seconds between a worker's checks that its parent is still alive.
+PARENT_CHECK_S = 0.2
 
-PointKey = Tuple[int, int]
+
+@dataclass(frozen=True)
+class PointTask:
+    """One sweep point to compute, and the content key it lands under."""
+
+    key: str
+    scheme: str
+    trace: BranchTrace
+    n: int
+    row_bits: int
+    bht_entries: Optional[int] = None
+    bht_assoc: int = 4
+
+    def compute(self, engine: str, paranoid: bool) -> TierPoint:
+        return compute_point(
+            self.scheme,
+            self.trace,
+            self.n,
+            self.row_bits,
+            bht_entries=self.bht_entries,
+            bht_assoc=self.bht_assoc,
+            engine=engine,
+            paranoid=paranoid,
+        )
+
+
+@dataclass
+class _Worker:
+    wid: int
+    process: Any
+    conn: Any
+    task: Optional[int] = None  # index of the task in flight
+    landed: int = 0
 
 
 def _mp_context():
     import multiprocessing
 
-    # fork keeps worker startup at milliseconds (important for the
-    # speedup target on short sweeps); spawn is the portable fallback.
+    # fork keeps worker startup at milliseconds and shares the traces
+    # copy-on-write (the parent runs no threads when it forks); spawn is
+    # the portable fallback.
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - no fork on this platform
         return multiprocessing.get_context("spawn")
 
 
-def _shard(
-    pending: List[PointKey], shard_size: Optional[int], workers: int
-) -> List[Tuple[int, Tuple[PointKey, ...]]]:
-    if shard_size is None:
-        shard_size = max(
-            1, math.ceil(len(pending) / (workers * SHARDS_PER_WORKER))
-        )
-    return [
-        (index, tuple(pending[start : start + shard_size]))
-        for index, start in enumerate(range(0, len(pending), shard_size))
-    ]
+def _exit_with_parent(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_CHECK_S)
+    os._exit(1)
 
 
-def run_parallel_sweep(
-    scheme: str,
-    trace: BranchTrace,
-    pending: List[PointKey],
-    journal,
-    surface: TierSurface,
-    interrupt,
+def _telemetry() -> Dict[str, Any]:
+    """This worker's metrics and span aggregates since the last reset."""
+    data = snapshot()
+    return {
+        "counters": {k: v for k, v in data["counters"].items() if v},
+        "histograms": {
+            k: h for k, h in data["histograms"].items() if h.get("count")
+        },
+        "spans": get_tracer().aggregates(),
+    }
+
+
+def _worker_main(conn, tasks, engine, paranoid, profile, parent_pid) -> None:
+    """Process body: compute the tasks the parent sends until told to stop.
+
+    A task that raises is reported back; anything stronger (an injected
+    interrupt, a kill) ends the process, and the parent sees it die.
+    """
+    # The parent owns SIGINT/SIGTERM handling; a worker takes the
+    # default SIGTERM so the parent can always terminate it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_with_parent, args=(parent_pid,), daemon=True
+    ).start()
+    tracer = get_tracer()
+    tracer.abandon_sink()  # a fork inherits the parent's open sink
+    disable_profiling()
+    if profile:
+        enable_profiling()
+    while True:
+        try:
+            index = conn.recv()
+        except (EOFError, OSError):
+            return
+        if index is None:
+            return
+        reset_metrics()
+        tracer.reset()
+        point = error = None
+        try:
+            maybe_inject("exec.worker")
+            point = tasks[index].compute(engine, paranoid)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        conn.send((index, point, error, _telemetry()))
+
+
+def _absorb(telemetry: Dict[str, Any]) -> None:
+    for name, value in telemetry["counters"].items():
+        # Concurrent workers' engine wall time is CPU time from here
+        # (it is in their sim.cpu_s); the parent accounts elapsed wall.
+        if name != "sim.wall_s":
+            REGISTRY.counter(name).inc(value)
+    for name, summary in telemetry["histograms"].items():
+        REGISTRY.histogram(name).absorb(summary)
+    get_tracer().absorb_aggregates(telemetry["spans"])
+
+
+def run_points(
+    tasks: Sequence[PointTask],
+    on_result: Callable[[PointTask, TierPoint], None],
     *,
     workers: int,
-    shard_size: Optional[int] = None,
-    bht_entries: Optional[int] = None,
-    bht_assoc: int = 4,
     engine: str = "auto",
     paranoid: bool = False,
-    deadline=None,
-    on_point: Optional[Callable[[TierPoint, int, int], None]] = None,
-    completed: int = 0,
-    total: int = 0,
-    dashboard: bool = False,
-) -> int:
-    """Execute ``pending`` points across ``workers`` processes.
+    poll: Callable[[], None] = lambda: None,
+    fleet: Optional[FleetDashboard] = None,
+) -> Dict[str, BaseException]:
+    """Compute ``tasks`` on ``workers`` processes; returns per-key errors.
 
-    Mutates ``surface`` and ``journal`` in place; returns the updated
-    ``completed`` count. ``interrupt`` is the sweep's already-installed
-    :class:`~repro.runtime.deadline.CooperativeInterrupt`.
-    ``dashboard=True`` renders the live fleet table on stderr from the
-    poll loop (stdout and all results are unaffected).
+    ``on_result(task, point)`` runs in this process as each point
+    lands. The returned dict maps the key of every task that failed
+    even serially to its exception; it is empty when every point landed.
     """
-    from repro.workloads.store import TraceStore
-
     log = get_logger("repro.exec")
-    scratch = journal.path + ".exec"
-    os.makedirs(scratch, exist_ok=True)
-    clear_stop(scratch)
+    errors: Dict[str, BaseException] = {}
+    queue: Deque[int] = deque(range(len(tasks)))
+    attempts = [0] * len(tasks)
+    fallback: List[int] = []
+    pool: List[_Worker] = []
+    context = _mp_context()
+    spawned = landed = 0
+    draining = False
 
-    fleet = FleetDashboard(f"{scheme} x{workers}") if dashboard else None
-
-    # Elapsed-wall accounting: workers report their engine seconds as
-    # sim.cpu_s (absorb_worker_reports keeps worker sim.wall_s out of
-    # the parent's), so the parent owns sim.wall_s — this region's
-    # elapsed time, minus whatever its own in-process engine calls
-    # (serial fallback, salvage re-computes) already contributed.
+    # Elapsed-wall accounting: worker engine seconds arrive as sim.cpu_s,
+    # so this region's elapsed time is the parent's sim.wall_s, minus
+    # what its own engine calls (the serial fallback) already counted.
     wall_counter = counter("sim.wall_s")
     own_engine_before = wall_counter.value
     region_started = time.perf_counter()
 
-    pending_set = set(pending)
-    landed: Dict[PointKey, TierPoint] = {}
+    def spawn() -> None:
+        nonlocal spawned
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                tasks,
+                engine,
+                paranoid,
+                profiling_enabled(),
+                os.getpid(),
+            ),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        pool.append(_Worker(spawned, process, parent_conn))
+        spawned += 1
+        counter("exec.workers_spawned").inc()
 
-    def _land(
-        n: int, point: TierPoint, metric: Optional[str] = None
-    ) -> None:
-        # Worker-computed points are already counted by the worker's
-        # absorbed metrics report, so polling lands them with no
-        # metric; salvaged journals count as restored progress.
-        nonlocal completed
-        key = (n, point.row_bits)
-        if key in landed or key not in pending_set:
-            return
-        landed[key] = point
-        surface.add(n, point)
-        if metric is not None:
-            counter(metric).inc()
-        completed += 1
-        if on_point is not None:
-            on_point(point, completed, total)
+    def failed(index: int, why: str) -> None:
+        counter("exec.worker_failures").inc()
+        attempts[index] += 1
+        log.warning(
+            "pool point %s failed in a worker (%d/%d): %s",
+            tasks[index].key,
+            attempts[index],
+            MAX_ROUNDS,
+            why,
+        )
+        (queue if attempts[index] < MAX_ROUNDS else fallback).append(index)
 
-    # Salvage: a killed prior run may have left worker journals whose
-    # points never reached the master. Fold them in before planning.
-    for n, point in merge.merge_worker_journals(journal, scratch):
-        _land(n, point, "sweep.points_restored")
-    merge.clear_worker_artifacts(scratch)
+    def dispatch(worker: _Worker) -> None:
+        if queue and not draining:
+            worker.task = queue.popleft()
+            try:
+                worker.conn.send(worker.task)
+            except OSError:
+                pass  # dead: its sentinel reports it next
 
-    store = TraceStore.from_env()
-    if store is None:
-        store = TraceStore(os.path.join(scratch, "traces"))
-    trace_path = store.put(trace)
-
-    def _poll_progress() -> None:
-        fresh = merge.load_worker_points(scratch, journal.key)
-        for key in sorted(fresh):
-            n, point = fresh[key]
-            _land(n, point)
-
-    def _spawn_round(
-        round_index: int, points: List[PointKey]
-    ) -> List:
-        context = _mp_context()
-        shards = _shard(points, shard_size, workers)
-        spawned = []
-        count = min(workers, len(shards))
-        for position in range(count):
-            plan = WorkerPlan(
-                worker_id=round_index * workers + position,
-                scheme=scheme,
-                trace_path=trace_path,
-                shards=tuple(shards),
-                scratch_dir=scratch,
-                journal_key=journal.key,
-                engine=engine,
-                paranoid=paranoid,
-                bht_entries=bht_entries,
-                bht_assoc=bht_assoc,
-                lease_ttl_s=default_ttl_s(),
-                start_offset=(position * len(shards)) // count,
-                profile=profiling_enabled(),
+    def reap(worker: _Worker) -> None:
+        pool.remove(worker)
+        worker.conn.close()
+        worker.process.join()
+        if worker.task is not None:
+            failed(
+                worker.task, f"worker exited with {worker.process.exitcode}"
             )
-            process = context.Process(
-                target=worker_main, args=(plan,), daemon=True
+            # Each replacement follows a failed attempt, so respawns are
+            # bounded by len(tasks) * MAX_ROUNDS.
+            if queue and not draining:
+                spawn()
+
+    def collect() -> None:
+        nonlocal landed
+        ready = set(
+            wait(
+                [w.conn for w in pool] + [w.process.sentinel for w in pool],
+                timeout=POLL_INTERVAL_S,
             )
-            process.start()
-            spawned.append(process)
-        counter("exec.workers_spawned").inc(len(spawned))
-        return spawned
+        )
+        for worker in list(pool):
+            if worker.conn in ready:
+                try:
+                    index, point, error, telemetry = worker.conn.recv()
+                except (EOFError, OSError):
+                    reap(worker)
+                    continue
+                # Hand out the next point before persisting this one, so
+                # the worker computes while the parent writes.
+                worker.task = None
+                dispatch(worker)
+                _absorb(telemetry)
+                if error is not None:
+                    failed(index, error)
+                    continue
+                worker.landed += 1
+                landed += 1
+                on_result(tasks[index], point)
+            elif worker.process.sentinel in ready:
+                reap(worker)
 
-    def _drain(processes: List) -> None:
-        deadline_at = time.monotonic() + DRAIN_TIMEOUT_S
-        for process in processes:
-            process.join(timeout=max(0.0, deadline_at - time.monotonic()))
-        for process in processes:
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
-
-    processes: List = []
     try:
-        with span(
-            "exec.sweep", scheme=scheme, workers=workers, points=len(pending)
-        ):
-            for round_index in range(MAX_ROUNDS):
-                still_pending = [
-                    p for p in pending if p not in journal.completed()
-                ]
-                if not still_pending:
-                    break
-                if round_index > 0:
-                    # Backoff before re-claiming a crashed round's work;
-                    # jittered so simultaneous crashes do not stampede.
-                    counter("retry.attempts").inc()
-                    RESPAWN_BACKOFF.sleep(round_index - 1)
-                processes = _spawn_round(round_index, still_pending)
-                while any(p.is_alive() for p in processes):
-                    maybe_inject("exec.poll")
-                    interrupt.checkpoint()
-                    if deadline is not None:
-                        deadline.check(f"parallel sweep({scheme})")
-                    _poll_progress()
-                    if fleet is not None and fleet.due():
-                        fleet.update(
-                            merge.worker_progress(scratch),
-                            done=completed,
-                            total=total,
-                            fence_rejections=int(
-                                counter("lease.fence_rejections").value
-                            ),
-                            shards_total=len(
-                                glob.glob(
-                                    os.path.join(scratch, "shard-*.lease")
-                                )
-                            ),
-                        )
-                    time.sleep(POLL_INTERVAL_S)
-                for process in processes:
-                    process.join()
-                failures = sum(
-                    1 for p in processes if p.exitcode not in (0, None)
-                )
-                _poll_progress()
-                merge.merge_worker_journals(journal, scratch)
-                merge.absorb_worker_reports(scratch)
-                merge.clear_worker_artifacts(scratch)
-                processes = []
-                if failures:
-                    counter("exec.worker_failures").inc(failures)
-                    log.warning(
-                        "parallel sweep round %d: %d worker(s) died; "
-                        "re-claiming their shards",
-                        round_index,
-                        failures,
+        with span("exec.pool", workers=workers, points=len(tasks)):
+            for _ in range(min(workers, len(tasks))):
+                spawn()
+            while pool and (queue or any(w.task is not None for w in pool)):
+                maybe_inject("exec.poll")
+                poll()
+                for worker in pool:
+                    if worker.task is None:
+                        dispatch(worker)
+                collect()
+                if fleet is not None and fleet.due():
+                    fleet.update(
+                        {w.wid: {"points": w.landed} for w in pool},
+                        done=landed,
+                        total=len(tasks),
                     )
-                else:
-                    break
-
-            # Whatever survived every round runs serially in-process:
-            # completion is guaranteed even if workers always crash,
-            # and a deterministic failure finally surfaces here.
-            for n, row_bits in [
-                p for p in pending if p not in journal.completed()
-            ]:
-                interrupt.checkpoint()
-                if deadline is not None:
-                    deadline.check(f"sweep_tiers({scheme})")
-                stub = WorkerPlan(
-                    worker_id=-1,
-                    scheme=scheme,
-                    trace_path=trace_path,
-                    shards=(),
-                    scratch_dir=scratch,
-                    journal_key=journal.key,
-                    engine=engine,
-                    paranoid=paranoid,
-                    bht_entries=bht_entries,
-                    bht_assoc=bht_assoc,
-                )
-                point = compute_point(stub, trace, n, row_bits)
-                counter("sweep.points_computed").inc()
-                journal.append(n, point)
-                key = (n, row_bits)
-                if key not in landed:
-                    landed[key] = point
-                    surface.add(n, point)
-                    completed += 1
-                    if on_point is not None:
-                        on_point(point, completed, total)
+            fallback.extend(queue)
+            _stop(pool)
+            # Completion is guaranteed even if every worker always
+            # crashes, and a deterministic failure surfaces here.
+            for index in fallback:
+                poll()
+                task = tasks[index]
+                try:
+                    point = task.compute(engine, paranoid)
+                except Exception as exc:
+                    errors[task.key] = exc
+                    log.error(
+                        "point %s (%s n=%d r=%d) failed serially: %s",
+                        task.key,
+                        task.scheme,
+                        task.n,
+                        task.row_bits,
+                        exc,
+                    )
+                    continue
+                on_result(task, point)
     except BaseException:
-        # SIGINT / deadline / fault: drain in-flight shards, capture
-        # their journals, flush the master, and leave resumable state.
-        if processes:
-            request_stop(scratch)
-            _drain(processes)
-        merge.merge_worker_journals(journal, scratch)
-        merge.absorb_worker_reports(scratch)
-        journal.flush()
-        shutil.rmtree(scratch, ignore_errors=True)
+        # Stopped: dispatch nothing new, but land what is in flight.
+        draining = True
+        deadline_at = time.monotonic() + DRAIN_TIMEOUT_S
+        while (
+            any(w.task is not None for w in pool)
+            and time.monotonic() < deadline_at
+        ):
+            collect()
         raise
     finally:
+        _stop(pool)
         if fleet is not None:
             fleet.finish()
         own_engine = wall_counter.value - own_engine_before
         elapsed = time.perf_counter() - region_started
         wall_counter.inc(max(0.0, elapsed - own_engine))
-    journal.flush()
-    shutil.rmtree(scratch, ignore_errors=True)
-    return completed
+    return errors
+
+
+def _stop(pool: List[_Worker]) -> None:
+    """Ask idle workers to exit; terminate any that do not."""
+    for worker in pool:
+        try:
+            worker.conn.send(None)
+        except OSError:
+            pass
+    for worker in pool:
+        worker.process.join(timeout=1.0)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join()
+        worker.conn.close()
+    pool.clear()

@@ -30,7 +30,7 @@ class ExperimentOptions:
     (each experiment module narrows them).
 
     The runtime fields make long runs resilient: ``checkpoint_dir``
-    streams every completed sweep point to an atomic journal (and
+    writes every finished sweep point to a result store there (and
     ``resume`` restores prior progress from it); ``paranoid``
     cross-checks the vectorized engine against the scalar reference on
     every point (see :mod:`repro.runtime`). ``on_point`` is the
@@ -38,9 +38,9 @@ class ExperimentOptions:
     ``--progress`` heartbeat plugs in here (see :mod:`repro.obs`).
     ``precheck`` statically verifies every planned sweep spec before
     the first point simulates (see :mod:`repro.check`); the CLI's
-    ``--no-precheck`` turns it off. ``workers``/``shard_size`` shard
-    sweep points across processes (see :mod:`repro.exec`; the CLI's
-    ``--workers``/``--shard-size``), and ``plan_from_estimate`` skips
+    ``--no-precheck`` turns it off. ``workers`` runs sweep points on a
+    worker pool (see :mod:`repro.exec`; the CLI's ``--workers``), and
+    ``plan_from_estimate`` skips
     points below a predicted-delta threshold (``--plan-from-estimate``).
     ``dashboard`` renders the live fleet table on stderr for parallel
     sweeps (``--dashboard``; see :mod:`repro.obs.dashboard`).
@@ -59,7 +59,6 @@ class ExperimentOptions:
     on_point: Optional[Callable[[Any, int, int], None]] = None
     precheck: bool = True
     workers: int = 1
-    shard_size: Optional[int] = None
     plan_from_estimate: Optional[float] = None
     dashboard: bool = False
     use_cache: bool = True
@@ -73,7 +72,6 @@ class ExperimentOptions:
             "on_point": self.on_point,
             "precheck": self.precheck,
             "workers": self.workers,
-            "shard_size": self.shard_size,
             "plan_from_estimate": self.plan_from_estimate,
             "dashboard": self.dashboard,
             "use_cache": self.use_cache,

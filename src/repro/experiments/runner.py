@@ -82,18 +82,12 @@ def run_experiment(
     """Run one experiment by id.
 
     When ``options.checkpoint_dir`` is set the experiment's sweeps
-    stream completed points to on-disk journals and resume from them;
-    whatever interrupts the run (Ctrl-C, a deadline, an engine error),
-    every open journal is flushed before the exception propagates, so
-    completed work is never lost.
+    write every finished point to a result store there as it lands and
+    restore them on the next run, so whatever interrupts the run
+    (Ctrl-C, a deadline, an engine error), completed work is never
+    lost.
     """
     from repro.obs.spans import span
 
-    try:
-        with span("experiment", id=experiment_id):
-            return get_experiment(experiment_id)(options)
-    except BaseException:
-        from repro.runtime.checkpoint import flush_open_journals
-
-        flush_open_journals()
-        raise
+    with span("experiment", id=experiment_id):
+        return get_experiment(experiment_id)(options)

@@ -2,10 +2,9 @@
 
 While ``repro run --workers N --dashboard`` is polling its worker
 fleet, the parent renders a throttled ANSI table on **stderr** (stdout
-stays byte-identical to a serial run) showing, per worker: shards
-claimed, points landed, recent points/second, and a straggler flag.
-Fleet-wide lines carry done/total progress and the
-``lease.fence_rejections`` count.
+stays byte-identical to a serial run) showing, per worker: points
+landed, recent points/second, and a straggler flag. The header line
+carries fleet-wide done/total progress.
 
 The terminal contract is deliberately minimal — *output only*, no
 keybindings, no alternate screen: each frame moves the cursor up over
@@ -37,9 +36,9 @@ MAX_SAMPLES = 512
 class FleetDashboard:
     """Throttled per-worker status table over the poll loop's progress.
 
-    The parallel executor calls :meth:`update` from its poll loop with
-    the per-worker journal progress (``merge.worker_progress``); the
-    dashboard owns all rendering and throttling. ``clock`` is
+    The worker pool calls :meth:`update` from its scheduling loop with
+    each worker's landed-point count; the dashboard owns all rendering
+    and throttling. ``clock`` is
     injectable for tests.
     """
 
@@ -59,7 +58,7 @@ class FleetDashboard:
         self._last_frame_at: Optional[float] = None
         self._last_frame_lines = 0
         self._samples: List[float] = []
-        # wid -> {points, shards, last_change, rate, straggler}
+        # wid -> {points, last_change, rate, straggler}
         self._workers: Dict[int, Dict[str, float]] = {}
 
     # -- poll-loop API -------------------------------------------------
@@ -78,21 +77,13 @@ class FleetDashboard:
         *,
         done: int = 0,
         total: int = 0,
-        fence_rejections: int = 0,
-        shards_total: int = 0,
         now: Optional[float] = None,
     ) -> None:
         """Fold one poll's worker progress in and render if due."""
         now = self._clock() if now is None else now
         self._ingest(progress, now)
         if self.due(now):
-            self._render(
-                done=done,
-                total=total,
-                fence_rejections=fence_rejections,
-                shards_total=shards_total,
-                now=now,
-            )
+            self._render(done=done, total=total, now=now)
 
     def finish(self) -> None:
         """Leave the final frame in place and stop rewriting it."""
@@ -107,12 +98,10 @@ class FleetDashboard:
     def _ingest(self, progress: Dict[int, Dict[str, int]], now: float) -> None:
         for wid, row in progress.items():
             points = int(row.get("points") or 0)
-            shards = int(row.get("shards") or 0)
             state = self._workers.get(wid)
             if state is None:
                 state = {
                     "points": 0.0,
-                    "shards": 0.0,
                     "last_change": now,
                     "rate": 0.0,
                     "straggler": 0.0,
@@ -128,7 +117,6 @@ class FleetDashboard:
                     state["rate"] = landed / elapsed
                 state["last_change"] = now
             state["points"] = float(points)
-            state["shards"] = float(shards)
         p90 = self.fleet_p90()
         for state in self._workers.values():
             stale_for = now - float(state["last_change"])
@@ -163,28 +151,16 @@ class FleetDashboard:
         except (OSError, ValueError):
             return False
 
-    def render_frame(
-        self,
-        *,
-        done: int = 0,
-        total: int = 0,
-        fence_rejections: int = 0,
-        shards_total: int = 0,
-    ) -> str:
+    def render_frame(self, *, done: int = 0, total: int = 0) -> str:
         """The current frame as plain text (no ANSI)."""
         header = f"[{self.label}] fleet: {len(self._workers)} worker(s)"
         if total:
             header += f", {done}/{total} points"
-        if shards_total:
-            header += f", {shards_total} shard(s)"
-        if fence_rejections:
-            header += f", {fence_rejections} fence rejection(s)"
         if not self._workers:
-            return header + "\n(waiting for worker journals)"
+            return header + "\n(waiting for workers)"
         rows = [
             [
                 f"w{wid:04d}",
-                int(state["shards"]),
                 int(state["points"]),
                 float(state["rate"]),
                 "straggler" if state["straggler"] else "ok",
@@ -193,26 +169,13 @@ class FleetDashboard:
         ]
         table = format_table(
             rows,
-            headers=("worker", "shards", "points", "points/s", "status"),
+            headers=("worker", "points", "points/s", "status"),
             float_fmt=".2f",
         )
         return header + "\n" + table
 
-    def _render(
-        self,
-        *,
-        done: int,
-        total: int,
-        fence_rejections: int,
-        shards_total: int,
-        now: float,
-    ) -> None:
-        frame = self.render_frame(
-            done=done,
-            total=total,
-            fence_rejections=fence_rejections,
-            shards_total=shards_total,
-        )
+    def _render(self, *, done: int, total: int, now: float) -> None:
+        frame = self.render_frame(done=done, total=total)
         if self._is_tty() and self._last_frame_lines:
             # Rewrite in place: up over the old frame, erase below.
             self._stream.write(f"\x1b[{self._last_frame_lines}A\x1b[0J")

@@ -61,7 +61,7 @@ def chrome_trace(tracer: Optional[SpanTracer] = None) -> Dict[str, Any]:
 
 def write_chrome_trace(path: str, tracer: Optional[SpanTracer] = None) -> int:
     """Write :func:`chrome_trace` to ``path``; returns the event count."""
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.durable import atomic_write_text
 
     document = chrome_trace(tracer)
     atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
@@ -167,7 +167,7 @@ def write_prometheus(
     :func:`repro.obs.ledger.load_entries`) append per-bench gauges.
     """
     from repro.obs import metrics as _metrics
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.durable import atomic_write_text
 
     if snapshot is None:
         snapshot = _metrics.snapshot()

@@ -15,7 +15,7 @@ counters/histograms snapshot for forensics.
   ``atomic_write_text`` (write temp + rename), so a crash mid-append
   leaves either the old or the new complete ledger. A torn or corrupt
   *tail* left by earlier tooling is recovered the way ``repro doctor``
-  repairs journals: original bytes preserved to a ``.quarantine``
+  repairs queue files: original bytes preserved to a ``.quarantine``
   sidecar, file truncated to its last good line.
 * **Queries.** ``repro obs history`` lists rows, ``repro obs diff
   REV1 REV2`` compares the latest row per bench across two revisions,
@@ -42,7 +42,7 @@ DEFAULT_LEDGER = os.path.join("~", ".repro", "ledger.jsonl")
 LEDGER_ENV = "REPRO_LEDGER"
 
 #: Sweep keys noted since the last :func:`consume_sweep_keys` call;
-#: ``sweep_tiers`` reports every journal key it opens so the ledger
+#: ``sweep_tiers`` reports the key of every checkpointed sweep so the ledger
 #: entry written at the end of a ``repro run`` can carry them.
 _RUN_SWEEP_KEYS: List[str] = []
 
@@ -129,11 +129,11 @@ def load_entries(path: str) -> Tuple[List[Dict[str, Any]], List[int]]:
 def recover_ledger(path: str) -> int:
     """Quarantine bad bytes and truncate to the good lines.
 
-    The doctor's journal-repair pattern: the original file is preserved
+    The doctor's queue-repair pattern: the original file is preserved
     to a ``.quarantine`` sidecar, then the ledger is rewritten with
     only its CRC-valid lines. Returns the number of lines dropped.
     """
-    from repro.runtime.checkpoint import atomic_write_text, quarantine_path
+    from repro.runtime.durable import atomic_write_text, quarantine_path
 
     entries, bad = load_entries(path)
     if not bad:
@@ -165,7 +165,7 @@ def append_entry(
     target = resolve_ledger_path(path)
     if target is None:
         return None
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.durable import atomic_write_text
 
     directory = os.path.dirname(target)
     if directory:

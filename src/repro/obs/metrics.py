@@ -1,7 +1,7 @@
 """Process-local counters, gauges, and histograms.
 
 The runtime and simulation layers report what they *did* — branches
-simulated, engine degradations, checkpoint appends, retries — into one
+simulated, engine degradations, points restored, retries — into one
 global :class:`MetricsRegistry`; the report layer snapshots it at the
 end of a run. No sampling, no background threads, no dependencies:
 every operation is a dict lookup plus an add under a lock, cheap enough
@@ -195,9 +195,7 @@ WELL_KNOWN = {
         "guard.paranoid_checks",
         "guard.paranoid_disagreements",
         "sweep.points_computed",   # simulated this run
-        "sweep.points_restored",   # checkpoint hits reused from a journal
-        "checkpoint.appends",
-        "checkpoint.flushes",
+        "sweep.points_restored",   # points restored from a result store
         "retry.attempts",          # transient failures retried with backoff
         "deadline.expirations",
         "interrupt.deferred",      # SIGINTs held to the next point boundary
@@ -206,12 +204,8 @@ WELL_KNOWN = {
         "sweep.points_pruned",     # points skipped by --plan-from-estimate
         "store.hits",              # trace-store loads that skipped generation
         "store.misses",            # trace-store requests that had to generate
-        "exec.workers_spawned",    # parallel sweep worker processes started
-        "exec.worker_failures",    # workers that exited without finishing
-        "exec.shards_claimed",     # shard leases taken (first claims)
-        "exec.leases_reclaimed",   # stale leases stolen from dead workers
-        "lease.heartbeats",        # lease renewals written by shard owners
-        "lease.fence_rejections",  # journal lines dropped: superseded token
+        "exec.workers_spawned",    # pool worker processes started
+        "exec.worker_failures",    # pool points lost to a worker error/death
         "doctor.repairs",          # artifacts repaired by `repro doctor`
         "store.evictions",         # trace-store files removed by gc/LRU
         "chaos.scenarios",         # chaos fault scenarios executed
@@ -229,7 +223,7 @@ WELL_KNOWN = {
         "serve.jobs_completed",    # jobs finished with a result artifact
         "serve.jobs_failed",       # jobs that ended in an error state
         "serve.jobs_cancelled",    # jobs cancelled before completion
-        "serve.rounds",            # worker-pool rounds the daemon spawned
+        "serve.rounds",            # pool runs the daemon started
     ),
     "gauges": (),
     "histograms": (
@@ -240,7 +234,7 @@ WELL_KNOWN = {
         "sim.phase.index_stream",     # counter-index stream computation
         "sim.phase.fsm_scan",         # segmented automaton scan passes
         "sim.phase.counter_update",   # sort/scatter around the scan
-        "sim.phase.checkpoint_flush", # journal rewrite+rename seconds
+        "sim.phase.persist",          # result-store writes per point
         "sim.phase.engine_other",     # engine wall not covered above
         "analyze.profile_s",          # runtime branch-profiling seconds
         "serve.job_s",                # wall seconds per completed serve job

@@ -3,7 +3,7 @@
 ``repro run --profile`` (or :func:`enable_profiling`) turns on
 per-phase wall-clock accumulation around the stages that dominate a
 sweep: trace decode, counter-index stream computation, the segmented
-automaton scan, the sort/scatter around it, and checkpoint flushes.
+automaton scan, the sort/scatter around it, and point persistence.
 Each phase reports into a well-known ``sim.phase.*`` histogram
 (:data:`repro.obs.metrics.WELL_KNOWN`), rendered by
 ``repro obs summarize --phases``.
@@ -21,11 +21,12 @@ Design constraints:
   *residual* of each engine call as ``engine_other``
   (:func:`record_engine_other`), so
   ``sum(sim.phase.<engine phases>) ~= sim.wall_s`` whenever profiling
-  is on. ``trace_decode`` and ``checkpoint_flush`` happen outside
-  engine calls and are reported separately.
+  is on. ``trace_decode`` and ``persist`` (the result-store writes of
+  each finished point) happen outside engine calls and are reported
+  separately.
 * **Low overhead.** One ``perf_counter_ns`` pair per phase entry, a
   histogram observation, and a dict add under a lock — phases fire per
-  engine call / journal flush, never per branch. Measured overhead on
+  engine call / point write, never per branch. Measured overhead on
   the benchmark sweeps is under ~1% of wall time.
 """
 
@@ -47,7 +48,7 @@ PHASES: Tuple[str, ...] = (
     "index_stream",
     "fsm_scan",
     "counter_update",
-    "checkpoint_flush",
+    "persist",
     "engine_other",
 )
 

@@ -81,7 +81,7 @@ def collect(extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
 
 def write_metrics(path: str, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Write the current :func:`collect` report to ``path`` atomically."""
-    from repro.runtime.checkpoint import atomic_write_text
+    from repro.runtime.durable import atomic_write_text
 
     report = collect(extra)
     atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -2,9 +2,9 @@
 
 Makes long-running sweeps resumable, bounded, and self-verifying:
 
-* :mod:`repro.runtime.checkpoint` -- atomic on-disk journals keyed by
-  ``(scheme, trace fingerprint, options)``; a re-run resumes from the
-  last completed tier point.
+* :mod:`repro.runtime.durable` -- sweep keys and atomic writes, the
+  primitives behind resumable sweeps (finished points live in the
+  content-addressed result store; a re-run restores them).
 * :mod:`repro.runtime.deadline`   -- soft time budgets, cooperative
   SIGINT handling, and retry-with-backoff for transient failures.
 * :mod:`repro.runtime.guard`      -- engine invariant checks with
@@ -14,12 +14,7 @@ Makes long-running sweeps resumable, bounded, and self-verifying:
   (``REPRO_FAULT_SPEC``) used by the resilience test-suite.
 """
 
-from repro.runtime.checkpoint import (
-    CheckpointJournal,
-    atomic_write_text,
-    flush_open_journals,
-    sweep_key,
-)
+from repro.runtime.durable import atomic_write_text, sweep_key
 from repro.runtime.deadline import (
     CooperativeInterrupt,
     Deadline,
@@ -41,9 +36,7 @@ from repro.runtime.guard import (
 )
 
 __all__ = [
-    "CheckpointJournal",
     "atomic_write_text",
-    "flush_open_journals",
     "sweep_key",
     "CooperativeInterrupt",
     "Deadline",

@@ -1,11 +1,8 @@
 """Shared jittered exponential-backoff policy.
 
-Every place the runtime waits out a transient failure — per-point
-retries, parallel respawn rounds, lease reclaim races — used to carry
-its own inline ``min(cap, base * 2**n)`` arithmetic. A
-:class:`BackoffPolicy` centralizes the schedule so the knobs (base,
-factor, cap, jitter) are declared once per call site and testable in
-isolation.
+A :class:`BackoffPolicy` declares an exponential retry schedule once
+(base, factor, cap, jitter) instead of inline ``min(cap, base * 2**n)``
+arithmetic, and makes it testable in isolation.
 
 Jitter is *full* jitter on the top fraction of the delay: with
 ``jitter=0.25`` the sleep is uniform in ``[0.75 * d, d]``. The default
@@ -70,15 +67,3 @@ class BackoffPolicy:
 
 #: Per-point simulation retries (matches retry_with_backoff defaults).
 RETRY_BACKOFF = BackoffPolicy(base_delay=0.05, factor=2.0, max_delay=2.0)
-
-#: Parallel-executor respawn rounds after worker failures: jittered so
-#: simultaneously-crashed fleets do not re-stampede the lease files.
-RESPAWN_BACKOFF = BackoffPolicy(
-    base_delay=0.1, factor=2.0, max_delay=2.0, jitter=0.25
-)
-
-#: Lease reclaim verify-after-write losers back off before rescanning,
-#: spreading contenders that all just watched the same lease go stale.
-CLAIM_BACKOFF = BackoffPolicy(
-    base_delay=0.01, factor=2.0, max_delay=0.25, jitter=0.5
-)

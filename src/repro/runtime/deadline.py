@@ -1,14 +1,14 @@
 """Bounded execution: soft deadlines, cooperative interrupts, retries.
 
 Three small tools with one shared philosophy — a long sweep should stop
-at a *point boundary* with its journal intact, never mid-write:
+at a *point boundary*, with every finished point already persisted:
 
 * :class:`Deadline` -- a soft wall-clock budget checked between points;
-  when it expires the sweep raises :class:`DeadlineExceeded` *after*
-  flushing, so the run is resumable.
+  when it expires the sweep raises :class:`DeadlineExceeded`, and the
+  run is resumable.
 * :class:`CooperativeInterrupt` -- a context manager that converts
-  SIGINT into a flag; the sweep finishes the current point, flushes the
-  journal, and then re-raises ``KeyboardInterrupt`` cleanly.
+  SIGINT into a flag; the sweep finishes the current point and then
+  re-raises ``KeyboardInterrupt`` cleanly.
 * :func:`retry_with_backoff` -- bounded retries for transient failures
   (artifact-directory contention, flaky filesystems).
 """
@@ -26,7 +26,7 @@ T = TypeVar("T")
 
 
 class DeadlineExceeded(SimulationError):
-    """A sweep's soft time budget ran out (the journal was flushed)."""
+    """A sweep's soft time budget ran out (finished points are kept)."""
 
 
 class Deadline:

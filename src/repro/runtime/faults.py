@@ -1,7 +1,7 @@
 """Fault injection for resilience testing.
 
-Long sweeps must survive engine crashes, interrupted processes, and
-corrupted journals; this module lets tests (and brave operators) force
+Long sweeps must survive engine crashes, interrupted and killed
+processes, and damaged result artifacts; this module lets tests (and brave operators) force
 those failures deterministically instead of waiting for them.
 
 A fault spec is a comma-separated list of clauses::
@@ -17,21 +17,19 @@ Actions:
   it models a non-library engine crash);
 * ``interrupt``  -- raise ``KeyboardInterrupt`` (models Ctrl-C / kill);
 * ``corrupt``    -- no exception; callers that support corruption (the
-  checkpoint journal) flip bytes in their payload instead;
+  result store's ``put``) flip bytes in their payload instead;
 * ``delay(S)``   -- sleep ``S`` seconds in place (models a paused or
-  descheduled process — the zombie-lease window);
+  descheduled process);
 * ``torn-write`` -- no exception; writer sites truncate their payload
   mid-line instead (models a crash between ``write`` and ``fsync``);
-* ``stale-clock(S)`` -- no exception; timestamp-writing sites add ``S``
-  seconds to the wall clock they record (models clock skew).
+* ``kill``       -- ``SIGKILL`` the current process (models a worker
+  dying with no chance to clean up).
 
 Known sites (grep for ``maybe_inject`` / ``fire_site``):
-``engine.vectorized``, ``sweep.point``, ``checkpoint.append``,
-``checkpoint.flush``, ``checkpoint.load``, ``trace.save``,
-``exec.worker`` (per point in a parallel sweep worker, outside the
-retry wrapper — models a worker crash), ``exec.poll`` (the parallel
-parent's poll loop), ``lease.claim``, ``lease.heartbeat``,
-``journal.append`` (a worker's point append).
+``engine.vectorized``, ``sweep.point``, ``trace.save``, ``results.put``
+(one result artifact write), ``exec.worker`` (per point in a pool
+worker, outside the retry wrapper — models a worker crash), and
+``exec.poll`` (the pool parent's scheduling loop).
 
 Specs come from the ``REPRO_FAULT_SPEC`` environment variable (read on
 every pass, so tests can monkeypatch it) or programmatically via
@@ -41,6 +39,7 @@ every pass, so tests can monkeypatch it) or programmatically via
 from __future__ import annotations
 
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -56,12 +55,8 @@ ACTIONS = (
     "corrupt",
     "delay",
     "torn-write",
-    "stale-clock",
+    "kill",
 )
-
-#: Actions that are reported to the caller (possibly with an argument)
-#: instead of raising or sleeping.
-PASSIVE_ACTIONS = ("corrupt", "torn-write", "stale-clock")
 
 
 class InjectedFault(RuntimeError):
@@ -208,10 +203,10 @@ def fire_site(site: str) -> Dict[str, float]:
     """Fire any matching fault for ``site``.
 
     Raises for ``raise``/``interrupt`` clauses, sleeps out ``delay``
-    clauses in place, and returns the passive actions that fired
-    (``corrupt``, ``torn-write``, ``stale-clock``) mapped to their
-    argument (``0.0`` when none was given) — the caller applies those
-    to its own payload.
+    clauses in place, kills the process for ``kill``, and returns the
+    passive actions that fired (``corrupt``, ``torn-write``) mapped to
+    their argument (``0.0`` when none was given) — the caller applies
+    those to its own payload.
     """
     plan = active_plan()
     if plan is None:
@@ -230,6 +225,8 @@ def fire_site(site: str) -> Dict[str, float]:
         if clause.action == "delay":
             time.sleep(clause.arg if clause.arg is not None else 0.05)
             continue
+        if clause.action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
         fired[clause.action] = clause.arg if clause.arg is not None else 0.0
     return fired
 
@@ -244,7 +241,3 @@ def maybe_inject(site: str) -> bool:
     """
     return "corrupt" in fire_site(site)
 
-
-def clock_skew(fired: Dict[str, float]) -> float:
-    """The ``stale-clock`` offset out of a :func:`fire_site` result."""
-    return fired.get("stale-clock", 0.0)

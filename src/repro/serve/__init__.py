@@ -1,11 +1,11 @@
 """The sweep service: job queue, shared worker pool, result cache.
 
-``repro serve`` promotes the one-shot executor (:mod:`repro.exec`)
-into a long-lived daemon. Clients drop durable jobs into an on-disk
-queue (:mod:`repro.serve.queue`), the daemon decomposes every figure
-job into per-point sweep tasks and fans them over one shared worker
-pool (:mod:`repro.serve.pool`, reusing the executor's shard leases and
-fencing), and every finished point lands in a content-addressed
+``repro serve`` runs the sweep pipeline as a long-lived daemon.
+Clients drop durable jobs into an on-disk queue
+(:mod:`repro.serve.queue`), the daemon decomposes every figure job
+into per-point tasks and fans them over the worker pool that ``repro
+run --workers`` uses (:mod:`repro.exec.parallel`), and every finished
+point lands in a content-addressed
 :class:`~repro.serve.results.ResultStore` keyed by ``sweep_key`` — so
 a repeat request is a cache hit served without touching the simulator.
 

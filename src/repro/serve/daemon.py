@@ -9,10 +9,11 @@ One daemon owns one queue directory. Each scheduling pass (*tick*) it
 3. *serves* whatever the :class:`~repro.serve.results.ResultStore`
    already holds (``cache.hits``; a repeat submission finishes here
    without touching the simulator),
-4. fans the remaining tasks of **all** jobs over one shared worker
-   pool (:mod:`repro.serve.pool`) — respawn rounds re-claim crashed
-   workers' shards, and a serial in-process fallback guarantees
-   completion even if every worker dies every round,
+4. fans the remaining points of **all** jobs over the worker pool
+   (:func:`repro.exec.parallel.run_points`, the same pool ``repro run
+   --workers`` uses); each point is written to the store the moment it
+   lands, and a point that fails even serially fails only the jobs
+   that need it,
 5. *finalizes*: rebuilds each job's surfaces in plan order from the
    store, writes a CRC-stamped result artifact next to the job file,
    records ledger rows, and appends the terminal queue event.
@@ -20,18 +21,18 @@ One daemon owns one queue directory. Each scheduling pass (*tick*) it
 Because every finished point lands in the store before any job is
 finalized, two jobs needing the same point simulate it once, and a
 daemon killed at any instant restarts from the queue with no lost or
-duplicated points: leftover worker result logs are fence-checked and
-salvaged into the store at startup, and ``running`` jobs from the dead
-daemon re-queue.
+duplicated points: the store already holds every point that landed,
+and ``running`` jobs from the dead daemon re-queue.
 
-SIGTERM/SIGINT drain cooperatively — workers finish their in-flight
-task, logs fold into the store, live jobs re-queue resumably — and the
-daemon exits 0 with a merged metrics report covering everything any
-worker simulated under it.
+SIGTERM/SIGINT drain cooperatively — in-flight points land in the
+store, live jobs re-queue resumably — and the daemon exits 0 with a
+merged metrics report covering everything any worker simulated under
+it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import time
@@ -39,39 +40,27 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.exec.parallel import PointTask, run_points
 from repro.obs.dashboard import FleetDashboard
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
-from repro.runtime.backoff import RESPAWN_BACKOFF
-from repro.runtime.checkpoint import atomic_write_text, sweep_key
+from repro.runtime.durable import atomic_write_text, sweep_key
+from repro.sim.results import TierPoint
+from repro.traces.trace import BranchTrace
 
-from repro.serve.pool import (
-    PoolPlan,
-    PoolTask,
-    clear_pool_artifacts,
-    load_pool_results,
-    pool_progress,
-    pool_worker_main,
-    result_point,
-    shard_tasks,
-)
 from repro.serve.queue import Job, JobQueue, ServeError
 from repro.serve.results import RESULT_STORE_ENV, ResultStore, point_key
 
 #: Schema tag of the finished-job artifact written next to the job file.
 JOB_RESULT_SCHEMA = "repro.job-result/1"
 
-#: Seconds between daemon poll-loop ticks while workers run, and the
-#: idle sleep between queue scans (matches the executor's cadence).
+#: Idle sleep between queue scans.
 POLL_INTERVAL_S = 0.05
 
-#: Respawn rounds after worker failures before the daemon finishes the
-#: remainder serially in-process (guaranteed completion).
-MAX_ROUNDS = 3
 
-#: Seconds a draining worker gets to finish its in-flight task.
-DRAIN_TIMEOUT_S = 30.0
+class _Drained(Exception):
+    """Raised from the pool's poll hook once a stop signal arrived."""
 
 
 @dataclass
@@ -79,8 +68,7 @@ class UnitPlan:
     """One benchmark of one job, decomposed into addressed points."""
 
     benchmark: str
-    trace_name: str
-    trace_path: str
+    trace: BranchTrace
     fingerprint: str
     plan: List[Tuple[int, int]]
     keys: Dict[Tuple[int, int], str]
@@ -103,15 +91,6 @@ class JobPlan:
         return sum(len(unit.plan) for unit in self.units)
 
 
-def _mp_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - no fork on this platform
-        return multiprocessing.get_context("spawn")
-
-
 class ServeDaemon:
     """Long-lived scheduler over one queue directory."""
 
@@ -132,7 +111,6 @@ class ServeDaemon:
         self.poll_interval = poll_interval
         self.dashboard = dashboard
         self.engine = engine
-        self.scratch = os.path.join(queue_dir, "pool")
         results_dir = os.environ.get(RESULT_STORE_ENV) or os.path.join(
             queue_dir, "results"
         )
@@ -146,10 +124,9 @@ class ServeDaemon:
         """Serve until stopped (or, with ``once``, until the queue
         drains); returns the process exit code."""
         os.makedirs(self.queue.directory, exist_ok=True)
-        os.makedirs(self.scratch, exist_ok=True)
         previous = self._install_signals()
         try:
-            self._salvage()
+            self._requeue_running()
             while not self._stop:
                 progressed = self.tick()
                 if self._stop:
@@ -188,52 +165,24 @@ class ServeDaemon:
     def _live_jobs(self) -> List[Job]:
         return [job for job in self.queue.jobs() if job.is_live()]
 
-    def _salvage(self) -> None:
-        """Recover whatever a previous daemon's death left behind.
+    def _requeue_running(self) -> None:
+        """Re-queue the ``running`` jobs a dead daemon left behind.
 
-        Worker result logs carry each point's content address, so a
-        crashed daemon's finished points fold straight into the result
-        store (fence-checked — a zombie's superseded lines are dropped)
-        without re-deriving any job's plan; ``running`` jobs re-queue
-        and their next pass serves the salvaged points as cache hits.
+        Every point that daemon finished is already in the result
+        store, so the next pass serves those as cache hits.
         """
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop
-
-        salvaged = 0
-        for key, payload in load_pool_results(self.scratch).items():
-            self.results.put(key, int(payload["n"]), result_point(payload))
-            salvaged += 1
-        absorb_worker_reports(self.scratch)
-        clear_pool_artifacts(self.scratch)
-        clear_stop(self.scratch)
         requeued = 0
         for job in self.queue.jobs():
             if job.state == "running":
-                self.queue.append_event(
-                    job, "queued", {"requeued": True}
-                )
+                self.queue.append_event(job, "queued", {"requeued": True})
                 requeued += 1
-        if salvaged or requeued:
-            self.log.info(
-                "salvage: %d point(s) recovered into the result store, "
-                "%d running job(s) re-queued",
-                salvaged,
-                requeued,
-            )
+        if requeued:
+            self.log.info("%d running job(s) re-queued", requeued)
 
     def _shutdown(self) -> None:
-        """Leave the queue resumable and the telemetry merged."""
+        """Leave the queue resumable and the telemetry written."""
         from repro.obs.report import write_metrics
 
-        for key, payload in load_pool_results(self.scratch).items():
-            self.results.put(key, int(payload["n"]), result_point(payload))
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop
-
-        absorb_worker_reports(self.scratch)
-        clear_pool_artifacts(self.scratch)
-        clear_stop(self.scratch)
         for job in self._live_jobs():
             if job.state == "running":
                 self.queue.append_event(job, "queued", {"drained": True})
@@ -260,9 +209,10 @@ class ServeDaemon:
 
         # Serve from the store first: every already-cached point is a
         # hit, and a fully cached job never reaches the pool.
-        tasks: Dict[str, PoolTask] = {}
+        wanted: set = set()
+        per_job: List[List[PointTask]] = []
         for plan in plans:
-            self._serve_cached(plan, tasks)
+            per_job.append(self._serve_cached(plan, wanted))
             if plan.job.state == "queued":
                 self.queue.append_event(
                     plan.job,
@@ -273,10 +223,17 @@ class ServeDaemon:
                     },
                 )
 
+        # Interleave jobs so no single job monopolizes the first
+        # dispatches: every live figure makes progress from the start.
+        tasks = [
+            task
+            for group in itertools.zip_longest(*per_job)
+            for task in group
+            if task is not None
+        ]
         errors: Dict[str, str] = {}
         if tasks and not self._stop:
-            self._run_rounds(plans, tasks)
-            self._serial_fallback(tasks, errors)
+            errors = self._execute(tasks)
 
         for plan in plans:
             self._finalize(plan, errors)
@@ -347,7 +304,6 @@ class ServeDaemon:
         ]
         for bench in benchmarks:
             trace = store.get(bench, length=spec.length, seed=spec.seed)
-            trace_path = store.put(trace)
             fingerprint = trace.fingerprint()
             keys = {
                 (n, row_bits): point_key(scheme, fingerprint, n, row_bits)
@@ -356,8 +312,7 @@ class ServeDaemon:
             units.append(
                 UnitPlan(
                     benchmark=bench,
-                    trace_name=trace.name,
-                    trace_path=trace_path,
+                    trace=trace,
                     fingerprint=fingerprint,
                     plan=list(grid),
                     keys=keys,
@@ -369,14 +324,16 @@ class ServeDaemon:
         return JobPlan(job=job, scheme=scheme, units=units)
 
     def _serve_cached(
-        self, plan: JobPlan, tasks: Dict[str, PoolTask]
-    ) -> None:
-        """Count hits/misses for the job; queue tasks for the misses.
+        self, plan: JobPlan, wanted: set
+    ) -> List[PointTask]:
+        """Count hits/misses for the job; return tasks for its misses.
 
-        Identical points wanted by several jobs collapse to one task —
-        the task bag is keyed by content address, which is exactly the
-        in-flight dedup the result store's addressing buys.
+        Identical points wanted by several jobs collapse to one task:
+        ``wanted`` holds the content addresses already queued this
+        pass, which is exactly the in-flight dedup the result store's
+        addressing buys.
         """
+        tasks = []
         for unit in plan.units:
             for n, row_bits in unit.plan:
                 key = unit.keys[(n, row_bits)]
@@ -384,181 +341,50 @@ class ServeDaemon:
                     plan.cache_hits += 1
                     continue
                 plan.cache_misses += 1
-                tasks.setdefault(
-                    key,
-                    PoolTask(
-                        key=key,
-                        job_id=plan.job.id,
-                        benchmark=unit.benchmark,
-                        scheme=plan.scheme,
-                        trace_path=unit.trace_path,
-                        n=n,
-                        row_bits=row_bits,
-                    ),
-                )
+                if key not in wanted:
+                    wanted.add(key)
+                    tasks.append(
+                        PointTask(key, plan.scheme, unit.trace, n, row_bits)
+                    )
+        return tasks
 
     # -- execution -----------------------------------------------------
 
-    def _pending(self, tasks: Dict[str, PoolTask]) -> List[PoolTask]:
-        """Tasks whose points the store still lacks, jobs interleaved.
+    def _execute(self, tasks: List[PointTask]) -> Dict[str, str]:
+        """Run ``tasks`` on the pool; returns per-key error messages.
 
-        Round-robin across jobs so no single job monopolizes the
-        fleet's early shards — both concurrently submitted figures make
-        progress from the first round.
+        Every point is written to the store as it lands. A stop signal
+        drains the pool (in-flight points still land) and returns with
+        the rest missing; their jobs re-queue at shutdown.
         """
-        by_job: Dict[str, List[PoolTask]] = {}
-        for key in sorted(tasks):
-            task = tasks[key]
-            if self.results.peek(key) is not None:
-                continue
-            by_job.setdefault(task.job_id, []).append(task)
-        ordered: List[PoolTask] = []
-        queues = list(by_job.values())
-        while queues:
-            queues = [q for q in queues if q]
-            for q in queues:
-                if q:
-                    ordered.append(q.pop(0))
-        return ordered
+        def poll() -> None:
+            if self._stop:
+                raise _Drained()
 
-    def _run_rounds(
-        self, plans: List[JobPlan], tasks: Dict[str, PoolTask]
-    ) -> None:
-        from repro.exec.leases import default_ttl_s
-        from repro.exec.merge import absorb_worker_reports
-        from repro.exec.worker import clear_stop, request_stop
+        def persist(task: PointTask, point: TierPoint) -> None:
+            self.results.put(task.key, task.n, point)
 
+        counter("serve.rounds").inc()
         fleet = (
             FleetDashboard(f"serve x{self.workers}")
             if self.dashboard
             else None
         )
-        total = sum(plan.total_points for plan in plans)
-        clear_stop(self.scratch)
         try:
-            for round_index in range(MAX_ROUNDS):
-                pending = self._pending(tasks)
-                if not pending or self._stop:
-                    break
-                if round_index > 0:
-                    counter("retry.attempts").inc()
-                    RESPAWN_BACKOFF.sleep(round_index - 1)
-                counter("serve.rounds").inc()
-                shards = shard_tasks(pending, self.workers)
-                context = _mp_context()
-                processes = []
-                count = min(self.workers, len(shards))
-                for position in range(count):
-                    worker_plan = PoolPlan(
-                        worker_id=round_index * self.workers + position,
-                        shards=tuple(shards),
-                        scratch_dir=self.scratch,
-                        engine=self.engine,
-                        lease_ttl_s=default_ttl_s(),
-                        start_offset=(position * len(shards)) // count,
-                    )
-                    process = context.Process(
-                        target=pool_worker_main,
-                        args=(worker_plan,),
-                        daemon=True,
-                    )
-                    process.start()
-                    processes.append(process)
-                counter("exec.workers_spawned").inc(len(processes))
-                stop_sent = False
-                while any(p.is_alive() for p in processes):
-                    if self._stop and not stop_sent:
-                        request_stop(self.scratch)
-                        stop_sent = True
-                    if fleet is not None and fleet.due():
-                        done = total - len(self._pending(tasks))
-                        fleet.update(
-                            pool_progress(self.scratch),
-                            done=done,
-                            total=total,
-                            fence_rejections=int(
-                                counter("lease.fence_rejections").value
-                            ),
-                            shards_total=len(shards),
-                        )
-                    time.sleep(self.poll_interval)
-                deadline_at = time.monotonic() + DRAIN_TIMEOUT_S
-                for process in processes:
-                    process.join(
-                        timeout=max(0.0, deadline_at - time.monotonic())
-                    )
-                for process in processes:
-                    if process.is_alive():  # pragma: no cover - hung worker
-                        process.terminate()
-                        process.join(timeout=5.0)
-                failures = sum(
-                    1 for p in processes if p.exitcode not in (0, None)
-                )
-                for key, payload in load_pool_results(self.scratch).items():
-                    self.results.put(
-                        key, int(payload["n"]), result_point(payload)
-                    )
-                absorb_worker_reports(self.scratch)
-                clear_pool_artifacts(self.scratch)
-                if failures:
-                    counter("exec.worker_failures").inc(failures)
-                    self.log.warning(
-                        "serve round %d: %d worker(s) died; "
-                        "re-claiming their shards",
-                        round_index,
-                        failures,
-                    )
-                else:
-                    break
-        finally:
-            if fleet is not None:
-                fleet.finish()
-
-    def _serial_fallback(
-        self, tasks: Dict[str, PoolTask], errors: Dict[str, str]
-    ) -> None:
-        """Finish what survived every round in-process.
-
-        A deterministic failure surfaces here as a per-point error and
-        fails only the jobs that need that point; everything else
-        completes.
-        """
-        from repro.exec.worker import WorkerPlan, compute_point
-        from repro.traces.io import load_trace
-
-        traces: Dict[str, object] = {}
-        for task in self._pending(tasks):
-            if self._stop:
-                return
-            stub = WorkerPlan(
-                worker_id=-1,
-                scheme=task.scheme,
-                trace_path=task.trace_path,
-                shards=(),
-                scratch_dir=self.scratch,
-                journal_key="",
+            errors = run_points(
+                tasks,
+                persist,
+                workers=self.workers,
                 engine=self.engine,
-                bht_entries=task.bht_entries,
-                bht_assoc=task.bht_assoc,
+                poll=poll,
+                fleet=fleet,
             )
-            try:
-                if task.trace_path not in traces:
-                    traces[task.trace_path] = load_trace(task.trace_path)
-                point = compute_point(
-                    stub, traces[task.trace_path], task.n, task.row_bits
-                )
-            except Exception as error:
-                errors[task.key] = f"{type(error).__name__}: {error}"
-                self.log.error(
-                    "point (%s n=%d r=%d) failed deterministically: %s",
-                    task.scheme,
-                    task.n,
-                    task.row_bits,
-                    errors[task.key],
-                )
-                continue
-            counter("sweep.points_computed").inc()
-            self.results.put(task.key, task.n, point)
+        except _Drained:
+            return {}
+        return {
+            key: f"{type(error).__name__}: {error}"
+            for key, error in errors.items()
+        }
 
     # -- completion ----------------------------------------------------
 
@@ -578,7 +404,7 @@ class ServeDaemon:
         surfaces = []
         for unit in plan.units:
             surface = TierSurface(
-                scheme=plan.scheme, trace_name=unit.trace_name
+                scheme=plan.scheme, trace_name=unit.trace.name
             )
             for n, row_bits in unit.plan:
                 key = unit.keys[(n, row_bits)]

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import counter
-from repro.runtime.checkpoint import atomic_write_text
+from repro.runtime.durable import atomic_write_text
 
 #: Schema tag stamped into every job-file line.
 JOB_SCHEMA = "repro.job/1"

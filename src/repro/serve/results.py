@@ -3,13 +3,14 @@
 The sibling of :class:`~repro.workloads.store.TraceStore`: where the
 trace store holds the *inputs* a sweep needs, the result store holds
 its *outputs* — one small CRC-stamped JSON artifact per completed
-:class:`~repro.sim.results.TierPoint`, addressed by the same
-``sweep_key`` digest checkpoint journals resume under (a single-point
-sweep key: one tier exponent, one ``row_bits_filter`` entry). The key
-covers scheme, trace content fingerprint, and the full predictor
+:class:`~repro.sim.results.TierPoint`, addressed by a single-point
+``sweep_key`` (one tier exponent, one ``row_bits_filter`` entry). The
+key covers scheme, trace content fingerprint, and the full predictor
 geometry, so identical work requested twice — by two figure jobs, by a
 served sweep and a one-shot ``repro run``, in either order — is
-simulated once and served from disk forever after.
+simulated once and served from disk forever after. The store is also
+the one durable record of a resumable sweep: ``--checkpoint-dir`` is a
+result store, and resuming is reading it.
 
 Discipline mirrors the trace store exactly: loads count ``cache.hits``
 and touch the file's mtime (the LRU order), lookups that must simulate
@@ -27,7 +28,8 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import counter
-from repro.runtime.checkpoint import atomic_write_text, sweep_key
+from repro.runtime.durable import atomic_write_text, sweep_key
+from repro.runtime.faults import fire_site
 from repro.sim.results import TierPoint
 
 #: Environment variable naming the shared result-store directory.
@@ -51,11 +53,11 @@ def point_key(
 ) -> str:
     """The content address of one sweep point.
 
-    Literally a single-point :func:`~repro.runtime.checkpoint.sweep_key`
+    Literally a single-point :func:`~repro.runtime.durable.sweep_key`
     (``size_bits=[n]``, ``row_bits_filter=[row_bits]``), so the digest
     covers everything that determines the point's result and nothing
-    that does not (the engine is excluded there for the same reason it
-    is excluded from journal keys: both engines are bit-identical).
+    that does not (the engine is excluded: both engines are
+    bit-identical).
     """
     return sweep_key(
         scheme,
@@ -145,7 +147,9 @@ class ResultStore:
         Idempotent and last-writer-wins safe: results are deterministic
         functions of their key, so concurrent writers of the same key
         write identical bytes and the atomic rename keeps readers from
-        ever seeing a torn artifact.
+        ever seeing a torn artifact. The ``results.put`` fault site can
+        tear or corrupt the written bytes; such an artifact reads as a
+        miss and is recomputed.
         """
         os.makedirs(self.directory, exist_ok=True)
         payload = {
@@ -154,8 +158,14 @@ class ResultStore:
             "point": _point_to_json(n, point),
         }
         payload["crc"] = _artifact_crc(payload)
+        text = json.dumps(payload, sort_keys=True) + "\n"
+        fired = fire_site("results.put")
+        if "corrupt" in fired:
+            text = text[:-8] + "#corrupt"
+        elif "torn-write" in fired:
+            text = text[: len(text) // 2]
         path = self._path(key)
-        atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+        atomic_write_text(path, text)
         return path
 
     def _load(self, path: str) -> Optional[Dict]:

@@ -5,22 +5,21 @@ columns x 2^r rows with c + r = n; repeating that for n = 4 .. 15 gives
 the surfaces of Figures 4, 5, 6 and 9. ``sweep_tiers`` runs exactly
 that grid for one scheme over one trace.
 
-At realistic trace lengths a full sweep is hours of work, so it is
-resumable: give ``sweep_tiers`` a ``checkpoint_dir`` and every
-completed point streams to an atomic on-disk journal
-(:mod:`repro.runtime.checkpoint`); a re-run with the same
-``(scheme, trace fingerprint, options)`` key picks up where the last
-run stopped. SIGINT finishes the in-flight point, flushes the journal,
-and exits cleanly; an optional ``deadline`` bounds the run the same
-way.
+Every point is a deterministic function of scheme, trace and geometry,
+addressed by :func:`repro.serve.results.point_key`, and one
+independent :func:`compute_point` call over the whole trace. That
+makes sweeps resumable without a journal: give ``sweep_tiers`` a
+``checkpoint_dir`` and every finished point is written to a
+:class:`~repro.serve.results.ResultStore` there the moment it lands; a
+re-run of the same sweep restores those points as cache hits and
+simulates only the rest. SIGINT finishes the in-flight point and exits
+cleanly; an optional ``deadline`` bounds the run the same way.
 
-Every point is one independent :func:`repro.sim.engine.simulate` call
-over the whole trace, whether it runs serially here or in a worker.
-``workers > 1`` shards the pending points across a pool of processes
-coordinated through the same journal (see :mod:`repro.exec`) — results
-are point-for-point identical to a serial run. ``plan_from_estimate``
-prunes points the static dealiasing estimator predicts to be
-uninteresting.
+``workers > 1`` runs the pending points on a pool of processes (see
+:mod:`repro.exec.parallel`); this process stays the only writer of
+finished points, and results are point-for-point identical to a serial
+run. ``plan_from_estimate`` prunes points the static dealiasing
+estimator predicts to be uninteresting.
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
 from repro.predictors.specs import PER_ADDRESS_SCHEMES, PredictorSpec
+from repro.runtime.deadline import retry_with_backoff
+from repro.runtime.faults import maybe_inject
 from repro.sim.engine import simulate
 from repro.sim.results import TierPoint, TierSurface
 from repro.traces.trace import BranchTrace
@@ -97,48 +98,90 @@ def spec_for_point(
     )
 
 
-def _open_sweep_journal(
-    checkpoint_dir: str,
+#: Retries of a point after a transient engine failure (``RuntimeError``
+#: or ``OSError``) before the failure propagates.
+POINT_RETRIES = 2
+
+
+def compute_point(
     scheme: str,
     trace: BranchTrace,
-    size_bits: Sequence[int],
-    bht_entries: Optional[int],
-    bht_assoc: int,
-    row_bits_filter: Optional[Sequence[int]],
-    resume: bool,
-):
-    """Create/resume the journal for this sweep's key."""
-    from repro.runtime.checkpoint import CheckpointJournal, sweep_key
-    from repro.runtime.deadline import retry_with_backoff
+    n: int,
+    row_bits: int,
+    *,
+    bht_entries: Optional[int] = None,
+    bht_assoc: int = 4,
+    engine: str = "auto",
+    paranoid: bool = False,
+) -> TierPoint:
+    """Simulate one tier point, retrying transient failures.
 
-    key = sweep_key(
+    The one definition of a point's computation: the serial sweep, the
+    pool workers and the pool's serial fallback all call it. The
+    ``sweep.point`` fault site fires inside the retried callable, so an
+    injected ``raise`` behaves like a transient engine crash, while an
+    injected ``interrupt`` is never retried.
+    """
+    spec = spec_for_point(
         scheme,
-        trace.fingerprint(),
-        size_bits,
+        col_bits=n - row_bits,
+        row_bits=row_bits,
         bht_entries=bht_entries,
         bht_assoc=bht_assoc,
-        row_bits_filter=row_bits_filter,
     )
-    # The run ledger stamps its entry with every sweep key the run
-    # touched, so ledger rows can be joined back to journals.
-    from repro.obs.ledger import note_sweep_key
 
-    note_sweep_key(key)
-    try:
-        retry_with_backoff(
-            lambda: os.makedirs(checkpoint_dir, exist_ok=True)
+    def _simulate_once():
+        maybe_inject("sweep.point")
+        return simulate(spec, trace, engine=engine, paranoid=paranoid)
+
+    started = time.perf_counter()
+    with span("sweep.point", scheme=scheme, n=n, row_bits=row_bits):
+        result = retry_with_backoff(
+            _simulate_once,
+            retries=POINT_RETRIES,
+            retryable=(RuntimeError, OSError),
         )
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot create checkpoint dir {checkpoint_dir!r}: {exc}"
-        ) from exc
-    safe_name = "".join(
-        ch if ch.isalnum() or ch in "-_." else "_" for ch in trace.name
+    histogram("sweep.point_s").observe(time.perf_counter() - started)
+    counter("sweep.points_computed").inc()
+    return TierPoint(
+        col_bits=n - row_bits,
+        row_bits=row_bits,
+        misprediction_rate=result.misprediction_rate,
+        first_level_miss_rate=result.first_level_miss_rate,
     )
-    path = os.path.join(
-        checkpoint_dir, f"{scheme}-{safe_name}-{key}.journal"
-    )
-    return CheckpointJournal.open(path, key, resume=resume)
+
+
+def _point_stores(
+    checkpoint_dir: Optional[str], resume: bool, use_cache: bool
+):
+    """``(stores, readable)``: where finished points go, and which of
+    those stores are consulted before simulating.
+
+    ``checkpoint_dir`` is a :class:`~repro.serve.results.ResultStore`
+    read only under ``resume``; ``$REPRO_RESULT_STORE`` is read and
+    written whenever ``use_cache`` holds.
+    """
+    from repro.serve.results import ResultStore
+
+    stores = []
+    readable = []
+    if checkpoint_dir is not None:
+        try:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot create checkpoint dir {checkpoint_dir!r}: {exc}"
+            ) from exc
+        store = ResultStore(checkpoint_dir)
+        stores.append(store)
+        if resume:
+            readable.append(store)
+    if use_cache:
+        store = ResultStore.from_env()
+        if store is not None:
+            stores.append(store)
+            readable.append(store)
+    return stores, readable
 
 
 def _prune_plan(
@@ -157,7 +200,7 @@ def _prune_plan(
     rate from dealiasing are skipped. Never silent: the pruned count is
     logged (warning level — the sweep's coverage genuinely shrank) and
     counted in ``sweep.points_pruned``. The sweep key is deliberately
-    unchanged, so pruned and full runs share one resumable journal.
+    unchanged, so pruned and full runs share their stored points.
     """
     from repro.aliasing.weights import (
         branch_weights_from_trace,
@@ -210,7 +253,6 @@ def sweep_tiers(
     on_point: Optional[Callable[[TierPoint, int, int], None]] = None,
     precheck: bool = True,
     workers: int = 1,
-    shard_size: Optional[int] = None,
     plan_from_estimate: Optional[float] = None,
     dashboard: bool = False,
     use_cache: bool = True,
@@ -231,20 +273,21 @@ def sweep_tiers(
         Restrict each tier to these row exponents (used by difference
         grids and quick tests); default sweeps the full tier.
     checkpoint_dir:
-        Stream completed points to a journal under this directory and
-        (with ``resume=True``, the default) restore any points a prior
-        run of the same sweep already finished.
+        A :class:`~repro.serve.results.ResultStore` directory: every
+        computed point is written there the moment it lands, and (with
+        ``resume=True``, the default) points already there are restored
+        instead of simulated.
     paranoid:
         Cross-check vectorized vs reference engines per point.
     deadline:
         Optional :class:`repro.runtime.deadline.Deadline`; when it
-        expires the sweep flushes its journal and raises
+        expires the sweep stops at a point boundary and raises
         :class:`~repro.runtime.deadline.DeadlineExceeded`.
     on_point:
         Optional progress hook ``on_point(point, done, total)`` called
-        after every point lands in the surface — checkpoint-restored
-        points included, so ``done`` always counts true progress
-        against ``total`` (the sweep's full point count). The CLI's
+        after every point lands in the surface — restored points
+        included, so ``done`` always counts true progress against
+        ``total`` (the sweep's full point count). The CLI's
         ``--progress`` heartbeat rides on this.
     precheck:
         Statically verify every planned spec (``repro check configs``
@@ -252,15 +295,10 @@ def sweep_tiers(
         configuration fails in milliseconds instead of mid-sweep.
         The CLI exposes ``--no-precheck`` to skip it.
     workers:
-        Processes to shard the sweep's points across. The default 1
-        runs the points serially in this process; ``workers > 1`` delegates
-        pending points to :mod:`repro.exec` (shard leases over the
-        checkpoint journal), producing point-for-point identical
-        results. Without a ``checkpoint_dir`` a parallel run
-        coordinates through an ephemeral journal discarded at the end.
-    shard_size:
-        Points per shard for the parallel executor (default: sized so
-        each worker sees several shards, for rebalancing).
+        Processes to run the sweep's points on. The default 1 runs the
+        points serially in this process; ``workers > 1`` hands pending
+        points to the worker pool (:mod:`repro.exec.parallel`),
+        producing point-for-point identical results.
     plan_from_estimate:
         When set, skip points whose statically predicted dealiasing
         delta (:mod:`repro.check.estimator`) is below this threshold;
@@ -270,17 +308,21 @@ def sweep_tiers(
         (``repro run --dashboard``); ignored for serial sweeps.
         Results are unaffected.
     use_cache:
-        Consult the content-addressed result store
-        (:mod:`repro.serve.results`, enabled by pointing
-        ``$REPRO_RESULT_STORE`` at a directory) before simulating each
-        point, and publish freshly computed points back into it —
-        ``cache.hits``/``cache.misses`` count the difference, and the
-        one-shot and served paths share one cache. The CLI exposes
-        ``--no-cache`` to skip both sides. Paranoid runs never serve
-        from cache (the point of paranoid is to re-run the engines).
+        Consult the content-addressed result store named by
+        ``$REPRO_RESULT_STORE`` before simulating each point, and write
+        freshly computed points back into it — ``cache.hits`` and
+        ``cache.misses`` count the difference, and the one-shot and
+        served paths share one cache. The CLI exposes ``--no-cache`` to
+        skip both sides. Paranoid runs never serve from this cache (the
+        point of paranoid is to re-run the engines).
+
+    SIGINT and deadline expiry stop the sweep at a point boundary; every
+    point that landed before then is already in the stores, so a re-run
+    resumes from them.
     """
+    from repro.obs.profile import phase
     from repro.runtime.deadline import CooperativeInterrupt
-    from repro.runtime.faults import maybe_inject
+    from repro.serve.results import point_key
 
     size_bits = list(size_bits)
     if workers < 1:
@@ -310,28 +352,6 @@ def sweep_tiers(
                 f"sweep precheck rejected {len(blocking)} planned "
                 f"point(s) before simulation: {detail}"
             )
-    journal = None
-    restored: Dict[Tuple[int, int], TierPoint] = {}
-    ephemeral_dir: Optional[str] = None
-    if checkpoint_dir is None and workers > 1:
-        # Parallel runs always coordinate through a journal; without a
-        # caller-provided directory use a throwaway one.
-        import tempfile
-
-        ephemeral_dir = tempfile.mkdtemp(prefix="repro-sweep-")
-        checkpoint_dir = ephemeral_dir
-    if checkpoint_dir is not None:
-        journal = _open_sweep_journal(
-            checkpoint_dir,
-            scheme,
-            trace,
-            size_bits,
-            bht_entries,
-            bht_assoc,
-            row_bits_filter,
-            resume,
-        )
-        restored = {(n, p.row_bits): p for n, p in journal.points}
 
     plan = [
         (n, row_bits)
@@ -344,179 +364,139 @@ def sweep_tiers(
             scheme, trace, plan, plan_from_estimate, bht_entries, bht_assoc
         )
 
-    # Satellite cache: overlay memoized points from the result store on
-    # top of whatever the journal restored, then journal them so the
-    # next resume of this sweep does not even need the store.
-    result_store = None
-    if use_cache and not paranoid:
-        from repro.serve.results import ResultStore
+    stores, readable = _point_stores(
+        checkpoint_dir, resume, use_cache and not paranoid
+    )
+    fingerprint = trace.fingerprint()
+    if checkpoint_dir is not None:
+        # The run ledger stamps its entry with every sweep key the run
+        # touched, so ledger rows can be joined back to checkpoints.
+        from repro.obs.ledger import note_sweep_key
+        from repro.runtime.durable import sweep_key
 
-        result_store = ResultStore.from_env()
-    if result_store is not None:
-        from repro.serve.results import point_key
+        note_sweep_key(
+            sweep_key(
+                scheme,
+                fingerprint,
+                size_bits,
+                bht_entries=bht_entries,
+                bht_assoc=bht_assoc,
+                row_bits_filter=row_bits_filter,
+            )
+        )
+    keys = {
+        (n, row_bits): point_key(
+            scheme,
+            fingerprint,
+            n,
+            row_bits,
+            bht_entries=bht_entries,
+            bht_assoc=bht_assoc,
+        )
+        for n, row_bits in plan
+    }
+    total = len(plan)
+    completed = 0
+    surface = TierSurface(scheme=scheme, trace_name=trace.name)
 
-        fingerprint = trace.fingerprint()
-        served: List[Tuple[int, TierPoint]] = []
-        for n, row_bits in plan:
-            if (n, row_bits) in restored:
-                continue
-            cached = result_store.get(
-                point_key(
+    def land(n: int, point: TierPoint) -> None:
+        nonlocal completed
+        surface.add(n, point)
+        completed += 1
+        if on_point is not None:
+            on_point(point, completed, total)
+
+    def persist(n: int, point: TierPoint) -> None:
+        key = keys[(n, point.row_bits)]
+        if stores:
+            try:
+                with phase("persist"):
+                    for store in stores:
+                        store.put(key, n, point)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot persist sweep point {key}: {exc}"
+                ) from exc
+        land(n, point)
+
+    pending: List[Tuple[int, int]] = []
+    for n, row_bits in plan:
+        point = None
+        for store in readable:
+            point = store.get(keys[(n, row_bits)])
+            if point is not None:
+                break
+        if point is None:
+            pending.append((n, row_bits))
+            continue
+        counter("sweep.points_restored").inc()
+        land(n, point)
+
+    with CooperativeInterrupt() as interrupt, span(
+        "sweep_tiers", scheme=scheme, trace=trace.name, points=total
+    ):
+
+        def poll() -> None:
+            if deadline is not None:
+                deadline.check(f"sweep_tiers({scheme})")
+            interrupt.checkpoint()
+
+        if workers > 1 and pending:
+            from repro.exec.parallel import PointTask, run_points
+            from repro.obs.dashboard import FleetDashboard
+
+            tasks = [
+                PointTask(
+                    keys[(n, row_bits)],
                     scheme,
-                    fingerprint,
+                    trace,
                     n,
                     row_bits,
                     bht_entries=bht_entries,
                     bht_assoc=bht_assoc,
                 )
+                for n, row_bits in pending
+            ]
+            errors = run_points(
+                tasks,
+                lambda task, point: persist(task.n, point),
+                workers=workers,
+                engine=engine,
+                paranoid=paranoid,
+                poll=poll,
+                fleet=(
+                    FleetDashboard(f"{scheme} x{workers}")
+                    if dashboard
+                    else None
+                ),
             )
-            if cached is None:
-                continue
-            restored[(n, row_bits)] = cached
-            served.append((n, cached))
-        if journal is not None and served:
-            for n, point in served:
-                journal.append(n, point, flush=False)
-            journal.flush()
-    #: Points that arrived from the journal or the store — everything
-    #: else was simulated this run and gets published back at the end.
-    prefilled = set(restored)
-    total = len(plan)
-    completed = 0
-
-    surface = TierSurface(scheme=scheme, trace_name=trace.name)
-    try:
-        with CooperativeInterrupt() as interrupt, span(
-            "sweep_tiers", scheme=scheme, trace=trace.name, points=total
-        ):
-            if workers > 1:
-                from repro.exec.parallel import run_parallel_sweep
-
-                pending = []
-                for n, row_bits in plan:
-                    done = restored.get((n, row_bits))
-                    if done is not None:
-                        surface.add(n, done)
-                        counter("sweep.points_restored").inc()
-                        completed += 1
-                        if on_point is not None:
-                            on_point(done, completed, total)
-                    else:
-                        pending.append((n, row_bits))
-                if pending:
-                    run_parallel_sweep(
+            if errors:
+                raise next(iter(errors.values()))
+        else:
+            for n, row_bits in pending:
+                poll()
+                persist(
+                    n,
+                    compute_point(
                         scheme,
                         trace,
-                        pending,
-                        journal,
-                        surface,
-                        interrupt,
-                        workers=workers,
-                        shard_size=shard_size,
+                        n,
+                        row_bits,
                         bht_entries=bht_entries,
                         bht_assoc=bht_assoc,
                         engine=engine,
                         paranoid=paranoid,
-                        deadline=deadline,
-                        on_point=on_point,
-                        completed=completed,
-                        total=total,
-                        dashboard=dashboard,
-                    )
-                # Workers land points in completion order; re-impose
-                # the serial plan order so surfaces are identical.
-                tier_order: Dict[int, None] = {}
-                for n, _ in plan:
-                    tier_order.setdefault(n)
-                surface.tiers = {
-                    n: sorted(
-                        surface.tiers[n], key=lambda p: p.row_bits
-                    )
-                    for n in tier_order
-                    if n in surface.tiers
-                }
-            else:
-                for n, row_bits in plan:
-                    done = restored.get((n, row_bits))
-                    if done is not None:
-                        surface.add(n, done)
-                        counter("sweep.points_restored").inc()
-                        completed += 1
-                        if on_point is not None:
-                            on_point(done, completed, total)
-                        continue
-                    if deadline is not None:
-                        deadline.check(f"sweep_tiers({scheme})")
-                    interrupt.checkpoint()
-                    maybe_inject("sweep.point")
-                    spec = spec_for_point(
-                        scheme,
-                        col_bits=n - row_bits,
-                        row_bits=row_bits,
-                        bht_entries=bht_entries,
-                        bht_assoc=bht_assoc,
-                    )
-                    started = time.perf_counter()
-                    with span(
-                        "sweep.point", scheme=scheme, n=n, row_bits=row_bits
-                    ):
-                        result = simulate(
-                            spec, trace, engine=engine, paranoid=paranoid
-                        )
-                    histogram("sweep.point_s").observe(
-                        time.perf_counter() - started
-                    )
-                    counter("sweep.points_computed").inc()
-                    point = TierPoint(
-                        col_bits=n - row_bits,
-                        row_bits=row_bits,
-                        misprediction_rate=result.misprediction_rate,
-                        first_level_miss_rate=result.first_level_miss_rate,
-                    )
-                    surface.add(n, point)
-                    if journal is not None:
-                        journal.append(n, point)
-                    completed += 1
-                    if on_point is not None:
-                        on_point(point, completed, total)
-    except BaseException:
-        # Interrupt, deadline, engine error: persist completed points
-        # so the re-run resumes instead of restarting.
-        if journal is not None:
-            journal.flush()
-        if ephemeral_dir is not None:
-            import shutil
-
-            shutil.rmtree(ephemeral_dir, ignore_errors=True)
-        raise
-    if journal is not None:
-        journal.flush()
-    if ephemeral_dir is not None and journal is not None:
-        import shutil
-
-        journal.discard()
-        shutil.rmtree(ephemeral_dir, ignore_errors=True)
-    if result_store is not None:
-        from repro.serve.results import point_key
-
-        for n, points in surface.tiers.items():
-            for point in points:
-                if (n, point.row_bits) in prefilled:
-                    continue
-                result_store.put(
-                    point_key(
-                        scheme,
-                        fingerprint,
-                        n,
-                        point.row_bits,
-                        bht_entries=bht_entries,
-                        bht_assoc=bht_assoc,
                     ),
-                    n,
-                    point,
                 )
+    # Restored and pooled points land out of plan order; re-impose it so
+    # every surface is identical to an uninterrupted serial run's.
+    tier_order: Dict[int, None] = dict.fromkeys(n for n, _ in plan)
+    surface.tiers = {
+        n: sorted(surface.tiers[n], key=lambda p: p.row_bits)
+        for n in tier_order
+        if n in surface.tiers
+    }
     return surface
-
 
 def sweep_shapes(
     scheme: str,

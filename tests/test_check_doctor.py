@@ -1,9 +1,9 @@
 """Integrity-doctor and trace-store-hygiene tests.
 
 ``repro doctor`` must detect (and with ``--repair`` fix) every way the
-on-disk state can rot: torn journal tails, corrupt entries mid-file,
-zombie lines with superseded fencing tokens, unloadable trace archives
-and fingerprint mismatches. ``repro store ls/gc/verify`` keep the trace
+on-disk state can rot: damaged result artifacts in a checkpoint dir or
+result store, unloadable trace archives and fingerprint mismatches,
+and torn or corrupt serve-queue files. ``repro store ls/gc/verify`` keep the trace
 cache bounded and honest.
 """
 
@@ -14,8 +14,6 @@ import pytest
 
 from repro.check.doctor import (
     run_doctor,
-    scan_checkpoint_dir,
-    scan_journal,
     scan_queue,
     scan_result_store,
     scan_store,
@@ -24,7 +22,6 @@ from repro.cli import main
 from repro.errors import CheckError
 from repro.obs import reset_metrics, snapshot
 from repro.runtime import clear_faults
-from repro.runtime.checkpoint import CheckpointJournal, quarantine_path
 from repro.sim.results import TierPoint
 from repro.traces.io import save_trace
 from repro.workloads.registry import make_workload
@@ -56,117 +53,25 @@ def _point(row_bits):
     )
 
 
-def _journal(path, n_points=3, token=None, shard=None):
-    journal = CheckpointJournal.open(str(path), "doctor-key", resume=False)
-    for row_bits in range(n_points):
-        journal.append(4, _point(row_bits), token=token, shard=shard)
-    return journal
+def _checkpoint(directory, n_points=3):
+    """What a ``--checkpoint-dir`` run leaves: one artifact per point;
+    returns the artifact paths."""
+    from repro.serve.results import ResultStore, point_key
+
+    store = ResultStore(str(directory))
+    return [
+        store.put(point_key("gas", "fp0", 4, row_bits), 4, _point(row_bits))
+        for row_bits in range(n_points)
+    ]
+
+
+def _rot(path):
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write("rot")
 
 
 def checks_of(findings):
     return [f.check for f in findings]
-
-
-class TestScanJournal:
-    def test_healthy_journal_is_ok(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        _journal(path)
-        findings = scan_journal(str(path))
-        assert checks_of(findings) == ["doctor.journal-ok"]
-        assert "3 completed" in findings[0].why
-
-    def test_missing_and_empty(self, tmp_path):
-        assert checks_of(scan_journal(str(tmp_path / "nope.journal"))) == [
-            "doctor.journal-missing"
-        ]
-        empty = tmp_path / "empty.journal"
-        empty.write_text("")
-        assert checks_of(scan_journal(str(empty))) == [
-            "doctor.journal-empty"
-        ]
-
-    def test_key_mismatch_is_warning(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        _journal(path)
-        findings = scan_journal(str(path), key="other-key")
-        assert checks_of(findings) == ["doctor.journal-key"]
-        assert findings[0].severity == "warning"
-
-    def test_torn_tail_is_warning_mid_file_is_error(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        _journal(path)
-        lines = path.read_text().splitlines()
-        # Torn tail: truncate the last line.
-        path.write_text("\n".join(lines[:-1] + [lines[-1][:10]]) + "\n")
-        findings = scan_journal(str(path))
-        assert any(
-            f.check == "doctor.journal-line" and f.severity == "warning"
-            for f in findings
-        )
-        # Mid-file corruption: mangle an interior line.
-        lines[2] = lines[2][:-4] + "beef"
-        path.write_text("\n".join(lines) + "\n")
-        findings = scan_journal(str(path))
-        assert any(
-            f.check == "doctor.journal-line" and f.severity == "error"
-            for f in findings
-        )
-
-    def test_superseded_token_is_error(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        journal = CheckpointJournal.open(
-            str(path), "doctor-key", resume=False
-        )
-        journal.append(4, _point(0), token=2, shard=0)
-        journal.append(4, _point(1), token=1, shard=0)  # zombie line
-        journal.append(4, _point(2), token=2, shard=0)
-        findings = scan_journal(str(path))
-        fence = [f for f in findings if f.check == "doctor.journal-fence"]
-        assert len(fence) == 1 and fence[0].severity == "error"
-        assert "superseded" in fence[0].why
-
-    def test_repair_truncates_and_quarantines(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        _journal(path)
-        original = path.read_text()
-        lines = original.splitlines()
-        lines[2] = lines[2][:-4] + "beef"
-        path.write_text("\n".join(lines) + "\n")
-        before = snapshot()["counters"]["doctor.repairs"]
-        findings = scan_journal(str(path), repair=True)
-        assert "doctor.journal-repaired" in checks_of(findings)
-        assert snapshot()["counters"]["doctor.repairs"] == before + 1
-        # The original bytes survive in the sidecar; the repaired
-        # journal reloads cleanly with the bad point dropped.
-        sidecar = quarantine_path(str(path))
-        assert os.path.exists(sidecar)
-        reloaded = CheckpointJournal.open(
-            str(path), "doctor-key", resume=True
-        )
-        assert reloaded.completed() == {(4, 0), (4, 2)}
-        assert checks_of(scan_journal(str(path))) == ["doctor.journal-ok"]
-
-    def test_repair_removes_unrecoverable_header(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        _journal(path)
-        content = path.read_text().splitlines()
-        path.write_text("not json\n" + "\n".join(content[1:]) + "\n")
-        findings = scan_journal(str(path), repair=True)
-        assert "doctor.journal-header" in checks_of(findings)
-        assert not os.path.exists(path)
-        assert os.path.exists(quarantine_path(str(path)))
-
-    def test_scan_checkpoint_dir(self, tmp_path):
-        _journal(tmp_path / "a.journal")
-        _journal(tmp_path / "b.journal")
-        findings = scan_checkpoint_dir(str(tmp_path))
-        assert checks_of(findings) == [
-            "doctor.journal-ok",
-            "doctor.journal-ok",
-        ]
-        assert checks_of(scan_checkpoint_dir(str(tmp_path / "void"))) == [
-            "doctor.no-journals"
-        ]
 
 
 class TestScanStore:
@@ -216,24 +121,25 @@ class TestRunDoctor:
             run_doctor()
 
     def test_aggregates_passes(self, tmp_path, trace):
-        _journal(tmp_path / "a.journal")
+        _checkpoint(tmp_path / "ckpt")
         store_dir = tmp_path / "store"
         TraceStore(str(store_dir)).put(trace)
         report = run_doctor(
-            journals=(str(tmp_path / "a.journal"),),
-            checkpoint_dir=str(tmp_path),
+            checkpoint_dir=str(tmp_path / "ckpt"),
             store_dir=str(store_dir),
         )
         assert report.exit_code(strict=False) == 0
 
     def test_exit_one_on_findings(self, tmp_path):
-        path = tmp_path / "bad.journal"
-        _journal(path)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][:-4] + "beef"
-        path.write_text("\n".join(lines) + "\n")
-        report = run_doctor(journals=(str(path),))
+        _rot(_checkpoint(tmp_path)[1])
+        report = run_doctor(checkpoint_dir=str(tmp_path))
         assert report.exit_code(strict=False) == 1
+
+    def test_legacy_journals_are_ignored(self, tmp_path):
+        _checkpoint(tmp_path)
+        (tmp_path / "gas-compress-0123456789abcdef.journal").write_text("x")
+        report = run_doctor(checkpoint_dir=str(tmp_path))
+        assert report.exit_code(strict=True) == 0
 
 
 class TestStoreHygiene:
@@ -280,22 +186,18 @@ class TestStoreHygiene:
 
 class TestDoctorCli:
     def test_doctor_checkpoint_dir_clean(self, tmp_path, capsys):
-        _journal(tmp_path / "a.journal")
+        _checkpoint(tmp_path)
         code = main(["doctor", "--checkpoint-dir", str(tmp_path)])
         assert code == 0
-        assert "doctor.journal-ok" in capsys.readouterr().out
+        assert "doctor.results-ok" in capsys.readouterr().out
 
     def test_doctor_repair_restores_journal_and_store(
         self, tmp_path, trace, capsys
     ):
-        # The acceptance scenario: one corrupted journal and one
-        # corrupted store artifact; `repro doctor --repair` leaves both
-        # healthy on a second scan.
-        journal_path = tmp_path / "sweep.journal"
-        _journal(journal_path)
-        lines = journal_path.read_text().splitlines()
-        lines[2] = lines[2][:-4] + "beef"
-        journal_path.write_text("\n".join(lines) + "\n")
+        # The acceptance scenario: one corrupted checkpoint artifact and
+        # one corrupted store artifact; `repro doctor --repair` leaves
+        # both healthy on a second scan.
+        _rot(_checkpoint(tmp_path)[2])
         store_dir = tmp_path / "store"
         store = TraceStore(str(store_dir))
         artifact = store.put(trace)
@@ -324,10 +226,10 @@ class TestDoctorCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "doctor.journal-ok" in out
+        assert "doctor.results-ok" in out
 
     def test_doctor_json_output(self, tmp_path, capsys):
-        _journal(tmp_path / "a.journal")
+        _checkpoint(tmp_path)
         code = main(
             ["doctor", "--checkpoint-dir", str(tmp_path), "--json"]
         )

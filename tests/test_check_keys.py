@@ -21,7 +21,7 @@ from repro.check.lint import (
     lint_paths,
     lint_source,
 )
-from repro.runtime.checkpoint import sweep_key
+from repro.runtime.durable import sweep_key
 
 #: Known-good digests. If one of these fails, the checkpoint key format
 #: changed and every existing sweep journal is orphaned — only proceed
@@ -72,7 +72,7 @@ class TestGoldenKeys:
 def lint_checkpoint(source):
     return lint_source(
         textwrap.dedent(source),
-        filename="runtime/checkpoint.py",
+        filename="runtime/durable.py",
         is_checkpoint=True,
     )
 

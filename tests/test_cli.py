@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, main
@@ -220,13 +222,9 @@ class TestResilience:
         code = main(self.RUN + ["--checkpoint-dir", str(tmp_path)])
         assert code == EXIT_INTERRUPT
         assert "interrupted" in capsys.readouterr().err
-        journals = list(tmp_path.glob("*.journal"))
-        assert len(journals) == 1
-        # Two points completed before the injected Ctrl-C.
-        assert sum(
-            1 for line in journals[0].read_text().splitlines()
-            if '"point"' in line
-        ) == 2
+        # The two points completed before the injected Ctrl-C are
+        # already persisted, one result artifact each.
+        assert len(list(tmp_path.glob("rs-*.json"))) == 2
 
     def test_interrupted_run_resumes_to_identical_output(
         self, tmp_path, capsys
@@ -247,10 +245,16 @@ class TestResilience:
         install_faults("sweep.point:interrupt@3")
         main(self.RUN + ["--checkpoint-dir", str(tmp_path)])
         clear_faults()
+        metrics = tmp_path / "m.json"
         code = main(
-            self.RUN + ["--checkpoint-dir", str(tmp_path), "--no-resume"]
+            self.RUN + ["--checkpoint-dir", str(tmp_path), "--no-resume",
+                        "--metrics-out", str(metrics)]
         )
         assert code == 0
+        # Nothing was restored: all five points were recomputed.
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sweep.points_computed"] == 5
+        assert counters["sweep.points_restored"] == 0
 
     def test_paranoid_run_succeeds(self, capsys):
         assert main(self.RUN + ["--paranoid"]) == 0

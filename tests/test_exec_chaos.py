@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.exec.chaos import (
+    _TEMPLATES,
     ChaosReport,
     ScenarioResult,
     draw_scenarios,
@@ -25,8 +26,6 @@ from repro.runtime import clear_faults, parse_fault_spec
 @pytest.fixture(autouse=True)
 def _clean_runtime(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_LEASE_TTL_S", raising=False)
     monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
     clear_faults()
     reset_metrics()
@@ -39,12 +38,8 @@ class TestScenarioDrawing:
     def test_deterministic_per_seed(self):
         first = draw_scenarios(6, 8)
         again = draw_scenarios(6, 8)
-        assert [
-            (s.name, s.fault_spec, s.backend, s.lease_ttl_s)
-            for s in first
-        ] == [
-            (s.name, s.fault_spec, s.backend, s.lease_ttl_s)
-            for s in again
+        assert [(s.name, s.fault_spec) for s in first] == [
+            (s.name, s.fault_spec) for s in again
         ]
         other = draw_scenarios(7, 8)
         assert [s.fault_spec for s in first] != [
@@ -57,9 +52,15 @@ class TestScenarioDrawing:
             assert plan.clauses
 
     def test_catalog_cycles_without_repeats_per_pass(self):
-        drawn = draw_scenarios(3, 12)
-        assert len({s.name for s in drawn}) == 12  # one full catalog
-        assert [s.index for s in drawn] == list(range(12))
+        size = len(_TEMPLATES)
+        drawn = draw_scenarios(3, size)
+        assert len({s.name for s in drawn}) == size  # one full catalog
+        assert [s.index for s in drawn] == list(range(size))
+
+    def test_catalog_covers_deaths_and_damaged_writes(self):
+        specs = " ".join(spec for _, spec in _TEMPLATES)
+        assert "exec.worker:kill" in specs
+        assert "results.put:torn-write" in specs
 
 
 class TestChaosRun:
@@ -77,11 +78,13 @@ class TestChaosRun:
         rendered = report.render()
         assert "2/2 scenario(s) held the invariants -> PASS" in rendered
 
-    def test_environment_restored_after_run(self):
+    def test_environment_restored_after_run(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
         run_chaos(seed=1, scenarios=1, workers=2, length=800, size_bits=(4,))
         assert "REPRO_FAULT_SPEC" not in os.environ
-        assert "REPRO_EXEC_BACKEND" not in os.environ
-        assert "REPRO_LEASE_TTL_S" not in os.environ
+        assert os.environ["REPRO_RESULT_STORE"] == str(tmp_path)
+        # Scenarios never read or fill a shared result store.
+        assert not list(tmp_path.iterdir())
 
     def test_divergence_is_reported_as_failure(self, monkeypatch):
         # Sabotage the baseline comparison: if the harness cannot flag
@@ -154,5 +157,5 @@ class TestChaosCli:
 def test_scenario_result_shape():
     scenario = draw_scenarios(0, 1)[0]
     result = ScenarioResult(scenario=scenario, ok=True, duration_s=0.5)
-    assert result.fence_rejections == 0
+    assert result.faults_injected == 0
     assert result.detail == ""

@@ -1,23 +1,28 @@
-"""Parallel sweep executor tests: identity, fault paths, services.
+"""Worker-pool tests: identity, fault paths, crash safety, services.
 
-The contract under test is the ISSUE's hard one: ``sweep_tiers(...,
-workers=N)`` must produce *exactly* the serial results — same points,
-same floats, same tier order — while surviving worker crashes, parent
-SIGINT, and injected faults, all coordinated through the checkpoint
-journal. The satellites (trace store, plan-from-estimate pruning,
-estimator-driven aliasing repair) are covered here too.
+The contract under test: ``sweep_tiers(..., workers=N)`` must produce
+*exactly* the serial results — same points, same floats, same tier
+order — while surviving worker errors and deaths, parent SIGINT, and
+injected faults. The parent is the only process that writes finished
+points, so a SIGKILLed run resumes from the result artifacts it left,
+and its workers never outlive it. The trace store, plan-from-estimate
+pruning and estimator-driven aliasing repair are covered here too.
 """
 
 import glob
+import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 
 import pytest
 
 from repro.check.static_alias import check_aliasing
 from repro.cli import EXIT_INTERRUPT, main
 from repro.errors import ConfigurationError
-from repro.exec import leases
 from repro.obs import get_tracer, reset_metrics, snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
@@ -71,10 +76,12 @@ class TestParallelIdentity:
             checkpoint_dir=str(tmp_path),
         )
         assert surface_cells(parallel) == surface_cells(serial)
-        journals = list(tmp_path.glob("*.journal"))
-        assert len(journals) == 1
-        # The scratch directory is cleaned up on success.
-        assert not os.path.isdir(str(journals[0]) + ".exec")
+        # One result artifact per point, written by the parent; nothing
+        # else (no journal, no worker scratch) is left behind.
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            p.name for p in tmp_path.glob("rs-*.json")
+        )
+        assert len(os.listdir(tmp_path)) == 11
 
     def test_tier_order_follows_plan_not_completion(self, trace):
         surface = sweep_tiers("gas", trace, size_bits=[5, 4], workers=2)
@@ -112,20 +119,20 @@ class TestWorkerCrashResilience:
     def test_killed_worker_points_survive_in_journal(
         self, trace, monkeypatch
     ):
-        # Every worker journals one point and dies on its second (the
-        # fault fires per process); the parent must keep the journaled
-        # points across respawn rounds and still converge on the full,
-        # serial-identical surface.
+        # Every worker returns one point and is SIGKILLed on its second
+        # (the fault fires per process): the parent keeps the returned
+        # points, replaces the dead workers, re-dispatches their
+        # in-flight points, and converges on the serial surface.
         serial_cells = surface_cells(
             sweep_tiers("gas", trace, size_bits=[4])
         )
         reset_metrics()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.worker:raise@2")
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.worker:kill@2")
         surface = sweep_tiers("gas", trace, size_bits=[4], workers=2)
         assert surface_cells(surface) == serial_cells
         counters = snapshot()["counters"]
         assert counters["exec.worker_failures"] >= 1
-        # Respawn rounds made progress from dead workers' journals.
+        # Replacement workers made progress after the deaths.
         assert counters["exec.workers_spawned"] > 2
 
     def test_interrupted_parallel_run_resumes_from_journal(
@@ -350,31 +357,6 @@ class TestAliasingFix:
         )
 
 
-class TestLeases:
-    def test_claim_is_exclusive(self, tmp_path):
-        assert leases.try_claim(str(tmp_path), 0)
-        assert not leases.try_claim(str(tmp_path), 0)
-        assert leases.try_claim(str(tmp_path), 1)
-
-    def test_done_lease_is_never_reclaimed(self, tmp_path):
-        assert leases.try_claim(str(tmp_path), 0, ttl_s=0.0)
-        leases.mark_done(str(tmp_path), 0)
-        assert not leases.try_claim(str(tmp_path), 0, ttl_s=0.0)
-
-    def test_expired_lease_is_reclaimed(self, tmp_path):
-        assert leases.try_claim(str(tmp_path), 0, ttl_s=0.0)
-        assert leases.try_claim(str(tmp_path), 0, ttl_s=0.0)
-        assert snapshot()["counters"]["exec.leases_reclaimed"] == 1
-
-    def test_corrupt_lease_is_reclaimed(self, tmp_path):
-        path = leases.lease_path(str(tmp_path), 0)
-        fd = os.open(path, os.O_CREAT | os.O_WRONLY)
-        os.write(fd, b"not json")
-        os.close(fd)
-        assert leases.read_lease(str(tmp_path), 0) is None
-        assert leases.try_claim(str(tmp_path), 0)
-
-
 class TestTelemetryMerge:
     def test_histogram_absorb(self):
         registry = MetricsRegistry()
@@ -392,19 +374,119 @@ class TestTelemetryMerge:
     def test_tracer_absorb_aggregates(self):
         tracer = SpanTracer()
         tracer.absorb_aggregates(
-            {"exec.shard": {"count": 2, "total_s": 3.0,
-                            "min_s": 1.0, "max_s": 2.0}}
+            {"sweep.point": {"count": 2, "total_s": 3.0,
+                             "min_s": 1.0, "max_s": 2.0}}
         )
         tracer.absorb_aggregates(
-            {"exec.shard": {"count": 1, "total_s": 0.5,
-                            "min_s": 0.5, "max_s": 0.5}}
+            {"sweep.point": {"count": 1, "total_s": 0.5,
+                             "min_s": 0.5, "max_s": 0.5}}
         )
         aggregates = tracer.aggregates()
-        assert aggregates["exec.shard"]["count"] == 3
-        assert aggregates["exec.shard"]["min_s"] == 0.5
+        assert aggregates["sweep.point"]["count"] == 3
+        assert aggregates["sweep.point"]["min_s"] == 0.5
 
     def test_parallel_run_merges_worker_telemetry(self, trace):
         sweep_tiers("gas", trace, size_bits=[4], workers=2)
         data = snapshot()
         assert data["counters"]["sim.branches"] == 5 * 4_000
         assert data["histograms"]["sweep.point_s"]["count"] == 5
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: A fig4 run long enough (~100 points) to be killed part-way through.
+KILL_RUN = ["run", "fig4", "--benchmark", "compress", "--length", "20000",
+            "--sizes", "4", "5", "6", "7", "8", "9", "10", "11", "12"]
+
+
+def _repro_env():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_LEDGER"] = ""
+    return env
+
+
+def _alive(pid):
+    """Whether ``pid`` is a live (running, not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as f:
+            return [int(child) for child in f.read().split()]
+    except OSError:
+        return []
+
+
+def _wait_for(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/task"), reason="needs Linux /proc"
+)
+class TestParentKill:
+    def test_sigkilled_run_resumes_from_its_artifacts(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        env = _repro_env()
+        serial = subprocess.run(
+            [sys.executable, "-m", "repro", *KILL_RUN],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert serial.returncode == 0, serial.stderr
+        total = sum(n + 1 for n in range(4, 13))
+
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", *KILL_RUN, "--workers", "2",
+             "--checkpoint-dir", str(ckpt)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert _wait_for(lambda: len(list(ckpt.glob("rs-*.json"))) >= 5)
+        finally:
+            run.kill()
+            run.wait()
+        found = len(list(ckpt.glob("rs-*.json")))
+        assert 0 < found < total
+
+        metrics = tmp_path / "m.json"
+        resumed = subprocess.run(
+            [sys.executable, "-m", "repro", *KILL_RUN, "--workers", "2",
+             "--checkpoint-dir", str(ckpt), "--metrics-out", str(metrics)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == serial.stdout
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sweep.points_computed"] == total - found
+        assert counters["sweep.points_restored"] == found
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # Every worker stalls a minute inside its first point, so only
+        # noticing the parent's death can end it within the bound.
+        env = _repro_env()
+        env["REPRO_FAULT_SPEC"] = "exec.worker:delay(60)"
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", *KILL_RUN, "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            assert _wait_for(lambda: len(_children(run.pid)) >= 2)
+            workers = _children(run.pid)
+        finally:
+            run.send_signal(signal.SIGKILL)
+            run.wait()
+        assert _wait_for(
+            lambda: not any(_alive(pid) for pid in workers), timeout=10.0
+        ), [pid for pid in workers if _alive(pid)]

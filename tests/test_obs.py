@@ -190,7 +190,7 @@ class TestMetrics:
 
     def test_well_known_counters_predeclared(self):
         snap = snapshot()
-        for name in ("guard.degradations", "checkpoint.appends",
+        for name in ("guard.degradations", "exec.worker_failures",
                      "sweep.points_restored", "faults.injected"):
             assert snap["counters"][name] == 0
 
@@ -209,7 +209,7 @@ class TestSweepTelemetry:
     def test_checkpointed_resume_counts_restored(self, tmp_path, trace):
         sweep_tiers("gas", trace, size_bits=[4],
                     checkpoint_dir=str(tmp_path))
-        assert snapshot()["counters"]["checkpoint.appends"] == 5
+        assert snapshot()["counters"]["sweep.points_computed"] == 5
         reset_metrics()
         sweep_tiers("gas", trace, size_bits=[4],
                     checkpoint_dir=str(tmp_path))
@@ -360,7 +360,7 @@ class TestCliTelemetry:
         assert report["schema"] == METRICS_SCHEMA
         assert report["derived"]["branches_per_sec"] > 0
         assert report["counters"]["guard.degradations"] == 0
-        assert report["counters"]["checkpoint.appends"] == 0
+        assert report["counters"]["sweep.points_restored"] == 0
         lines = [json.loads(l) for l in spans.read_text().splitlines()]
         assert any(r["name"] == "sweep_tiers" for r in lines)
         capsys.readouterr()
@@ -385,8 +385,8 @@ class TestCliTelemetry:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["guard.degradations"] == 1
         assert counters["faults.injected"] == 1
-        assert counters["checkpoint.appends"] == 2
-        assert counters["checkpoint.flushes"] >= 1
+        assert counters["sweep.points_computed"] == 2
+        assert len(list((tmp_path / "ckpt").glob("rs-*.json"))) == 2
 
     def test_progress_heartbeat(self, capsys):
         assert main(self.RUN + ["--progress"]) == 0

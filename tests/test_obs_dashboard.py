@@ -44,11 +44,11 @@ class TestThrottling:
     def test_frames_throttled_by_interval(self):
         stream = io.StringIO()
         dash, clock = make_dashboard(stream, min_interval_s=5.0)
-        dash.update({0: {"points": 1, "shards": 1}})
+        dash.update({0: {"points": 1}})
         clock["now"] = 1.0
-        dash.update({0: {"points": 2, "shards": 1}})  # suppressed
+        dash.update({0: {"points": 2}})  # suppressed
         clock["now"] = 6.0
-        dash.update({0: {"points": 3, "shards": 1}})
+        dash.update({0: {"points": 3}})
         frames = stream.getvalue().count("[test x2]")
         assert frames == 2
 
@@ -60,8 +60,8 @@ class TestStragglerDetection:
         for tick in range(1, 5):
             clock["now"] = float(tick)
             dash.update(
-                {0: {"points": tick, "shards": 1},
-                 1: {"points": tick, "shards": 1}}
+                {0: {"points": tick},
+                 1: {"points": tick}}
             )
         assert dash.fleet_p90() is not None
         assert dash.stragglers() == []
@@ -69,8 +69,8 @@ class TestStragglerDetection:
         for tick in range(5, 12):
             clock["now"] = float(tick)
             dash.update(
-                {0: {"points": tick, "shards": 1},
-                 1: {"points": 4, "shards": 1}}
+                {0: {"points": tick},
+                 1: {"points": 4}}
             )
         assert dash.stragglers() == [1]
         assert snapshot()["counters"]["exec.stragglers"] == 1
@@ -82,14 +82,14 @@ class TestStragglerDetection:
         for tick in range(1, 4):
             clock["now"] = float(tick)
             dash.update(
-                {0: {"points": tick, "shards": 1},
-                 1: {"points": tick, "shards": 1}}
+                {0: {"points": tick},
+                 1: {"points": tick}}
             )
         for tick in range(4, 20):  # long stall, many polls
             clock["now"] = float(tick)
             dash.update(
-                {0: {"points": tick, "shards": 1},
-                 1: {"points": 3, "shards": 1}}
+                {0: {"points": tick},
+                 1: {"points": 3}}
             )
         assert snapshot()["counters"]["exec.stragglers"] == 1
 
@@ -97,7 +97,7 @@ class TestStragglerDetection:
         dash, clock = make_dashboard(min_samples=50)
         for tick in range(1, 10):
             clock["now"] = float(tick)
-            dash.update({0: {"points": tick, "shards": 1}})
+            dash.update({0: {"points": tick}})
         assert dash.fleet_p90() is None
         assert dash.stragglers() == []
 
@@ -105,29 +105,23 @@ class TestStragglerDetection:
 class TestRendering:
     def test_waiting_message_without_workers(self):
         dash, _ = make_dashboard()
-        assert "(waiting for worker journals)" in dash.render_frame()
+        assert "(waiting for workers)" in dash.render_frame()
 
     def test_frame_contents(self):
         dash, clock = make_dashboard()
         clock["now"] = 1.0
-        dash.update(
-            {0: {"points": 3, "shards": 2}},
-            done=3, total=10, fence_rejections=1, shards_total=4,
-        )
-        frame = dash.render_frame(
-            done=3, total=10, fence_rejections=1, shards_total=4
-        )
+        dash.update({0: {"points": 3}}, done=3, total=10)
+        frame = dash.render_frame(done=3, total=10)
         assert "3/10 points" in frame
-        assert "4 shard(s)" in frame
-        assert "1 fence rejection(s)" in frame
         assert "w0000" in frame
+        assert "shard" not in frame and "fence" not in frame
 
     def test_non_tty_frames_are_plain_text(self):
         stream = io.StringIO()
         dash, clock = make_dashboard(stream)
-        dash.update({0: {"points": 1, "shards": 1}})
+        dash.update({0: {"points": 1}})
         clock["now"] = 1.0
-        dash.update({0: {"points": 2, "shards": 1}})
+        dash.update({0: {"points": 2}})
         dash.finish()
         out = stream.getvalue()
         assert "\x1b[" not in out
@@ -136,10 +130,10 @@ class TestRendering:
     def test_tty_frames_rewrite_in_place(self):
         stream = _Tty()
         dash, clock = make_dashboard(stream)
-        dash.update({0: {"points": 1, "shards": 1}})
+        dash.update({0: {"points": 1}})
         assert "\x1b[" not in stream.getvalue()  # nothing to overwrite yet
         clock["now"] = 1.0
-        dash.update({0: {"points": 2, "shards": 1}})
+        dash.update({0: {"points": 2}})
         out = stream.getvalue()
         assert "\x1b[" in out and "\x1b[0J" in out
         dash.finish()

@@ -1,9 +1,9 @@
 """Fault-injection suite for the resilient experiment runtime.
 
 Forces the failures a long sweep must survive — engine crashes,
-interrupts mid-run, torn and corrupted journals, expired deadlines —
-and asserts the runtime degrades, resumes, or refuses exactly as
-documented.
+interrupts mid-run, torn and corrupted result writes, expired
+deadlines — and asserts the runtime degrades, resumes, or refuses
+exactly as documented.
 """
 
 import json
@@ -13,15 +13,10 @@ import signal
 import numpy as np
 import pytest
 
-from repro.errors import (
-    CheckpointError,
-    ConfigurationError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import ExperimentOptions, run_experiment
 from repro.predictors.factory import make_predictor_spec
 from repro.runtime import (
-    CheckpointJournal,
     CooperativeInterrupt,
     Deadline,
     DeadlineExceeded,
@@ -37,7 +32,6 @@ from repro.runtime import (
 )
 from repro.sim.engine import simulate
 from repro.sim.reference import simulate_reference
-from repro.sim.results import TierPoint
 from repro.sim.sweep import sweep_tiers
 from repro.workloads import make_workload
 
@@ -175,72 +169,7 @@ class TestEngineFallback:
         assert result.engine == "reference"
 
 
-class TestCheckpointJournal:
-    def _journal(self, tmp_path, key="k" * 16):
-        return CheckpointJournal.open(
-            str(tmp_path / "j.journal"), key, resume=True
-        )
-
-    def test_roundtrip(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        journal.append(4, TierPoint(3, 1, 0.125, first_level_miss_rate=0.5))
-        reopened = self._journal(tmp_path)
-        assert reopened.points == journal.points
-        assert reopened.completed() == {(4, 0), (4, 1)}
-
-    def test_key_mismatch_starts_clean(self, tmp_path):
-        journal = self._journal(tmp_path, key="a" * 16)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        other = self._journal(tmp_path, key="b" * 16)
-        assert len(other) == 0
-
-    def test_resume_false_ignores_existing(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        fresh = CheckpointJournal.open(journal.path, journal.key, resume=False)
-        assert len(fresh) == 0
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        journal.append(4, TierPoint(3, 1, 0.125))
-        with open(journal.path, "a", encoding="ascii") as handle:
-            handle.write('{"kind": "point", "n": 4, "col_')  # torn write
-        reopened = self._journal(tmp_path)
-        assert len(reopened) == 2
-
-    def test_corrupt_middle_line_rejected(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        journal.append(4, TierPoint(3, 1, 0.125))
-        lines = open(journal.path, encoding="ascii").read().splitlines()
-        lines[1] = lines[1].replace("0.25", "0.99")  # bit-rot: crc now wrong
-        with open(journal.path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError):
-            self._journal(tmp_path)
-
-    def test_corrupt_header_rejected(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        data = open(journal.path, encoding="ascii").read()
-        with open(journal.path, "w", encoding="ascii") as handle:
-            handle.write("garbage\n" + data)
-        with pytest.raises(CheckpointError):
-            self._journal(tmp_path)
-
-    def test_injected_flush_corruption_loses_only_tail(self, tmp_path):
-        journal = self._journal(tmp_path)
-        journal.append(4, TierPoint(4, 0, 0.25))
-        install_faults("checkpoint.flush:raise@1")
-        with pytest.raises(InjectedFault):
-            journal.append(4, TierPoint(3, 1, 0.125))
-        clear_faults()
-        # The failed append never hit disk; the first point survived.
-        reopened = self._journal(tmp_path)
-        assert reopened.completed() == {(4, 0)}
-
+class TestDurableWrites:
     def test_atomic_write_replaces_whole_file(self, tmp_path):
         path = str(tmp_path / "f.txt")
         atomic_write_text(path, "first")
@@ -320,7 +249,7 @@ class TestResumableSweeps:
         with pytest.raises(KeyboardInterrupt):
             run_experiment("fig4", checkpointed)
         clear_faults()
-        assert list(tmp_path.glob("*.journal"))  # flushed before dying
+        assert len(list(tmp_path.glob("rs-*.json"))) == 2  # landed points
         resumed = run_experiment("fig4", checkpointed)
         assert resumed.text == baseline.text
 
@@ -422,28 +351,40 @@ class TestAtomicTraceSave:
 class TestFaultGrammarExtensions:
     def test_parse_arguments_and_new_actions(self):
         plan = parse_fault_spec(
-            "a:delay(0.5)@2,b:stale-clock(-60),c:torn-write%3"
+            "a:delay(0.5)@2,b:kill@3,c:torn-write%3"
         )
         assert plan.for_site("a")[0].arg == 0.5
         assert plan.for_site("a")[0].nth == 2
-        assert plan.for_site("b")[0].arg == -60.0
+        assert plan.for_site("b")[0].action == "kill"
+        assert plan.for_site("b")[0].nth == 3
         assert plan.for_site("c")[0].action == "torn-write"
 
     @pytest.mark.parametrize(
-        "spec", ["x:delay(0.5", "x:delay(abc)", "x:stale-clock()"]
+        "spec", ["x:delay(0.5", "x:delay(abc)", "x:kill()"]
     )
     def test_bad_arguments_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             parse_fault_spec(spec)
 
     def test_fire_site_returns_passive_actions(self):
-        from repro.runtime.faults import clock_skew, fire_site
+        from repro.runtime.faults import fire_site
 
-        install_faults("s:torn-write(3),s:stale-clock(-9)")
-        fired = fire_site("s")
-        assert fired == {"torn-write": 3.0, "stale-clock": -9.0}
-        assert clock_skew(fired) == -9.0
-        assert clock_skew({}) == 0.0
+        install_faults("s:torn-write(3),s:corrupt")
+        assert fire_site("s") == {"torn-write": 3.0, "corrupt": 0.0}
+
+    def test_kill_action_sigkills_the_process(self):
+        from repro.runtime.faults import fire_site
+
+        pid = os.fork()
+        if pid == 0:  # the child must die here, never return to pytest
+            try:
+                install_faults("s:kill")
+                fire_site("s")
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
 
     def test_delay_sleeps_in_place(self, monkeypatch):
         from repro.runtime import faults
@@ -506,63 +447,40 @@ class TestTornWriteRecovery:
     def test_torn_flush_resumes_and_recomputes_only_lost_point(
         self, trace, tmp_path
     ):
-        """Satellite: a torn final flush loses exactly the tail point;
-        the next run quarantines the torn bytes, restores every intact
-        point, and recomputes only the lost one — bit-identically."""
+        """A torn ``results.put`` damages exactly one artifact; the next
+        run reads it as a miss, restores every intact point, and
+        recomputes only the lost one — bit-identically."""
         from repro.obs import snapshot
 
         serial = sweep_tiers("gshare", trace, size_bits=[4])
-
-        # Probe how many flushes a clean checkpointed run performs so
-        # the fault can tear exactly the last one.
-        probe_dir = tmp_path / "probe"
-        before = snapshot()["counters"]["checkpoint.flushes"]
+        install_faults("results.put:torn-write@3")
         sweep_tiers(
-            "gshare", trace, size_bits=[4], checkpoint_dir=str(probe_dir)
-        )
-        flushes = snapshot()["counters"]["checkpoint.flushes"] - before
-
-        victim_dir = tmp_path / "victim"
-        install_faults(f"checkpoint.flush:torn-write@{flushes}")
-        sweep_tiers(
-            "gshare", trace, size_bits=[4], checkpoint_dir=str(victim_dir)
+            "gshare", trace, size_bits=[4], checkpoint_dir=str(tmp_path)
         )
         clear_faults()
 
         before = snapshot()["counters"]
         resumed = sweep_tiers(
-            "gshare", trace, size_bits=[4], checkpoint_dir=str(victim_dir)
+            "gshare", trace, size_bits=[4], checkpoint_dir=str(tmp_path)
         )
         after = snapshot()["counters"]
         assert after["sweep.points_computed"] - before["sweep.points_computed"] == 1
         assert after["sweep.points_restored"] - before["sweep.points_restored"] == 4
-        # The torn bytes were preserved to a sidecar at open.
-        quarantines = [
-            name
-            for name in os.listdir(victim_dir)
-            if name.endswith(".quarantine")
-        ]
-        assert len(quarantines) == 1
         assert surface_cells(resumed) == surface_cells(serial)
 
     def test_torn_journal_passes_doctor_after_repair(self, trace, tmp_path):
-        from repro.check.doctor import scan_checkpoint_dir
-        from repro.obs import snapshot
+        from repro.check.doctor import scan_result_store
 
-        probe_dir = tmp_path / "probe"
-        before = snapshot()["counters"]["checkpoint.flushes"]
+        install_faults("results.put:corrupt@2")
         sweep_tiers(
-            "gshare", trace, size_bits=[4], checkpoint_dir=str(probe_dir)
-        )
-        flushes = snapshot()["counters"]["checkpoint.flushes"] - before
-
-        victim_dir = tmp_path / "victim"
-        install_faults(f"checkpoint.flush:torn-write@{flushes}")
-        sweep_tiers(
-            "gshare", trace, size_bits=[4], checkpoint_dir=str(victim_dir)
+            "gshare", trace, size_bits=[4], checkpoint_dir=str(tmp_path)
         )
         clear_faults()
-        findings = scan_checkpoint_dir(str(victim_dir), repair=True)
-        assert any(f.check == "doctor.journal-repaired" for f in findings)
-        findings = scan_checkpoint_dir(str(victim_dir))
+        findings = scan_result_store(str(tmp_path), repair=True)
+        assert [f.check for f in findings if f.severity == "error"] == [
+            "doctor.results-corrupt"
+        ]
+        assert any(f.check == "doctor.results-repaired" for f in findings)
+        assert len(list(tmp_path.glob("*.quarantine"))) == 1
+        findings = scan_result_store(str(tmp_path))
         assert all(f.severity == "info" for f in findings)

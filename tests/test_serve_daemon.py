@@ -168,9 +168,11 @@ class TestServeDrain:
         # not try to render its empty surfaces.
         job, _ = submit_job(str(tmp_path), "fig4", **MICRO)
         daemon = ServeDaemon(str(tmp_path), workers=2, once=True)
-        daemon._run_rounds = lambda plans, tasks: setattr(
-            daemon, "_stop", True
-        )
+        def stop_before_any_point(tasks):
+            daemon._stop = True
+            return {}
+
+        daemon._execute = stop_before_any_point
         assert daemon.run() == 0
         (row,) = job_status(str(tmp_path), job.id)
         assert row["state"] == "queued"

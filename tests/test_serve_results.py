@@ -50,7 +50,7 @@ class TestPointKey:
         # Both engines are bit-identical, so the key must not depend
         # on which one computed the point. point_key delegates to
         # sweep_key, whose digest deliberately excludes the engine.
-        from repro.runtime.checkpoint import sweep_key
+        from repro.runtime.durable import sweep_key
 
         assert sweep_key(
             "gas", "fp0", [5], engine="vector"
