@@ -31,14 +31,6 @@ from repro.analysis.metrics import (
     per_branch_misprediction,
     warmup_trimmed_rate,
 )
-from repro.analysis.replication import (
-    ReplicatedRate,
-    replicate_comparison,
-    replicate_rate,
-    replication_report,
-    seeds_for,
-    significant_difference,
-)
 
 __all__ = [
     "BranchRecord",
@@ -46,12 +38,6 @@ __all__ = [
     "branch_report",
     "concentration",
     "predictability_alignment",
-    "ReplicatedRate",
-    "replicate_rate",
-    "replicate_comparison",
-    "replication_report",
-    "seeds_for",
-    "significant_difference",
     "SteadyStateEstimate",
     "convergence_report",
     "steady_state_rate",

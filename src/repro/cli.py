@@ -363,11 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor",
-        help="scan (and repair) checkpoints, stores and serve queues",
+        help="scan (and repair) checkpoints and stores",
         description=(
             "Integrity doctor. Verifies result artifacts (schema, CRC, "
-            "key), re-hashes stored trace archives, and checks serve "
-            "queue files. "
+            "key) and re-hashes stored trace archives. "
             "Exit 0 = healthy, 1 = findings, 2 = scan failed internally."
         ),
     )
@@ -392,19 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify every cached point in a result-store directory",
     )
     doctor.add_argument(
-        "--queue",
-        dest="queue_dir",
-        metavar="DIR",
-        default=None,
-        help="verify job files and result artifacts in a serve queue",
-    )
-    doctor.add_argument(
         "--repair",
         action="store_true",
-        help=(
-            "quarantine bad bytes (.quarantine sidecars) and truncate "
-            "queue files to their last good event"
-        ),
+        help="quarantine bad bytes (.quarantine sidecars)",
     )
     doctor.add_argument(
         "--json",
@@ -543,95 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat warnings as blocking (exit 1), not just errors",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the sweep-service daemon over a job queue directory",
-        description=(
-            "Long-lived scheduler: clients drop jobs into the queue "
-            "with `repro submit`, the daemon decomposes them into "
-            "sweep points, serves whatever the content-addressed "
-            "result store already holds, and fans the rest over one "
-            "shared worker pool. SIGTERM/SIGINT drain resumably and "
-            "exit 0."
-        ),
-    )
-    _add_queue_option(serve)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes in the shared pool (default: 2)",
-    )
-    serve.add_argument(
-        "--once",
-        action="store_true",
-        help="drain the current queue and exit instead of serving "
-        "forever (tests and CI)",
-    )
-    serve.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        metavar="S",
-        help="seconds between queue/worker polls (default: 0.05)",
-    )
-    serve.add_argument(
-        "--dashboard",
-        action="store_true",
-        help="render the live fleet table on stderr while workers run",
-    )
-    _add_obs_options(serve)
-
-    submit = sub.add_parser(
-        "submit", help="enqueue one figure job for the serve daemon"
-    )
-    submit.add_argument(
-        "experiment",
-        help="a servable surface figure: fig4, fig6, or fig9",
-    )
-    _add_queue_option(submit)
-    _add_trace_options(submit)
-    submit.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        metavar="N",
-        help="tier exponents (2^N counters); default: the paper's range",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the submitted job's id/state as JSON",
-    )
-
-    status = sub.add_parser(
-        "status", help="show queue state for one job or all jobs"
-    )
-    status.add_argument(
-        "job", nargs="?", default=None, help="job id (default: all jobs)"
-    )
-    _add_queue_option(status)
-    status.add_argument(
-        "--json",
-        action="store_true",
-        help="emit status rows as JSON (points/cache_hits included)",
-    )
-
-    fetch = sub.add_parser(
-        "fetch",
-        help="print a finished job's rendered figure (bit-identical to "
-        "one-shot `repro run`)",
-    )
-    fetch.add_argument("job", help="job id")
-    _add_queue_option(fetch)
-
-    cancel = sub.add_parser(
-        "cancel", help="flag a queued/running job for cancellation"
-    )
-    cancel.add_argument("job", help="job id")
-    _add_queue_option(cancel)
-
     obs = sub.add_parser(
         "obs", help="inspect saved telemetry and the cross-run ledger"
     )
@@ -713,23 +613,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_ledger_option(export_prom)
     return parser
-
-
-def _add_queue_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--queue",
-        default=None,
-        metavar="DIR",
-        help="serve queue directory (default: $REPRO_SERVE_QUEUE)",
-    )
-
-
-def _queue_dir(args: argparse.Namespace) -> str:
-    import os
-
-    from repro.serve.queue import QUEUE_ENV
-
-    return args.queue or os.environ.get(QUEUE_ENV) or ""
 
 
 def _add_ledger_option(parser: argparse.ArgumentParser) -> None:
@@ -1019,7 +902,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             store_dir=args.store_dir,
             results_dir=args.results_dir,
-            queue_dir=args.queue_dir,
             repair=args.repair,
         )
         print(render(report, as_json=args.json, strict=args.strict))
@@ -1115,96 +997,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         raise AssertionError(
             f"unhandled store command {args.store_command!r}"
         )
-
-    if args.command == "serve":
-        from repro.serve.daemon import ServeDaemon
-
-        daemon = ServeDaemon(
-            _queue_dir(args),
-            workers=args.workers,
-            once=args.once,
-            poll_interval=args.poll_interval,
-            dashboard=args.dashboard,
-        )
-        return daemon.run()
-
-    if args.command == "submit":
-        import json as _json
-
-        from repro.experiments.base import DEFAULT_LENGTH, DEFAULT_SIZE_BITS
-        from repro.serve.client import submit_job
-
-        job, attached = submit_job(
-            _queue_dir(args),
-            args.experiment,
-            benchmarks=tuple(args.benchmarks or ()),
-            length=args.length or DEFAULT_LENGTH,
-            seed=args.seed,
-            size_bits=(
-                tuple(args.sizes) if args.sizes else DEFAULT_SIZE_BITS
-            ),
-        )
-        if args.json:
-            print(
-                _json.dumps(
-                    {
-                        "id": job.id,
-                        "state": job.state,
-                        "attached": attached,
-                    }
-                )
-            )
-        else:
-            verb = "attached to in-flight" if attached else "submitted"
-            print(f"{verb} job {job.id} ({job.spec.experiment})")
-        return 0
-
-    if args.command == "status":
-        import json as _json
-
-        from repro.serve.client import job_status
-
-        rows = job_status(_queue_dir(args), args.job)
-        if args.json:
-            print(_json.dumps(rows, indent=2))
-            return 0
-        if not rows:
-            print("queue is empty")
-            return 0
-        for row in rows:
-            line = (
-                f"{row['id']:20s} {row['experiment']:8s} {row['state']}"
-            )
-            if "points" in row:
-                line += f"  points={row['points']}"
-            if "cache_hits" in row:
-                line += f" cache_hits={row['cache_hits']}"
-            if row.get("cancel_requested"):
-                line += "  (cancel requested)"
-            if "error" in row:
-                line += f"  error: {row['error']}"
-            print(line)
-        return 0
-
-    if args.command == "fetch":
-        from repro.serve.client import fetch_result
-
-        payload = fetch_result(_queue_dir(args), args.job)
-        # Same header + body `repro run` prints, so the two outputs
-        # diff clean (the CI serve-smoke asserts exactly that).
-        print(f"# {payload['experiment']}: {payload['title']}")
-        print(payload["text"])
-        return 0
-
-    if args.command == "cancel":
-        from repro.serve.client import cancel_job
-
-        job = cancel_job(_queue_dir(args), args.job)
-        if job.is_live():
-            print(f"cancel requested for job {job.id}")
-        else:
-            print(f"job {job.id} already {job.state}; nothing to cancel")
-        return 0
 
     if args.command == "simulate":
         from repro.experiments.base import DEFAULT_LENGTH

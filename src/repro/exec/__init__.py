@@ -5,8 +5,8 @@ The paper's constant-size tiers are embarrassingly parallel — every
 pool of worker processes:
 
 * :mod:`repro.exec.parallel` -- the pool (:func:`run_points`) that
-  ``sweep_tiers(..., workers=N)`` and ``repro serve`` both use:
-  workers return finished points, the parent writes them;
+  ``sweep_tiers(..., workers=N)`` uses: workers return finished
+  points, the parent writes them;
 * :mod:`repro.exec.chaos`    -- the seeded fault matrix behind
   ``repro chaos``.
 

@@ -1,7 +1,7 @@
 """The worker pool: point tasks in, finished points back to the parent.
 
-One pool serves both ``repro run --workers N`` (through
-:func:`repro.sim.sweep.sweep_tiers`) and ``repro serve``. The caller
+The pool behind ``repro run --workers N`` (through
+:func:`repro.sim.sweep.sweep_tiers`). The caller
 hands :func:`run_points` a list of :class:`PointTask` and an
 ``on_result`` callback; every point is a deterministic function of its
 task, so the pool needs no leases, fencing or journals:
@@ -18,7 +18,7 @@ task, so the pool needs no leases, fencing or journals:
   there too comes back as a per-key error instead of an exception.
 
 ``poll`` is called between scheduling steps and may raise to stop the
-pool (SIGINT, a deadline, a draining daemon): dispatch stops, in-flight
+pool (SIGINT, a deadline): dispatch stops, in-flight
 points still land through ``on_result`` (bounded by
 :data:`DRAIN_TIMEOUT_S`), and the exception propagates.
 """

@@ -9,13 +9,6 @@ from repro.experiments.base import ExperimentOptions, ExperimentResult
 from repro.sim.results import TierSurface
 from repro.sim.sweep import sweep_tiers
 
-#: The single-scheme surface figures: experiment id -> sweep scheme.
-#: These decompose into independent per-point tasks, which is what the
-#: sweep service (:mod:`repro.serve`) schedules over its shared pool;
-#: Figure 10 sweeps several first-level geometries per benchmark and
-#: stays on the one-shot path.
-SURFACE_SCHEMES = {"fig4": "gas", "fig6": "gshare", "fig9": "pas"}
-
 
 def surface_experiment(
     experiment_id: str,

@@ -12,7 +12,7 @@ Two one-way bridges out of the in-process telemetry:
 * :func:`prometheus_text` renders a metrics snapshot (live registry,
   a saved ``run_metrics.json``, or the newest ledger rows) in the
   Prometheus textfile exposition format, for the node-exporter
-  textfile collector or a future ``repro serve`` scrape endpoint.
+  textfile collector.
   ``repro obs export-prom PATH`` writes it atomically.
 """
 

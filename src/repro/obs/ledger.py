@@ -14,9 +14,9 @@ counters/histograms snapshot for forensics.
 * **Durability.** Appends go through the checkpoint layer's
   ``atomic_write_text`` (write temp + rename), so a crash mid-append
   leaves either the old or the new complete ledger. A torn or corrupt
-  *tail* left by earlier tooling is recovered the way ``repro doctor``
-  repairs queue files: original bytes preserved to a ``.quarantine``
-  sidecar, file truncated to its last good line.
+  *tail* left by earlier tooling is recovered: original bytes
+  preserved to a ``.quarantine`` sidecar, file truncated to its last
+  good line.
 * **Queries.** ``repro obs history`` lists rows, ``repro obs diff
   REV1 REV2`` compares the latest row per bench across two revisions,
   and ``repro obs regress`` gates the newest row of each bench against
@@ -129,9 +129,9 @@ def load_entries(path: str) -> Tuple[List[Dict[str, Any]], List[int]]:
 def recover_ledger(path: str) -> int:
     """Quarantine bad bytes and truncate to the good lines.
 
-    The doctor's queue-repair pattern: the original file is preserved
-    to a ``.quarantine`` sidecar, then the ledger is rewritten with
-    only its CRC-valid lines. Returns the number of lines dropped.
+    The original file is preserved to a ``.quarantine`` sidecar, then
+    the ledger is rewritten with only its CRC-valid lines. Returns the
+    number of lines dropped.
     """
     from repro.runtime.durable import atomic_write_text, quarantine_path
 

@@ -218,12 +218,6 @@ WELL_KNOWN = {
         "analyze.branches_profiled",  # branch outcomes recorded at runtime
         "cache.hits",              # result-store points served without simulating
         "cache.misses",            # result-store lookups that had to simulate
-        "serve.jobs_submitted",    # jobs accepted into the serve queue
-        "serve.jobs_deduped",      # submissions attached to an in-flight job
-        "serve.jobs_completed",    # jobs finished with a result artifact
-        "serve.jobs_failed",       # jobs that ended in an error state
-        "serve.jobs_cancelled",    # jobs cancelled before completion
-        "serve.rounds",            # pool runs the daemon started
     ),
     "gauges": (),
     "histograms": (
@@ -237,7 +231,6 @@ WELL_KNOWN = {
         "sim.phase.persist",          # result-store writes per point
         "sim.phase.engine_other",     # engine wall not covered above
         "analyze.profile_s",          # runtime branch-profiling seconds
-        "serve.job_s",                # wall seconds per completed serve job
     ),
 }
 

@@ -1,19 +1,13 @@
-"""The sweep service: job queue, shared worker pool, result cache.
+"""The content-addressed result store for finished sweep points.
 
-``repro serve`` runs the sweep pipeline as a long-lived daemon.
-Clients drop durable jobs into an on-disk queue
-(:mod:`repro.serve.queue`), the daemon decomposes every figure job
-into per-point tasks and fans them over the worker pool that ``repro
-run --workers`` uses (:mod:`repro.exec.parallel`), and every finished
-point lands in a content-addressed
-:class:`~repro.serve.results.ResultStore` keyed by ``sweep_key`` — so
-a repeat request is a cache hit served without touching the simulator.
-
-This is the "millions of users" architecture the roadmap names: most
-traffic hits the store, not the engine.
+Every finished point lands in a
+:class:`~repro.serve.results.ResultStore` under its content address
+(:func:`~repro.serve.results.point_key`), so a repeat ``repro run``
+over the same ``$REPRO_RESULT_STORE`` (or a ``--resume`` over the same
+``--checkpoint-dir``) is a cache hit served without touching the
+simulator.
 """
 
-from repro.serve.queue import JobQueue, JobSpec
-from repro.serve.results import ResultStore, point_key
+from repro.serve.results import ResultStore, gc_stores, point_key
 
-__all__ = ["JobQueue", "JobSpec", "ResultStore", "point_key"]
+__all__ = ["ResultStore", "gc_stores", "point_key"]

@@ -6,8 +6,8 @@ its *outputs* — one small CRC-stamped JSON artifact per completed
 :class:`~repro.sim.results.TierPoint`, addressed by a single-point
 ``sweep_key`` (one tier exponent, one ``row_bits_filter`` entry). The
 key covers scheme, trace content fingerprint, and the full predictor
-geometry, so identical work requested twice — by two figure jobs, by a
-served sweep and a one-shot ``repro run``, in either order — is
+geometry, so identical work requested twice — by two figures, or by
+two ``repro run`` invocations over one ``$REPRO_RESULT_STORE`` — is
 simulated once and served from disk forever after. The store is also
 the one durable record of a resumable sweep: ``--checkpoint-dir`` is a
 result store, and resuming is reading it.

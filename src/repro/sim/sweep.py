@@ -311,8 +311,8 @@ def sweep_tiers(
         Consult the content-addressed result store named by
         ``$REPRO_RESULT_STORE`` before simulating each point, and write
         freshly computed points back into it — ``cache.hits`` and
-        ``cache.misses`` count the difference, and the one-shot and
-        served paths share one cache. The CLI exposes ``--no-cache`` to
+        ``cache.misses`` count the difference, and every run over the
+        same store shares one cache. The CLI exposes ``--no-cache`` to
         skip both sides. Paranoid runs never serve from this cache (the
         point of paranoid is to re-run the engines).
 

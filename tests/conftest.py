@@ -16,7 +16,6 @@ def _isolated_ledger(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
     monkeypatch.setenv("REPRO_GIT_REV", "testrev")
     monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
-    monkeypatch.delenv("REPRO_SERVE_QUEUE", raising=False)
     yield
 
 

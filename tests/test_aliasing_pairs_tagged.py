@@ -1,70 +1,13 @@
-"""Tests for conflict-pair attribution, the tagged table, and
-calibration checks."""
+"""Tests for the tagged table and calibration checks."""
 
 import pytest
 
-from repro.aliasing.pairs import (
-    conflict_concentration,
-    conflict_pairs,
-    pair_report,
-)
-from repro.errors import TraceError
 from repro.predictors import make_predictor_spec
 from repro.predictors.tagged_table import TaggedTablePredictor
 from repro.sim import simulate_reference
 from repro.workloads import make_workload
 from repro.workloads.calibration import CalibrationCheck, calibrate
 from repro.workloads.micro import aliasing_pair_trace, biased_field_trace
-
-
-class TestConflictPairs:
-    def test_attributes_the_constructed_pair(self):
-        trace = aliasing_pair_trace(200, stride_counters=16)
-        spec = make_predictor_spec("bimodal", cols=16)
-        pairs = conflict_pairs(spec, trace, top=5)
-        pcs = {(p.intruder_pc, p.victim_pc) for p in pairs}
-        assert (0x1000, 0x1000 + 64) in pcs
-        assert (0x1000 + 64, 0x1000) in pcs
-
-    def test_destructive_share_follows_directions(self):
-        opposite = aliasing_pair_trace(200, opposite=True)
-        agreeing = aliasing_pair_trace(200, opposite=False)
-        spec = make_predictor_spec("bimodal", cols=16)
-        worst = conflict_pairs(spec, opposite, top=1)[0]
-        best = conflict_pairs(spec, agreeing, top=1)[0]
-        assert worst.destructive_share == 1.0
-        assert best.destructive_share == 0.0
-
-    def test_no_conflicts_no_pairs(self):
-        trace = biased_field_trace(4, 50)
-        spec = make_predictor_spec("bimodal", cols=64)
-        assert conflict_pairs(spec, trace) == []
-
-    def test_empty_rejected(self):
-        from repro.traces import BranchTrace
-
-        with pytest.raises(TraceError):
-            conflict_pairs(
-                make_predictor_spec("bimodal", cols=16),
-                BranchTrace.from_records([]),
-            )
-
-    def test_concentration(self):
-        trace = aliasing_pair_trace(200, stride_counters=16)
-        spec = make_predictor_spec("bimodal", cols=16)
-        covering, total = conflict_concentration(spec, trace, share=0.5)
-        assert 1 <= covering <= total == 2
-
-    def test_concentration_empty(self):
-        trace = biased_field_trace(4, 50)
-        spec = make_predictor_spec("bimodal", cols=64)
-        assert conflict_concentration(spec, trace) == (0, 0)
-
-    def test_report_renders(self):
-        trace = make_workload("real_gcc", length=10_000, seed=1)
-        spec = make_predictor_spec("bimodal", cols=128)
-        text = pair_report(spec, trace, top=5)
-        assert "intruder" in text and "victim" in text
 
 
 class TestTaggedTable:

@@ -5,6 +5,9 @@ import pytest
 
 from repro.analysis import (
     best_configurations,
+    branch_breakdown,
+    branch_report,
+    concentration,
     diff_surfaces,
     per_branch_misprediction,
     render_series,
@@ -15,7 +18,9 @@ from repro.analysis import (
 from repro.analysis.best_config import TABLE3_SIZE_BITS, crossover_size
 from repro.errors import ConfigurationError
 from repro.predictors import make_predictor_spec
+from repro.sim import simulate
 from repro.sim.results import SimulationResult, TierPoint, TierSurface
+from repro.workloads import make_workload
 
 
 def make_surface(scheme, name, rates_by_tier):
@@ -187,3 +192,60 @@ class TestRendering:
             render_series({"x": [0.1]}, x_labels=["a", "b"], title="t")
         with pytest.raises(ConfigurationError):
             render_series({}, x_labels=[], title="t")
+
+
+class TestBranchReport:
+    @pytest.fixture(scope="class")
+    def sim(self):
+        trace = make_workload("compress", length=8_000, seed=4)
+        result = simulate(make_predictor_spec("bimodal", cols=64), trace)
+        return result, trace
+
+    def test_breakdown_sums_to_total(self, sim):
+        result, trace = sim
+        records = branch_breakdown(result, trace)
+        assert sum(r.mispredictions for r in records) == (
+            result.mispredictions
+        )
+        assert sum(r.executions for r in records) == len(trace)
+
+    def test_sorted_by_contribution(self, sim):
+        result, trace = sim
+        records = branch_breakdown(result, trace)
+        misses = [r.mispredictions for r in records]
+        assert misses == sorted(misses, reverse=True)
+
+    def test_length_mismatch_rejected(self, sim):
+        result, trace = sim
+        with pytest.raises(ConfigurationError):
+            branch_breakdown(result, trace.slice(0, 10))
+
+    def test_concentration(self, sim):
+        result, trace = sim
+        records = branch_breakdown(result, trace)
+        half = concentration(records, 0.5)
+        assert 1 <= half <= len(records)
+        assert concentration(records, 1.0) <= len(records)
+
+    def test_concentration_validation(self):
+        with pytest.raises(ConfigurationError):
+            concentration([], 0.5)
+
+    def test_concentration_no_misses(self):
+        record = SimulationResult(
+            spec=make_predictor_spec("bimodal", cols=4),
+            trace_name="t",
+            predictions=np.array([True]),
+            taken=np.array([True]),
+        )
+        from repro.traces import BranchTrace
+
+        trace = BranchTrace.from_records([(0x100, True)])
+        records = branch_breakdown(record, trace)
+        assert concentration(records, 0.5) == 0
+
+    def test_report_renders(self, sim):
+        result, trace = sim
+        text = branch_report(result, trace, top=5)
+        assert "share of misses" in text
+        assert "produce half" in text

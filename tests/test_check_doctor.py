@@ -2,9 +2,9 @@
 
 ``repro doctor`` must detect (and with ``--repair`` fix) every way the
 on-disk state can rot: damaged result artifacts in a checkpoint dir or
-result store, unloadable trace archives and fingerprint mismatches,
-and torn or corrupt serve-queue files. ``repro store ls/gc/verify`` keep the trace
-cache bounded and honest.
+result store, and unloadable trace archives and fingerprint
+mismatches. ``repro store ls/gc/verify`` keep the trace cache bounded
+and honest.
 """
 
 import json
@@ -12,12 +12,7 @@ import os
 
 import pytest
 
-from repro.check.doctor import (
-    run_doctor,
-    scan_queue,
-    scan_result_store,
-    scan_store,
-)
+from repro.check.doctor import run_doctor, scan_result_store, scan_store
 from repro.cli import main
 from repro.errors import CheckError
 from repro.obs import reset_metrics, snapshot
@@ -228,6 +223,11 @@ class TestDoctorCli:
         out = capsys.readouterr().out
         assert "doctor.results-ok" in out
 
+    def test_doctor_cli_covers_results(self, tmp_path, capsys):
+        code = main(["doctor", "--results", str(tmp_path)])
+        assert code == 0
+        assert "doctor.results-empty" in capsys.readouterr().out
+
     def test_doctor_json_output(self, tmp_path, capsys):
         _checkpoint(tmp_path)
         code = main(
@@ -306,81 +306,3 @@ class TestScanResultStore:
         findings = scan_result_store(str(tmp_path))
         assert "doctor.results-corrupt" in checks_of(findings)
         assert "does not match" in findings[0].why
-
-
-class TestScanQueue:
-    def _queue(self, tmp_path):
-        from repro.serve.queue import JobQueue, JobSpec
-
-        queue = JobQueue(str(tmp_path))
-        job, _ = queue.submit(
-            JobSpec(
-                experiment="fig4",
-                benchmarks=("compress",),
-                length=2_000,
-                size_bits=(4, 5),
-            )
-        )
-        return queue, job
-
-    def test_healthy_queue_verifies(self, tmp_path):
-        queue, job = self._queue(tmp_path)
-        queue.append_event(job, "running", {"points": 11})
-        findings = scan_queue(str(tmp_path))
-        assert checks_of(findings) == ["doctor.queue-ok"]
-
-    def test_empty_queue_is_fine(self, tmp_path):
-        assert checks_of(scan_queue(str(tmp_path))) == [
-            "doctor.queue-empty"
-        ]
-
-    def test_corrupt_header_quarantines_whole_file(self, tmp_path):
-        queue, job = self._queue(tmp_path)
-        with open(job.path, "w", encoding="ascii") as handle:
-            handle.write("garbage\n")
-        findings = scan_queue(str(tmp_path))
-        assert "doctor.queue-header" in checks_of(findings)
-        findings = scan_queue(str(tmp_path), repair=True)
-        assert "doctor.queue-repaired" in checks_of(findings)
-        assert not os.path.exists(job.path)
-        assert os.path.exists(job.path + ".quarantine")
-
-    def test_torn_event_tail_is_warning_and_repairable(self, tmp_path):
-        queue, job = self._queue(tmp_path)
-        queue.append_event(job, "running", {"points": 11})
-        with open(job.path, "a", encoding="ascii") as handle:
-            handle.write('{"kind": "event", "state": "done"')
-        findings = scan_queue(str(tmp_path))
-        torn = [f for f in findings if f.check == "doctor.queue-event"]
-        assert torn and torn[0].severity == "warning"
-        scan_queue(str(tmp_path), repair=True)
-        assert checks_of(scan_queue(str(tmp_path))) == ["doctor.queue-ok"]
-        assert queue.find(job.id).state == "running"
-
-    def test_damaged_result_artifact_detected(self, tmp_path):
-        queue, job = self._queue(tmp_path)
-        queue.append_event(job, "done", {"points": 11})
-        with open(job.result_path(), "w", encoding="ascii") as handle:
-            handle.write('{"schema": "repro.job-result/1"}')
-        findings = scan_queue(str(tmp_path))
-        assert "doctor.queue-result" in checks_of(findings)
-        scan_queue(str(tmp_path), repair=True)
-        assert os.path.exists(job.result_path() + ".quarantine")
-
-    def test_doctor_cli_covers_results_and_queue(self, tmp_path, capsys):
-        results_dir = tmp_path / "results"
-        queue_dir = tmp_path / "queue"
-        results_dir.mkdir()
-        queue_dir.mkdir()
-        code = main(
-            [
-                "doctor",
-                "--results",
-                str(results_dir),
-                "--queue",
-                str(queue_dir),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "results" in out and "queue" in out

@@ -23,11 +23,14 @@ import pytest
 from repro.check.static_alias import check_aliasing
 from repro.cli import EXIT_INTERRUPT, main
 from repro.errors import ConfigurationError
+from repro.exec import parallel
+from repro.exec.parallel import PointTask, run_points
 from repro.obs import get_tracer, reset_metrics, snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.runtime import clear_faults, install_faults
-from repro.sim.sweep import sweep_tiers
+from repro.serve.results import ResultStore, point_key
+from repro.sim.sweep import compute_point, sweep_tiers
 from repro.workloads.registry import make_workload
 from repro.workloads.store import TraceStore
 
@@ -153,6 +156,65 @@ class TestWorkerCrashResilience:
             checkpoint_dir=str(tmp_path),
         )
         assert surface_cells(resumed) == serial_cells
+
+
+class TestPointFailure:
+    """A point that fails in every round and serially fails the sweep
+    without losing the points that landed."""
+
+    BAD = (4, 2)  # (n, row_bits) of the point that always fails
+
+    @pytest.fixture()
+    def failing_point(self, monkeypatch):
+        def failing(scheme, trace, n, row_bits, **kwargs):
+            if (n, row_bits) == self.BAD:
+                raise ValueError(f"cannot simulate n={n} r={row_bits}")
+            return compute_point(scheme, trace, n, row_bits, **kwargs)
+
+        monkeypatch.setattr(parallel, "compute_point", failing)
+
+    def test_run_points_returns_the_error_per_key(
+        self, trace, failing_point
+    ):
+        tasks = [
+            PointTask(f"k{n}-{r}", "gas", trace, n, r)
+            for n, r in [(4, 1), self.BAD, (4, 3)]
+        ]
+        landed = []
+        errors = run_points(
+            tasks, lambda task, point: landed.append(task.key), workers=2
+        )
+        assert sorted(landed) == ["k4-1", "k4-3"]
+        assert list(errors) == ["k4-2"]
+        assert isinstance(errors["k4-2"], ValueError)
+
+    def test_failed_point_keeps_the_rest_and_resumes(
+        self, trace, tmp_path, failing_point, monkeypatch
+    ):
+        with pytest.raises(ValueError, match="n=4 r=2"):
+            sweep_tiers(
+                "gas", trace, size_bits=[4, 5], workers=2,
+                checkpoint_dir=str(tmp_path),
+            )
+        store = ResultStore(str(tmp_path))
+        fingerprint = trace.fingerprint()
+        for n in (4, 5):
+            for r in range(n + 1):
+                stored = store.get(point_key("gas", fingerprint, n, r))
+                assert (stored is None) == ((n, r) == self.BAD)
+
+        monkeypatch.setattr(parallel, "compute_point", compute_point)
+        reset_metrics()
+        resumed = sweep_tiers(
+            "gas", trace, size_bits=[4, 5], workers=2,
+            checkpoint_dir=str(tmp_path), resume=True,
+        )
+        counters = snapshot()["counters"]
+        assert counters["sweep.points_computed"] == 1
+        assert counters["sweep.points_restored"] == 10
+        assert surface_cells(resumed) == surface_cells(
+            sweep_tiers("gas", trace, size_bits=[4, 5])
+        )
 
 
 class TestWorkerFaultRetry:

@@ -402,47 +402,6 @@ class TestFaultGrammarExtensions:
         assert maybe_inject("s") is True
 
 
-class TestBackoffPolicy:
-    def test_deterministic_schedule_and_cap(self):
-        from repro.runtime.backoff import BackoffPolicy
-
-        policy = BackoffPolicy(base_delay=0.05, factor=2.0, max_delay=0.2)
-        assert [policy.delay_for(i) for i in range(5)] == [
-            0.05, 0.1, 0.2, 0.2, 0.2,
-        ]
-
-    def test_jitter_bounds(self):
-        import random
-
-        from repro.runtime.backoff import BackoffPolicy
-
-        policy = BackoffPolicy(
-            base_delay=1.0, factor=1.0, max_delay=1.0, jitter=0.5
-        )
-        rng = random.Random(0)
-        for _ in range(50):
-            delay = policy.delay_for(0, rng=rng)
-            assert 0.5 <= delay <= 1.0
-
-    def test_invalid_policies_rejected(self):
-        from repro.runtime.backoff import BackoffPolicy
-
-        with pytest.raises(SimulationError):
-            BackoffPolicy(base_delay=-1.0)
-        with pytest.raises(SimulationError):
-            BackoffPolicy(jitter=1.5)
-        with pytest.raises(SimulationError):
-            BackoffPolicy().delay_for(-1)
-
-    def test_sleep_invokes_callable(self):
-        from repro.runtime.backoff import BackoffPolicy
-
-        slept = []
-        policy = BackoffPolicy(base_delay=0.05, factor=2.0, max_delay=2.0)
-        policy.sleep(1, sleep=slept.append)
-        assert slept == [0.1]
-
-
 class TestTornWriteRecovery:
     def test_torn_flush_resumes_and_recomputes_only_lost_point(
         self, trace, tmp_path

@@ -2,7 +2,8 @@
 
 The store is a sibling of the trace store with the same discipline:
 CRC-stamped artifacts, corrupt-is-a-miss reads, LRU eviction — plus a
-combined ``gc_stores`` budget shared with the trace store.
+combined ``gc_stores`` budget shared with the trace store. One-shot
+sweeps memoize finished points through it (``--no-cache`` opting out).
 """
 
 import json
@@ -10,10 +11,16 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.obs import reset_metrics, snapshot
 from repro.serve.results import ResultStore, gc_stores, point_key
 from repro.sim.results import TierPoint
+from repro.sim.sweep import sweep_tiers
+from repro.workloads.registry import make_workload
 from repro.workloads.store import TraceStore
+
+#: Micro-scale sweep: 2^4 and 2^5 tiers -> 5 + 6 = 11 points.
+MICRO_POINTS = 11
 
 
 @pytest.fixture(autouse=True)
@@ -160,3 +167,76 @@ class TestGcStores:
         assert removed
         combined = traces.total_bytes() + results.total_bytes()
         assert combined <= total // 2
+
+
+class TestSweepMemoization:
+    """One-shot sweeps consult the result store."""
+
+    @pytest.fixture()
+    def trace(self):
+        return make_workload("compress", length=2_000, seed=0)
+
+    def test_second_sweep_is_all_cache_hits(
+        self, tmp_path, trace, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
+        first = sweep_tiers("gas", trace, size_bits=(4, 5))
+        reset_metrics()
+        second = sweep_tiers("gas", trace, size_bits=(4, 5))
+        assert second.tiers == first.tiers
+        counters = snapshot()["counters"]
+        assert counters["cache.hits"] == MICRO_POINTS
+        assert counters.get("sweep.points_computed", 0) == 0
+
+    def test_no_cache_bypasses_the_store(
+        self, tmp_path, trace, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
+        sweep_tiers("gas", trace, size_bits=(4, 5))
+        reset_metrics()
+        sweep_tiers("gas", trace, size_bits=(4, 5), use_cache=False)
+        counters = snapshot()["counters"]
+        assert counters.get("cache.hits", 0) == 0
+
+    def test_without_store_env_cache_is_inert(self, trace):
+        surface = sweep_tiers("gas", trace, size_bits=(4,))
+        counters = snapshot()["counters"]
+        assert counters.get("cache.hits", 0) == 0
+        assert counters.get("cache.misses", 0) == 0
+        assert len(surface.tiers) == 1
+
+    def test_store_roundtrip_preserves_floats(
+        self, tmp_path, trace, monkeypatch
+    ):
+        direct = sweep_tiers("gas", trace, size_bits=(4, 5))
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path))
+        sweep_tiers("gas", trace, size_bits=(4, 5))
+        cached = sweep_tiers("gas", trace, size_bits=(4, 5))
+        for n in (4, 5):
+            for mine, theirs in zip(cached.tiers[n], direct.tiers[n]):
+                assert mine == theirs
+
+
+class TestCliMemoization:
+    """``repro run`` twice over one ``$REPRO_RESULT_STORE``: the second
+    run simulates nothing and prints what a ``--no-cache`` run prints."""
+
+    RUN = ["run", "fig4", "--benchmark", "compress", "--length", "2000",
+           "--sizes", "4", "5"]
+
+    def test_second_run_is_all_hits_and_byte_identical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "results"))
+        assert main(self.RUN) == 0
+        capsys.readouterr()
+        warm = tmp_path / "warm.json"
+        assert main(self.RUN + ["--metrics-out", str(warm)]) == 0
+        warm_out = capsys.readouterr().out
+        assert main(self.RUN + ["--no-cache"]) == 0
+        assert warm_out == capsys.readouterr().out
+
+        counters = json.loads(warm.read_text())["counters"]
+        assert counters["cache.hits"] == MICRO_POINTS
+        assert counters.get("sweep.points_computed", 0) == 0
