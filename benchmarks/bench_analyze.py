@@ -4,18 +4,19 @@ Profiles the measured corpus (runtime branch recording), scores it
 (`analyze_trace`), simulates gshare over the same trace, and asserts
 the headline property of the new subsystem: the information-theoretic
 ranking tracks actual simulated mispredictions. Throughput lands in
-the perf trajectory as profiled-branches-per-second of wall time.
+the run ledger as profiled-branches-per-second of wall time.
 """
 
 import time
 
-from conftest import BENCH_LENGTH, BENCH_SEED, emit_bench_record
+from conftest import BENCH_LENGTH, BENCH_SEED
 
 from repro.analysis.branch_report import (
     branch_breakdown,
     predictability_alignment,
 )
 from repro.cfg.predictability import analyze_trace
+from repro.obs.ledger import record_run
 from repro.predictors.factory import make_predictor_spec
 from repro.sim.engine import simulate
 from repro.workloads.registry import clear_cache, make_workload
@@ -52,7 +53,7 @@ def bench_analyze(benchmark):
     wall_s = time.perf_counter() - started
     branches = sum(len_ for _, report, _r, _a in rows
                    for len_ in [report.dynamic_branches])
-    emit_bench_record(
+    record_run(
         "analyze",
         branches_per_sec=branches / wall_s if wall_s else 0.0,
         wall_s=wall_s,

@@ -3,7 +3,7 @@
 One ``pas`` tier, computed twice over the same trace: once with the
 serial runner, once on a pool of two workers. Asserts the parallel
 surface is byte-identical to the serial one and that two workers buy a
-real speedup, then records both runs in the perf trajectory so the
+real speedup, then records both runs in the run ledger so the
 serial/parallel ratio is tracked across PRs.
 """
 
@@ -13,6 +13,7 @@ import time
 from conftest import BENCH_SEED, scaled_options
 
 from repro.obs import reset_metrics, snapshot
+from repro.obs.ledger import record_run
 from repro.sim.sweep import sweep_tiers
 from repro.workloads.registry import make_workload
 
@@ -40,7 +41,7 @@ def _cells(surface):
     ]
 
 
-def _timed_sweep(trace, workers):
+def _timed_sweep(trace, workers, bench):
     reset_metrics()
     started = time.perf_counter()
     surface = sweep_tiers(
@@ -52,32 +53,26 @@ def _timed_sweep(trace, workers):
     )
     wall_s = time.perf_counter() - started
     branches = snapshot()["counters"]["sim.branches"]
-    return surface, wall_s, branches
+    record_run(
+        bench,
+        branches_per_sec=branches / wall_s,
+        wall_s=wall_s,
+        workers=workers,
+    )
+    return surface, wall_s
 
 
-def bench_exec_parallel(bench_record):
+def bench_exec_parallel():
     options = scaled_options(length=LENGTH)
     trace = make_workload(
         "compress", length=options.length, seed=BENCH_SEED
     )
 
-    serial, serial_s, branches = _timed_sweep(trace, workers=1)
-    parallel, parallel_s, _ = _timed_sweep(trace, workers=2)
+    serial, serial_s = _timed_sweep(trace, 1, "exec_parallel_serial")
+    parallel, parallel_s = _timed_sweep(trace, 2, "exec_parallel_2workers")
 
     assert _cells(parallel) == _cells(serial)
     speedup = serial_s / parallel_s
-    bench_record(
-        "exec_parallel_serial",
-        branches_per_sec=branches / serial_s,
-        wall_s=serial_s,
-        engine="vectorized",
-    )
-    bench_record(
-        "exec_parallel_2workers",
-        branches_per_sec=branches / parallel_s,
-        wall_s=parallel_s,
-        engine="vectorized",
-    )
     print(
         f"\nserial {serial_s:.2f}s, 2 workers {parallel_s:.2f}s, "
         f"speedup {speedup:.2f}x over {len(_cells(serial))} points "

@@ -5,13 +5,11 @@ experiment registry, prints the same rows/series the paper reports, and
 records the wall-clock cost under pytest-benchmark (single round: these
 are artifact regenerations, not micro-benchmarks).
 
-Each regeneration also appends a throughput record to the repo's perf
-trajectory file ``BENCH_sweep.json`` (override the path with
-``REPRO_BENCH_JSON``; set it empty to disable). Records carry
-``{bench, branches_per_sec, wall_s, engine}``, with branch counts taken
-from the :mod:`repro.obs` metrics registry, so the numbers mean
-"dynamic branches simulated per second of engine time" — comparable
-across PRs as the engines get faster.
+Each regeneration also appends one row to the run ledger through
+:func:`repro.obs.ledger.record_run` (``repro obs history`` lists it),
+with the harness's own wall time: ``branches_per_sec`` means "dynamic
+branches simulated per second of wall time", comparable across PRs as
+the engines get faster.
 
 Scale knobs (see EXPERIMENTS.md for the paper-vs-measured record):
 
@@ -20,7 +18,6 @@ Scale knobs (see EXPERIMENTS.md for the paper-vs-measured record):
 * ``REPRO_BENCH_SEED``    — workload seed (default 0).
 """
 
-import json
 import os
 import time
 
@@ -28,7 +25,7 @@ import pytest
 
 from repro.experiments import ExperimentOptions, run_experiment
 from repro.obs import reset_metrics, snapshot
-from repro.runtime import atomic_write_text
+from repro.obs.ledger import record_run
 
 BENCH_LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "120000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
@@ -36,59 +33,6 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 #: Tier exponents used by the figure benches. The paper's full range is
 #: 4..15; the default trims nothing.
 FULL_SIZE_BITS = tuple(range(4, 16))
-
-#: Perf-trajectory file, one record per bench id (latest run wins).
-BENCH_JSON_SCHEMA = "repro.bench_sweep/1"
-_DEFAULT_BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_sweep.json",
-)
-BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", _DEFAULT_BENCH_JSON)
-
-
-def emit_bench_record(
-    bench: str, branches_per_sec: float, wall_s: float, engine: str
-) -> dict:
-    """Upsert one ``{bench, branches_per_sec, wall_s, engine}`` record.
-
-    The trajectory file holds a list of records keyed by ``bench``;
-    re-running a bench replaces its record in place.
-    """
-    record = {
-        "bench": bench,
-        "branches_per_sec": round(branches_per_sec, 1),
-        "wall_s": round(wall_s, 4),
-        "engine": engine,
-    }
-    if not BENCH_JSON:
-        return record
-    records = []
-    if os.path.exists(BENCH_JSON):
-        try:
-            with open(BENCH_JSON, "r", encoding="ascii") as handle:
-                records = json.load(handle).get("records", [])
-        except (OSError, ValueError):
-            records = []  # a torn trajectory file is not worth dying for
-    records = [r for r in records if r.get("bench") != bench] + [record]
-    records.sort(key=lambda r: r.get("bench", ""))
-    atomic_write_text(
-        BENCH_JSON,
-        json.dumps(
-            {"schema": BENCH_JSON_SCHEMA, "records": records},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    return record
-
-
-def _engine_label(counters: dict) -> str:
-    vectorized = counters.get("engine.vectorized.runs", 0)
-    reference = counters.get("engine.reference.runs", 0)
-    if vectorized and reference:
-        return "mixed"
-    return "reference" if reference else "vectorized"
 
 
 def scaled_options(**overrides) -> ExperimentOptions:
@@ -98,20 +42,11 @@ def scaled_options(**overrides) -> ExperimentOptions:
 
 
 @pytest.fixture
-def bench_record():
-    """The perf-trajectory upsert helper, for benches that time more
-    than one configuration (e.g. serial vs parallel) per run."""
-    return emit_bench_record
-
-
-@pytest.fixture
 def regenerate(benchmark):
     """Run one experiment once under the benchmark timer, print it, and
-    record its throughput in the perf trajectory."""
+    record its throughput in the run ledger."""
 
     def runner(experiment_id: str, options: ExperimentOptions):
-        from repro.obs.ledger import record_run
-
         reset_metrics()
         started = time.perf_counter()
         result = benchmark.pedantic(
@@ -121,25 +56,14 @@ def regenerate(benchmark):
             iterations=1,
         )
         wall_s = time.perf_counter() - started
-        counters = snapshot()["counters"]
-        branches = counters.get("sim.branches", 0)
-        engine = _engine_label(counters)
-        branches_per_sec = branches / wall_s if wall_s else 0.0
-        emit_bench_record(
-            experiment_id,
-            branches_per_sec=branches_per_sec,
-            wall_s=wall_s,
-            engine=engine,
-        )
-        # Cross-run history: the ledger keeps every run (BENCH_sweep
-        # only the latest), with explicit harness timings — the bench
-        # timer brackets more than engine wall time.
+        branches = snapshot()["counters"].get("sim.branches", 0)
+        # Explicit harness timings: the bench timer brackets more than
+        # engine wall time.
         record_run(
             experiment_id,
-            branches_per_sec=branches_per_sec,
+            branches_per_sec=branches / wall_s if wall_s else 0.0,
             wall_s=wall_s,
-            engine=engine,
-            workers=getattr(options, "workers", 1),
+            workers=options.workers,
         )
         print()
         result.show()

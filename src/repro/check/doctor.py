@@ -1,17 +1,17 @@
-"""Integrity doctor: scan and repair checkpoints and stores.
+"""Integrity doctor: scan and repair stores.
 
 ``repro doctor`` is the operational answer to "a host died mid-sweep /
 a disk lied — can I trust what's on disk?". It scans these artifact
 families:
 
-* **The trace store** — every ``.npz`` is loaded and, for
-  fingerprint-keyed files (``fp-<hash>.npz``), re-hashed against its
-  filename. ``--repair`` moves corrupt or mismatched artifacts aside
-  (``.quarantine`` suffix) so the store regenerates them on next use.
-* **The result store** (``--results``, and ``--checkpoint-dir``, which
-  is a result store) — every ``rs-<key>.json`` artifact is schema-,
-  CRC- and key-verified; repair quarantines liars so the next request
-  is an honest cache miss that recomputes the point.
+* **The trace store** (``--store``) — every ``.npz`` must load.
+  ``--repair`` moves unloadable archives aside (``.quarantine``
+  suffix) so the store regenerates them on next use.
+* **The result store** (``--results``: a ``--checkpoint-dir`` or
+  ``$REPRO_RESULT_STORE``) — every ``rs-<key>.json`` artifact must pass
+  :meth:`~repro.serve.results.ResultStore.verify`; repair quarantines
+  liars so the next request is an honest cache miss that recomputes
+  the point.
 
 Findings reuse the ``repro check`` machinery: exit 0 clean, 1 when
 something needs attention, 2 on internal error. Repairs count the
@@ -20,35 +20,25 @@ something needs attention, 2 on internal error. Repairs count the
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List, Optional
 
 from repro.check.findings import CheckReport, Finding
 from repro.errors import CheckError
 from repro.obs.metrics import counter
-
-
-def _store_fingerprint_of(path: str) -> Optional[str]:
-    """The fingerprint embedded in an ``fp-<hash>.npz`` filename."""
-    stem = os.path.basename(path)
-    if not stem.startswith("fp-") or not stem.endswith(".npz"):
-        return None
-    return stem[len("fp-") : -len(".npz")]
+from repro.runtime.durable import quarantine_path
 
 
 def _quarantine_artifact(path: str) -> None:
-    os.replace(path, path + ".quarantine")
+    os.replace(path, quarantine_path(path))
     counter("doctor.repairs").inc()
 
 
 def scan_store(directory: str, repair: bool = False) -> List[Finding]:
     """Findings for a trace store directory; optionally repair it.
 
-    Every archive must load; fingerprint-keyed archives must also
-    re-hash to the fingerprint in their filename (a mismatch means the
-    bytes rotted or were tampered with — either way the cache entry is
-    a lie and workers loading it would simulate a different trace).
+    Every archive must load; one that does not is a cache entry the
+    next run would fail on instead of regenerating.
     """
     from repro.errors import TraceError
     from repro.traces.io import load_trace
@@ -69,7 +59,7 @@ def scan_store(directory: str, repair: bool = False) -> List[Finding]:
     healthy = 0
     for path in files:
         try:
-            trace = load_trace(path)
+            load_trace(path)
         except TraceError as exc:
             findings.append(
                 Finding(
@@ -91,28 +81,6 @@ def scan_store(directory: str, repair: bool = False) -> List[Finding]:
                     )
                 )
             continue
-        expected = _store_fingerprint_of(path)
-        if expected is not None and trace.fingerprint() != expected:
-            findings.append(
-                Finding(
-                    check="doctor.store-fingerprint",
-                    severity="error",
-                    why="content hash does not match the fingerprint "
-                    "in the filename",
-                    location=path,
-                )
-            )
-            if repair:
-                _quarantine_artifact(path)
-                findings.append(
-                    Finding(
-                        check="doctor.store-repaired",
-                        severity="info",
-                        why="mismatched archive quarantined",
-                        location=path,
-                    )
-                )
-            continue
         healthy += 1
     findings.append(
         Finding(
@@ -130,16 +98,13 @@ def scan_result_store(
 ) -> List[Finding]:
     """Findings for a result store directory; optionally repair it.
 
-    Every ``rs-<key>.json`` artifact must parse, carry the result
-    schema, pass its CRC, and embed the key its filename claims — a
-    failure on any axis means the cache entry would be served as a
+    An artifact that fails :meth:`ResultStore.verify
+    <repro.serve.results.ResultStore.verify>` would be served as a
     sweep point that was never simulated under that address. Repair
-    quarantines the artifact; the next request for that key is simply
-    a cache miss that recomputes it.
+    quarantines it; the next request for that key is simply a cache
+    miss that recomputes it.
     """
-    from repro.obs.ledger import _entry_crc
-
-    from repro.serve.results import RESULT_SCHEMA, ResultStore
+    from repro.serve.results import ResultStore
 
     findings: List[Finding] = []
     store = ResultStore(directory)
@@ -155,30 +120,7 @@ def scan_result_store(
         ]
     healthy = 0
     for path in files:
-        stem = os.path.basename(path)
-        claimed = stem[len("rs-") : -len(".json")]
-        why = None
-        try:
-            with open(path, "r", encoding="ascii") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            payload = None
-            why = "unparseable result artifact"
-        if why is None:
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != RESULT_SCHEMA
-            ):
-                why = "missing or unrecognized result schema"
-            elif payload.get("crc") != _entry_crc(payload):
-                why = "CRC mismatch (bytes rotted or torn)"
-            elif payload.get("key") != claimed:
-                why = (
-                    f"stored key {payload.get('key')!r} does not match "
-                    "the key in the filename"
-                )
-            elif not isinstance(payload.get("point"), dict):
-                why = "artifact carries no point payload"
+        _, why = store.verify(path)
         if why is not None:
             findings.append(
                 Finding(
@@ -213,22 +155,15 @@ def scan_result_store(
 
 
 def run_doctor(
-    checkpoint_dir: Optional[str] = None,
     store_dir: Optional[str] = None,
     results_dir: Optional[str] = None,
     repair: bool = False,
 ) -> CheckReport:
     """Aggregate scans into one report (the CLI entry point)."""
     report = CheckReport()
-    if checkpoint_dir is None and store_dir is None and results_dir is None:
+    if store_dir is None and results_dir is None:
         raise CheckError(
-            "doctor needs something to scan: --checkpoint-dir, "
-            "--store, or --results"
-        )
-    if checkpoint_dir is not None:
-        report.extend(
-            "doctor.checkpoints",
-            scan_result_store(checkpoint_dir, repair=repair),
+            "doctor needs something to scan: --store or --results"
         )
     if store_dir is not None:
         report.extend("doctor.store", scan_store(store_dir, repair=repair))

@@ -61,20 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "write every finished sweep point to a result store in DIR "
-            "as it lands; an interrupted run re-invoked with the same "
-            "options restores those points instead of recomputing them "
+            "the run's result store (default: $REPRO_RESULT_STORE): every "
+            "finished sweep point is written there as it lands, and a "
+            "re-run restores those points instead of recomputing them "
             "(*.journal files from older versions are ignored and their "
             "points recomputed)"
-        ),
-    )
-    run.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "restore finished points from --checkpoint-dir "
-            "(--no-resume recomputes and overwrites them)"
         ),
     )
     run.add_argument(
@@ -83,15 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "cross-check the vectorized engine against the scalar "
             "reference on a trace prefix at every sweep point"
-        ),
-    )
-    run.add_argument(
-        "--precheck",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "statically verify every planned sweep configuration before "
-            "the first point simulates (--no-precheck skips the guard)"
         ),
     )
     run.add_argument(
@@ -106,17 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--plan-from-estimate",
-        type=float,
-        default=None,
-        metavar="DELTA",
-        help=(
-            "skip sweep points whose statically predicted dealiasing "
-            "delta (see `repro check dealias`) is below DELTA; the "
-            "pruned count is logged"
-        ),
-    )
-    run.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -127,22 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--dashboard",
-        action="store_true",
-        help=(
-            "with --workers N: render a live per-worker fleet table "
-            "(points, points/s, stragglers) on stderr while polling"
-        ),
-    )
-    run.add_argument(
         "--no-cache",
         dest="use_cache",
         action="store_false",
         default=True,
         help=(
-            "skip the content-addressed result store (consulted and "
-            "populated by default when $REPRO_RESULT_STORE is set; "
-            "cache.hits/cache.misses count the difference)"
+            "read no point from the result store and simulate every "
+            "point; computed points are still written, overwriting "
+            "identical bytes (cache.hits/cache.misses count reads)"
         ),
     )
 
@@ -366,15 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scan (and repair) checkpoints and stores",
         description=(
             "Integrity doctor. Verifies result artifacts (schema, CRC, "
-            "key) and re-hashes stored trace archives. "
+            "key) and loads stored trace archives. "
             "Exit 0 = healthy, 1 = findings, 2 = scan failed internally."
         ),
-    )
-    doctor.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="verify every result artifact a --checkpoint-dir run left",
     )
     doctor.add_argument(
         "--store",
@@ -388,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="results_dir",
         metavar="DIR",
         default=None,
-        help="verify every cached point in a result-store directory",
+        help=(
+            "verify every point in a result-store directory (a "
+            "--checkpoint-dir or $REPRO_RESULT_STORE)"
+        ),
     )
     doctor.add_argument(
         "--repair",
@@ -462,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="trace-store hygiene: list, verify, evict",
+        help="trace-store hygiene: list, evict",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_sub.add_parser(
@@ -504,32 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "evict across this result store too: one LRU order, one "
             "combined byte cap for traces and cached points"
         ),
-    )
-    store_verify = store_sub.add_parser(
-        "verify",
-        help="load every archive and re-hash fingerprint-keyed files",
-    )
-    store_verify.add_argument(
-        "--store", dest="store_dir", default=None,
-        help="store directory (default: ./traces or $REPRO_TRACE_STORE)",
-    )
-    store_verify.add_argument(
-        "--results",
-        dest="results_dir",
-        metavar="DIR",
-        default=None,
-        help="also CRC-verify cached points in this result store",
-    )
-    store_verify.add_argument(
-        "--repair",
-        action="store_true",
-        help="move corrupt/mismatched archives aside (.quarantine)",
-    )
-    store_verify.add_argument("--json", action="store_true")
-    store_verify.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as blocking (exit 1), not just errors",
     )
 
     obs = sub.add_parser(
@@ -805,13 +739,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             benchmarks=args.benchmarks,
             size_bits=tuple(args.sizes) if args.sizes else DEFAULT_SIZE_BITS,
             checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
             paranoid=args.paranoid,
             on_point=on_point,
-            precheck=args.precheck,
             workers=args.workers,
-            plan_from_estimate=args.plan_from_estimate,
-            dashboard=args.dashboard,
             use_cache=args.use_cache,
         )
         result = run_experiment(args.experiment, options)
@@ -899,7 +829,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.check.runner import render
 
         report = run_doctor(
-            checkpoint_dir=args.checkpoint_dir,
             store_dir=args.store_dir,
             results_dir=args.results_dir,
             repair=args.repair,
@@ -983,17 +912,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"({len(evicted)} evicted, cap {args.max_bytes})"
             )
             return 0
-        if args.store_command == "verify":
-            from repro.check.doctor import run_doctor
-            from repro.check.runner import render
-
-            report = run_doctor(
-                store_dir=store.directory,
-                results_dir=args.results_dir,
-                repair=args.repair,
-            )
-            print(render(report, as_json=args.json, strict=args.strict))
-            return report.exit_code(args.strict)
         raise AssertionError(
             f"unhandled store command {args.store_command!r}"
         )

@@ -204,7 +204,6 @@ def run_chaos(
                     size_bits=list(size_bits),
                     checkpoint_dir=checkpoint_dir,
                     workers=workers,
-                    precheck=False,
                 )
             )
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.obs.dashboard import FleetDashboard
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, counter, reset_metrics, snapshot
 from repro.obs.profile import (
@@ -88,11 +87,9 @@ class PointTask:
 
 @dataclass
 class _Worker:
-    wid: int
     process: Any
     conn: Any
     task: Optional[int] = None  # index of the task in flight
-    landed: int = 0
 
 
 def _mp_context():
@@ -180,7 +177,6 @@ def run_points(
     engine: str = "auto",
     paranoid: bool = False,
     poll: Callable[[], None] = lambda: None,
-    fleet: Optional[FleetDashboard] = None,
 ) -> Dict[str, BaseException]:
     """Compute ``tasks`` on ``workers`` processes; returns per-key errors.
 
@@ -195,7 +191,6 @@ def run_points(
     fallback: List[int] = []
     pool: List[_Worker] = []
     context = _mp_context()
-    spawned = landed = 0
     draining = False
 
     # Elapsed-wall accounting: worker engine seconds arrive as sim.cpu_s,
@@ -206,7 +201,6 @@ def run_points(
     region_started = time.perf_counter()
 
     def spawn() -> None:
-        nonlocal spawned
         parent_conn, child_conn = context.Pipe()
         process = context.Process(
             target=_worker_main,
@@ -222,8 +216,7 @@ def run_points(
         )
         process.start()
         child_conn.close()
-        pool.append(_Worker(spawned, process, parent_conn))
-        spawned += 1
+        pool.append(_Worker(process, parent_conn))
         counter("exec.workers_spawned").inc()
 
     def failed(index: int, why: str) -> None:
@@ -260,7 +253,6 @@ def run_points(
                 spawn()
 
     def collect() -> None:
-        nonlocal landed
         ready = set(
             wait(
                 [w.conn for w in pool] + [w.process.sentinel for w in pool],
@@ -282,8 +274,6 @@ def run_points(
                 if error is not None:
                     failed(index, error)
                     continue
-                worker.landed += 1
-                landed += 1
                 on_result(tasks[index], point)
             elif worker.process.sentinel in ready:
                 reap(worker)
@@ -299,12 +289,6 @@ def run_points(
                     if worker.task is None:
                         dispatch(worker)
                 collect()
-                if fleet is not None and fleet.due():
-                    fleet.update(
-                        {w.wid: {"points": w.landed} for w in pool},
-                        done=landed,
-                        total=len(tasks),
-                    )
             fallback.extend(queue)
             _stop(pool)
             # Completion is guaranteed even if every worker always
@@ -338,8 +322,6 @@ def run_points(
         raise
     finally:
         _stop(pool)
-        if fleet is not None:
-            fleet.finish()
         own_engine = wall_counter.value - own_engine_before
         elapsed = time.perf_counter() - region_started
         wall_counter.inc(max(0.0, elapsed - own_engine))

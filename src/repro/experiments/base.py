@@ -30,23 +30,16 @@ class ExperimentOptions:
     (each experiment module narrows them).
 
     The runtime fields make long runs resilient: ``checkpoint_dir``
-    writes every finished sweep point to a result store there (and
-    ``resume`` restores prior progress from it); ``paranoid``
-    cross-checks the vectorized engine against the scalar reference on
-    every point (see :mod:`repro.runtime`). ``on_point`` is the
-    sweep progress hook ``on_point(point, done, total)`` — the CLI's
-    ``--progress`` heartbeat plugs in here (see :mod:`repro.obs`).
-    ``precheck`` statically verifies every planned sweep spec before
-    the first point simulates (see :mod:`repro.check`); the CLI's
-    ``--no-precheck`` turns it off. ``workers`` runs sweep points on a
-    worker pool (see :mod:`repro.exec`; the CLI's ``--workers``), and
-    ``plan_from_estimate`` skips
-    points below a predicted-delta threshold (``--plan-from-estimate``).
-    ``dashboard`` renders the live fleet table on stderr for parallel
-    sweeps (``--dashboard``; see :mod:`repro.obs.dashboard`).
-    ``use_cache`` memoizes finished points through the
-    content-addressed result store when ``$REPRO_RESULT_STORE`` is set
-    (``--no-cache`` opts out; see :mod:`repro.serve.results`).
+    names the result store every finished sweep point is written to (and
+    restored from on a re-run; without it, ``$REPRO_RESULT_STORE`` names
+    the store); ``use_cache`` false reads no point from the store and
+    simulates them all (``--no-cache``; see :mod:`repro.serve.results`);
+    ``paranoid`` cross-checks the vectorized engine against the scalar
+    reference on every point (see :mod:`repro.runtime`). ``on_point`` is
+    the sweep progress hook ``on_point(point, done, total)`` — the
+    CLI's ``--progress`` heartbeat plugs in here (see :mod:`repro.obs`).
+    ``workers`` runs sweep points on a worker pool (see
+    :mod:`repro.exec`; the CLI's ``--workers``).
     """
 
     length: int = DEFAULT_LENGTH
@@ -54,26 +47,18 @@ class ExperimentOptions:
     benchmarks: Optional[Sequence[str]] = None
     size_bits: Sequence[int] = DEFAULT_SIZE_BITS
     checkpoint_dir: Optional[str] = None
-    resume: bool = True
     paranoid: bool = False
     on_point: Optional[Callable[[Any, int, int], None]] = None
-    precheck: bool = True
     workers: int = 1
-    plan_from_estimate: Optional[float] = None
-    dashboard: bool = False
     use_cache: bool = True
 
     def sweep_kwargs(self) -> Dict[str, Any]:
         """Runtime keyword arguments for :func:`repro.sim.sweep.sweep_tiers`."""
         return {
             "checkpoint_dir": self.checkpoint_dir,
-            "resume": self.resume,
             "paranoid": self.paranoid,
             "on_point": self.on_point,
-            "precheck": self.precheck,
             "workers": self.workers,
-            "plan_from_estimate": self.plan_from_estimate,
-            "dashboard": self.dashboard,
             "use_cache": self.use_cache,
         }
 

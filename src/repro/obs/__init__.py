@@ -11,7 +11,8 @@ report into (see the per-module docs):
   the ``repro.*`` namespace;
 * :mod:`repro.obs.report`   -- end-of-run summary tables and the
   ``run_metrics.json`` artifact (``repro obs summarize`` reads both);
-* :mod:`repro.obs.progress` -- throttled stderr heartbeats with ETA.
+* :mod:`repro.obs.progress` -- throttled stderr heartbeats with ETA,
+  the one live display for serial and parallel sweeps alike.
 
 Instrumentation is always on but fires per sweep point / engine call
 (never per branch), so its cost is noise; the file sinks and log
@@ -19,7 +20,6 @@ verbosity are opt-in via the CLI flags ``--trace-out``,
 ``--metrics-out``, ``--progress``, and ``--log-level``.
 """
 
-from repro.obs.dashboard import FleetDashboard
 from repro.obs.export import (
     chrome_trace,
     prometheus_text,
@@ -29,7 +29,6 @@ from repro.obs.export import (
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     load_entries,
-    note_sweep_key,
     record_run,
     regress_report,
     render_diff,
@@ -75,14 +74,12 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "FleetDashboard",
     "chrome_trace",
     "prometheus_text",
     "write_chrome_trace",
     "write_prometheus",
     "LEDGER_SCHEMA",
     "load_entries",
-    "note_sweep_key",
     "record_run",
     "regress_report",
     "render_diff",

@@ -2,7 +2,8 @@
 
 ``run_metrics.json`` is a one-shot artifact — it answers "what did
 *this* run do" and evaporates at the next run. The ledger is the
-longitudinal memory: every sweep/benchmark run appends one CRC-stamped
+longitudinal memory and the repo's one perf trajectory: every ``repro
+run`` and every ``benchmarks/bench_*.py`` run appends one CRC-stamped
 JSON line (schema :data:`LEDGER_SCHEMA`) recording when it ran, at
 which git revision, with which engine and worker count, how long it
 took and how many branches/second it sustained, plus the full
@@ -40,25 +41,6 @@ DEFAULT_LEDGER = os.path.join("~", ".repro", "ledger.jsonl")
 
 #: Environment override; empty string disables the ledger.
 LEDGER_ENV = "REPRO_LEDGER"
-
-#: Sweep keys noted since the last :func:`consume_sweep_keys` call;
-#: ``sweep_tiers`` reports the key of every checkpointed sweep so the ledger
-#: entry written at the end of a ``repro run`` can carry them.
-_RUN_SWEEP_KEYS: List[str] = []
-
-
-def note_sweep_key(key: str) -> None:
-    """Remember a sweep key for the current run's ledger entry."""
-    if key not in _RUN_SWEEP_KEYS:
-        _RUN_SWEEP_KEYS.append(key)
-
-
-def consume_sweep_keys() -> List[str]:
-    """Return and clear the keys noted since the last call."""
-    keys = list(_RUN_SWEEP_KEYS)
-    _RUN_SWEEP_KEYS.clear()
-    return keys
-
 
 def resolve_ledger_path(override: Optional[str] = None) -> Optional[str]:
     """The ledger file to use, or ``None`` when recording is disabled.
@@ -236,7 +218,6 @@ def record_run(
     """
     target = resolve_ledger_path(path)
     if target is None:
-        consume_sweep_keys()
         return None
     from repro.obs.metrics import snapshot
 
@@ -264,7 +245,6 @@ def record_run(
         "cpu_s": float(counters.get("sim.cpu_s") or 0.0) or wall,
         "branches": branches,
         "branches_per_sec": bps,
-        "sweep_keys": consume_sweep_keys(),
         "counters": counters,
         "histograms": snap["histograms"],
     }

@@ -71,9 +71,7 @@ class Histogram:
     :data:`BUCKET_BOUNDS` buckets (plus an overflow bucket), so
     :meth:`summary` can report bucketed percentile estimates
     (``p50``/``p90``/``p99``) and :meth:`absorb` can merge worker
-    histograms without losing the shape of the distribution — the
-    fleet-dashboard straggler detector keys off exactly that merged
-    tail.
+    histograms without losing the shape of the distribution.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets", "_lock")
@@ -201,7 +199,6 @@ WELL_KNOWN = {
         "interrupt.deferred",      # SIGINTs held to the next point boundary
         "faults.injected",
         "check.findings",          # actionable static-check findings
-        "sweep.points_pruned",     # points skipped by --plan-from-estimate
         "store.hits",              # trace-store loads that skipped generation
         "store.misses",            # trace-store requests that had to generate
         "exec.workers_spawned",    # pool worker processes started
@@ -211,7 +208,6 @@ WELL_KNOWN = {
         "chaos.scenarios",         # chaos fault scenarios executed
         "chaos.failures",          # chaos scenarios that broke an invariant
         "sim.cpu_s",               # engine seconds summed across processes
-        "exec.stragglers",         # workers flagged slower than fleet P90
         "analyze.functions",       # code objects decomposed into CFGs
         "analyze.cfg.blocks",      # basic blocks across extracted CFGs
         "analyze.cfg.edges",       # CFG edges across extracted CFGs

@@ -9,14 +9,16 @@ key covers scheme, trace content fingerprint, and the full predictor
 geometry, so identical work requested twice — by two figures, or by
 two ``repro run`` invocations over one ``$REPRO_RESULT_STORE`` — is
 simulated once and served from disk forever after. The store is also
-the one durable record of a resumable sweep: ``--checkpoint-dir`` is a
-result store, and resuming is reading it.
+the one durable record of a resumable sweep: a run's store is its
+``--checkpoint-dir`` (else ``$REPRO_RESULT_STORE``), and resuming is
+reading it.
 
 Discipline mirrors the trace store exactly: loads count ``cache.hits``
 and touch the file's mtime (the LRU order), lookups that must simulate
 count ``cache.misses``, ``ls``/``total_bytes``/``gc`` provide the same
 hygiene surface, and a corrupt artifact reads as a miss (left in place
-for ``repro doctor`` to quarantine). :func:`gc_stores` evicts across a
+for ``repro doctor`` to quarantine). :meth:`ResultStore.verify` is the
+one definition of a sound artifact; reads and the doctor both use it. :func:`gc_stores` evicts across a
 trace store *and* a result store under one byte cap, oldest first,
 regardless of which store a file lives in.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import counter
 from repro.runtime.durable import atomic_write_text, sweep_key
@@ -126,8 +128,8 @@ class ResultStore:
         error: the caller simulates and overwrites it, and ``repro
         doctor --results`` reports/quarantines whatever is left.
         """
-        payload = self._load(self._path(key))
-        if payload is None or payload.get("key") != key:
+        payload = self._load(key)
+        if payload is None:
             counter("cache.misses").inc()
             return None
         counter("cache.hits").inc()
@@ -136,8 +138,8 @@ class ResultStore:
 
     def peek(self, key: str) -> Optional[TierPoint]:
         """Like :meth:`get` but silent: no counters, no LRU touch."""
-        payload = self._load(self._path(key))
-        if payload is None or payload.get("key") != key:
+        payload = self._load(key)
+        if payload is None:
             return None
         return _point_from_json(payload["point"])
 
@@ -168,21 +170,41 @@ class ResultStore:
         atomic_write_text(path, text)
         return path
 
-    def _load(self, path: str) -> Optional[Dict]:
+    def _load(self, key: str) -> Optional[Dict]:
+        return self.verify(self._path(key), key)[0]
+
+    def verify(
+        self, path: str, key: Optional[str] = None
+    ) -> Tuple[Optional[Dict], Optional[str]]:
+        """``(payload, None)`` for a sound artifact, else ``(None, why)``.
+
+        Sound means: it parses, carries :data:`RESULT_SCHEMA`, passes
+        its CRC, embeds ``key`` (default: the key its filename claims)
+        and holds a point. ``why`` says which check failed; ``repro
+        doctor --results`` reports it.
+        """
+        if key is None:
+            key = os.path.basename(path)[len(_PREFIX) : -len(_SUFFIX)]
         try:
             with open(path, "r", encoding="ascii") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != RESULT_SCHEMA:
-            return None
+            return None, "unparseable result artifact"
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != RESULT_SCHEMA
+        ):
+            return None, "missing or unrecognized result schema"
         if payload.get("crc") != _artifact_crc(payload):
-            return None
+            return None, "CRC mismatch (bytes rotted or torn)"
+        if payload.get("key") != key:
+            return None, (
+                f"stored key {payload.get('key')!r} does not match "
+                "the key in the filename"
+            )
         if not isinstance(payload.get("point"), dict):
-            return None
-        return payload
+            return None, "artifact carries no point payload"
+        return payload, None
 
     # -- hygiene (the TraceStore surface) ------------------------------
 

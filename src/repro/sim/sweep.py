@@ -8,33 +8,24 @@ that grid for one scheme over one trace.
 Every point is a deterministic function of scheme, trace and geometry,
 addressed by :func:`repro.serve.results.point_key`, and one
 independent :func:`compute_point` call over the whole trace. That
-makes sweeps resumable without a journal: give ``sweep_tiers`` a
-``checkpoint_dir`` and every finished point is written to a
-:class:`~repro.serve.results.ResultStore` there the moment it lands; a
-re-run of the same sweep restores those points as cache hits and
+makes sweeps resumable without a journal: every finished point is
+written to the run's one :class:`~repro.serve.results.ResultStore`
+(``checkpoint_dir``, else ``$REPRO_RESULT_STORE``) the moment it lands;
+a re-run of the same sweep restores those points as cache hits and
 simulates only the rest. SIGINT finishes the in-flight point and exits
 cleanly; an optional ``deadline`` bounds the run the same way.
 
 ``workers > 1`` runs the pending points on a pool of processes (see
 :mod:`repro.exec.parallel`); this process stays the only writer of
 finished points, and results are point-for-point identical to a serial
-run. ``plan_from_estimate`` prunes points the static dealiasing
-estimator predicts to be uninteresting.
+run.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import counter, histogram
@@ -151,91 +142,23 @@ def compute_point(
     )
 
 
-def _point_stores(
-    checkpoint_dir: Optional[str], resume: bool, use_cache: bool
-):
-    """``(stores, readable)``: where finished points go, and which of
-    those stores are consulted before simulating.
+def _result_store(checkpoint_dir: Optional[str]):
+    """The run's one :class:`~repro.serve.results.ResultStore`, or None.
 
-    ``checkpoint_dir`` is a :class:`~repro.serve.results.ResultStore`
-    read only under ``resume``; ``$REPRO_RESULT_STORE`` is read and
-    written whenever ``use_cache`` holds.
+    ``checkpoint_dir`` names it when given; otherwise
+    ``$REPRO_RESULT_STORE`` does. Never both.
     """
     from repro.serve.results import ResultStore
 
-    stores = []
-    readable = []
-    if checkpoint_dir is not None:
-        try:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-        except OSError as exc:
-            raise CheckpointError(
-                f"cannot create checkpoint dir {checkpoint_dir!r}: {exc}"
-            ) from exc
-        store = ResultStore(checkpoint_dir)
-        stores.append(store)
-        if resume:
-            readable.append(store)
-    if use_cache:
-        store = ResultStore.from_env()
-        if store is not None:
-            stores.append(store)
-            readable.append(store)
-    return stores, readable
-
-
-def _prune_plan(
-    scheme: str,
-    trace: BranchTrace,
-    plan: List[Tuple[int, int]],
-    threshold: float,
-    bht_entries: Optional[int],
-    bht_assoc: int,
-) -> List[Tuple[int, int]]:
-    """Drop points whose predicted dealiasing delta is under ``threshold``.
-
-    The ``--plan-from-estimate`` planner: the static estimator
-    (:mod:`repro.check.estimator`) prices every planned split, and
-    points predicted to gain less than ``threshold`` misprediction
-    rate from dealiasing are skipped. Never silent: the pruned count is
-    logged (warning level — the sweep's coverage genuinely shrank) and
-    counted in ``sweep.points_pruned``. The sweep key is deliberately
-    unchanged, so pruned and full runs share their stored points.
-    """
-    from repro.aliasing.weights import (
-        branch_weights_from_trace,
-        stream_taken_rate,
-    )
-    from repro.check.estimator import predict_dealias_delta
-    from repro.obs.logging import get_logger
-
-    weights = branch_weights_from_trace(trace)
-    rate = stream_taken_rate(weights)
-    kept: List[Tuple[int, int]] = []
-    with span("sweep.plan_estimate", scheme=scheme, points=len(plan)):
-        for n, row_bits in plan:
-            spec = spec_for_point(
-                scheme,
-                col_bits=n - row_bits,
-                row_bits=row_bits,
-                bht_entries=bht_entries,
-                bht_assoc=bht_assoc,
-            )
-            delta = predict_dealias_delta(spec, weights, rate)
-            if delta.predicted_delta < threshold:
-                continue
-            kept.append((n, row_bits))
-    pruned = len(plan) - len(kept)
-    counter("sweep.points_pruned").inc(pruned)
-    get_logger("repro.sim.sweep").warning(
-        "plan-from-estimate pruned %d of %d points below predicted "
-        "delta %g (%d remain)",
-        pruned,
-        len(plan),
-        threshold,
-        len(kept),
-    )
-    return kept
+    if checkpoint_dir is None:
+        return ResultStore.from_env()
+    try:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot create checkpoint dir {checkpoint_dir!r}: {exc}"
+        ) from exc
+    return ResultStore(checkpoint_dir)
 
 
 def sweep_tiers(
@@ -247,17 +170,17 @@ def sweep_tiers(
     engine: str = "auto",
     row_bits_filter: Optional[Sequence[int]] = None,
     checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
     paranoid: bool = False,
     deadline=None,
     on_point: Optional[Callable[[TierPoint, int, int], None]] = None,
-    precheck: bool = True,
     workers: int = 1,
-    plan_from_estimate: Optional[float] = None,
-    dashboard: bool = False,
     use_cache: bool = True,
 ) -> TierSurface:
     """Simulate every (columns x rows) split of every requested tier.
+
+    Every planned spec is first verified statically (``repro check
+    configs`` semantics), so an unsound configuration fails in
+    milliseconds instead of mid-sweep.
 
     Parameters
     ----------
@@ -273,12 +196,13 @@ def sweep_tiers(
         Restrict each tier to these row exponents (used by difference
         grids and quick tests); default sweeps the full tier.
     checkpoint_dir:
-        A :class:`~repro.serve.results.ResultStore` directory: every
-        computed point is written there the moment it lands, and (with
-        ``resume=True``, the default) points already there are restored
-        instead of simulated.
+        The directory of the run's
+        :class:`~repro.serve.results.ResultStore`. Without it,
+        ``$REPRO_RESULT_STORE`` names the store (if set). Every computed
+        point is written to the store the moment it lands.
     paranoid:
-        Cross-check vectorized vs reference engines per point.
+        Cross-check vectorized vs reference engines per point. A
+        paranoid sweep reads no point from the store.
     deadline:
         Optional :class:`repro.runtime.deadline.Deadline`; when it
         expires the sweep stops at a point boundary and raises
@@ -289,37 +213,22 @@ def sweep_tiers(
         included, so ``done`` always counts true progress against
         ``total`` (the sweep's full point count). The CLI's
         ``--progress`` heartbeat rides on this.
-    precheck:
-        Statically verify every planned spec (``repro check configs``
-        semantics) before the first point simulates, so an unsound
-        configuration fails in milliseconds instead of mid-sweep.
-        The CLI exposes ``--no-precheck`` to skip it.
     workers:
         Processes to run the sweep's points on. The default 1 runs the
         points serially in this process; ``workers > 1`` hands pending
         points to the worker pool (:mod:`repro.exec.parallel`),
         producing point-for-point identical results.
-    plan_from_estimate:
-        When set, skip points whose statically predicted dealiasing
-        delta (:mod:`repro.check.estimator`) is below this threshold;
-        the pruned count is logged and counted, never silent.
-    dashboard:
-        Render the live fleet table on stderr while workers run
-        (``repro run --dashboard``); ignored for serial sweeps.
-        Results are unaffected.
     use_cache:
-        Consult the content-addressed result store named by
-        ``$REPRO_RESULT_STORE`` before simulating each point, and write
-        freshly computed points back into it — ``cache.hits`` and
-        ``cache.misses`` count the difference, and every run over the
-        same store shares one cache. The CLI exposes ``--no-cache`` to
-        skip both sides. Paranoid runs never serve from this cache (the
-        point of paranoid is to re-run the engines).
+        Read each planned point from the store before simulating it
+        (``cache.hits``/``cache.misses`` count the difference). False
+        simulates every point; computed points are still written. The
+        CLI exposes ``--no-cache``.
 
     SIGINT and deadline expiry stop the sweep at a point boundary; every
-    point that landed before then is already in the stores, so a re-run
-    resumes from them.
+    point that landed before then is already in the store, so a re-run
+    resumes from it.
     """
+    from repro.check.configs import verify_sweep_plan
     from repro.obs.profile import phase
     from repro.runtime.deadline import CooperativeInterrupt
     from repro.serve.results import point_key
@@ -329,29 +238,26 @@ def sweep_tiers(
         raise ConfigurationError(
             f"workers must be >= 1, got {workers!r}"
         )
-    if precheck:
-        from repro.check.configs import verify_sweep_plan
-
-        with span("check.configs", scheme=scheme, trace=trace.name):
-            findings = verify_sweep_plan(
-                scheme,
-                size_bits,
-                bht_entries=bht_entries,
-                bht_assoc=bht_assoc,
-                row_bits_filter=row_bits_filter,
-            )
-        problems = [f for f in findings if f.severity != "info"]
-        counter("check.findings").inc(len(problems))
-        blocking = [f for f in problems if f.severity == "error"]
-        if blocking:
-            detail = "; ".join(f.render() for f in blocking[:3])
-            more = len(blocking) - 3
-            if more > 0:
-                detail += f"; ... {more} more"
-            raise ConfigurationError(
-                f"sweep precheck rejected {len(blocking)} planned "
-                f"point(s) before simulation: {detail}"
-            )
+    with span("check.configs", scheme=scheme, trace=trace.name):
+        findings = verify_sweep_plan(
+            scheme,
+            size_bits,
+            bht_entries=bht_entries,
+            bht_assoc=bht_assoc,
+            row_bits_filter=row_bits_filter,
+        )
+    problems = [f for f in findings if f.severity != "info"]
+    counter("check.findings").inc(len(problems))
+    blocking = [f for f in problems if f.severity == "error"]
+    if blocking:
+        detail = "; ".join(f.render() for f in blocking[:3])
+        more = len(blocking) - 3
+        if more > 0:
+            detail += f"; ... {more} more"
+        raise ConfigurationError(
+            f"sweep precheck rejected {len(blocking)} planned "
+            f"point(s) before simulation: {detail}"
+        )
 
     plan = [
         (n, row_bits)
@@ -359,31 +265,9 @@ def sweep_tiers(
         for row_bits in range(n + 1)
         if row_bits_filter is None or row_bits in row_bits_filter
     ]
-    if plan_from_estimate is not None:
-        plan = _prune_plan(
-            scheme, trace, plan, plan_from_estimate, bht_entries, bht_assoc
-        )
-
-    stores, readable = _point_stores(
-        checkpoint_dir, resume, use_cache and not paranoid
-    )
+    store = _result_store(checkpoint_dir)
+    readable = store is not None and use_cache and not paranoid
     fingerprint = trace.fingerprint()
-    if checkpoint_dir is not None:
-        # The run ledger stamps its entry with every sweep key the run
-        # touched, so ledger rows can be joined back to checkpoints.
-        from repro.obs.ledger import note_sweep_key
-        from repro.runtime.durable import sweep_key
-
-        note_sweep_key(
-            sweep_key(
-                scheme,
-                fingerprint,
-                size_bits,
-                bht_entries=bht_entries,
-                bht_assoc=bht_assoc,
-                row_bits_filter=row_bits_filter,
-            )
-        )
     keys = {
         (n, row_bits): point_key(
             scheme,
@@ -408,11 +292,10 @@ def sweep_tiers(
 
     def persist(n: int, point: TierPoint) -> None:
         key = keys[(n, point.row_bits)]
-        if stores:
+        if store is not None:
             try:
                 with phase("persist"):
-                    for store in stores:
-                        store.put(key, n, point)
+                    store.put(key, n, point)
             except OSError as exc:
                 raise CheckpointError(
                     f"cannot persist sweep point {key}: {exc}"
@@ -421,11 +304,7 @@ def sweep_tiers(
 
     pending: List[Tuple[int, int]] = []
     for n, row_bits in plan:
-        point = None
-        for store in readable:
-            point = store.get(keys[(n, row_bits)])
-            if point is not None:
-                break
+        point = store.get(keys[(n, row_bits)]) if readable else None
         if point is None:
             pending.append((n, row_bits))
             continue
@@ -443,7 +322,6 @@ def sweep_tiers(
 
         if workers > 1 and pending:
             from repro.exec.parallel import PointTask, run_points
-            from repro.obs.dashboard import FleetDashboard
 
             tasks = [
                 PointTask(
@@ -464,11 +342,6 @@ def sweep_tiers(
                 engine=engine,
                 paranoid=paranoid,
                 poll=poll,
-                fleet=(
-                    FleetDashboard(f"{scheme} x{workers}")
-                    if dashboard
-                    else None
-                ),
             )
             if errors:
                 raise next(iter(errors.values()))

@@ -13,9 +13,6 @@ The store doubles as the service layer other subsystems share:
   ``$REPRO_TRACE_STORE`` (or ``None`` when the variable is unset), so
   experiments and ``check dealias --validate`` opt into caching by
   environment without code changes at every call site;
-* :meth:`TraceStore.put` materializes an in-memory trace keyed by its
-  content fingerprint — the parallel sweep executor uses it so every
-  worker of a sweep loads one shared file instead of regenerating;
 * :meth:`TraceStore.get_or_create` caches arbitrary trace factories
   (the estimator's validation micros) under a caller-chosen key.
 
@@ -122,25 +119,6 @@ class TraceStore:
         os.makedirs(self.directory, exist_ok=True)
         save_trace(trace, path)
         return trace
-
-    def put(self, trace: BranchTrace) -> str:
-        """Materialize ``trace`` keyed by content fingerprint.
-
-        Returns the ``.npz`` path; an identical trace already stored is
-        reused (hit), so N workers sharing one store pay one save. The
-        fingerprint covers the full pc/taken/target arrays, making the
-        path collision-free across workloads, lengths and seeds.
-        """
-        path = os.path.join(
-            self.directory, f"fp-{trace.fingerprint()}.npz"
-        )
-        if os.path.exists(path):
-            counter("store.hits").inc()
-            self._touch(path)
-            return path
-        counter("store.misses").inc()
-        os.makedirs(self.directory, exist_ok=True)
-        return save_trace(trace, path)
 
     def contains(
         self,

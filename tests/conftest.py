@@ -21,9 +21,7 @@ def _isolated_ledger(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _profiling_off():
-    from repro.obs.ledger import consume_sweep_keys
     from repro.obs.profile import disable_profiling
 
     yield
     disable_profiling()
-    consume_sweep_keys()  # drop keys noted by sweeps that never reported

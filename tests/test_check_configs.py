@@ -209,21 +209,6 @@ class TestSweepGuard:
         surface = sweep_tiers("gshare", trace, size_bits=[4])
         assert len(surface.tier(4)) == 5
 
-    def test_no_precheck_skips_the_guard(self):
-        # The guard off: the bad geometry is only discovered mid-sweep,
-        # as a different (deeper) error.
-        trace = biased_field_trace(branches=8, executions_each=4)
-        with pytest.raises(Exception) as excinfo:
-            sweep_tiers(
-                "pas",
-                trace,
-                size_bits=[4],
-                bht_entries=64,
-                bht_assoc=3,
-                precheck=False,
-            )
-        assert "precheck" not in str(excinfo.value)
-
 
 class TestFindings:
     def test_severity_is_validated(self):

@@ -1,10 +1,9 @@
 """Integrity-doctor and trace-store-hygiene tests.
 
 ``repro doctor`` must detect (and with ``--repair`` fix) every way the
-on-disk state can rot: damaged result artifacts in a checkpoint dir or
-result store, and unloadable trace archives and fingerprint
-mismatches. ``repro store ls/gc/verify`` keep the trace cache bounded
-and honest.
+on-disk state can rot: damaged result artifacts in a result store (a
+``--checkpoint-dir`` or ``$REPRO_RESULT_STORE``), and unloadable trace
+archives. ``repro store ls/gc`` keep the trace cache bounded.
 """
 
 import json
@@ -18,8 +17,6 @@ from repro.errors import CheckError
 from repro.obs import reset_metrics, snapshot
 from repro.runtime import clear_faults
 from repro.sim.results import TierPoint
-from repro.traces.io import save_trace
-from repro.workloads.registry import make_workload
 from repro.workloads.store import TraceStore
 
 
@@ -32,11 +29,6 @@ def _clean_runtime(monkeypatch):
     yield
     clear_faults()
     reset_metrics()
-
-
-@pytest.fixture(scope="module")
-def trace():
-    return make_workload("compress", length=500, seed=4)
 
 
 def _point(row_bits):
@@ -69,19 +61,24 @@ def checks_of(findings):
     return [f.check for f in findings]
 
 
+def _archive(directory):
+    """A trace archive as a ``$REPRO_TRACE_STORE`` run leaves it;
+    returns the store and the archive's path."""
+    store = TraceStore(str(directory))
+    store.get("compress", 500, seed=4)
+    (path,) = store.stored_files()
+    return store, path
+
+
 class TestScanStore:
-    def test_healthy_store_verifies(self, tmp_path, trace):
-        store = TraceStore(str(tmp_path))
-        store.put(trace)
+    def test_healthy_store_verifies(self, tmp_path):
+        _archive(tmp_path)
         findings = scan_store(str(tmp_path))
         assert checks_of(findings) == ["doctor.store-ok"]
         assert "1/1" in findings[0].why
 
-    def test_corrupt_archive_detected_and_quarantined(
-        self, tmp_path, trace
-    ):
-        store = TraceStore(str(tmp_path))
-        path = store.put(trace)
+    def test_corrupt_archive_detected_and_quarantined(self, tmp_path):
+        store, path = _archive(tmp_path)
         with open(path, "wb") as handle:
             handle.write(b"this is not an npz")
         findings = scan_store(str(tmp_path))
@@ -91,18 +88,9 @@ class TestScanStore:
         assert not os.path.exists(path)
         assert os.path.exists(path + ".quarantine")
         # A quarantined entry regenerates transparently on next use.
-        assert store.put(trace) == path
-
-    def test_fingerprint_mismatch_detected(self, tmp_path, trace):
-        other = make_workload("compress", length=400, seed=9)
-        wrong = os.path.join(
-            str(tmp_path), f"fp-{trace.fingerprint()}.npz"
-        )
-        save_trace(other, wrong)
-        findings = scan_store(str(tmp_path))
-        assert "doctor.store-fingerprint" in checks_of(findings)
-        scan_store(str(tmp_path), repair=True)
-        assert not os.path.exists(wrong)
+        store.get("compress", 500, seed=4)
+        assert snapshot()["counters"]["store.misses"] == 2
+        assert checks_of(scan_store(str(tmp_path))) == ["doctor.store-ok"]
 
     def test_empty_store_is_fine(self, tmp_path):
         assert checks_of(scan_store(str(tmp_path))) == [
@@ -115,25 +103,24 @@ class TestRunDoctor:
         with pytest.raises(CheckError):
             run_doctor()
 
-    def test_aggregates_passes(self, tmp_path, trace):
+    def test_aggregates_passes(self, tmp_path):
         _checkpoint(tmp_path / "ckpt")
-        store_dir = tmp_path / "store"
-        TraceStore(str(store_dir)).put(trace)
+        _archive(tmp_path / "store")
         report = run_doctor(
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            store_dir=str(store_dir),
+            store_dir=str(tmp_path / "store"),
+            results_dir=str(tmp_path / "ckpt"),
         )
         assert report.exit_code(strict=False) == 0
 
     def test_exit_one_on_findings(self, tmp_path):
         _rot(_checkpoint(tmp_path)[1])
-        report = run_doctor(checkpoint_dir=str(tmp_path))
+        report = run_doctor(results_dir=str(tmp_path))
         assert report.exit_code(strict=False) == 1
 
     def test_legacy_journals_are_ignored(self, tmp_path):
         _checkpoint(tmp_path)
         (tmp_path / "gas-compress-0123456789abcdef.journal").write_text("x")
-        report = run_doctor(checkpoint_dir=str(tmp_path))
+        report = run_doctor(results_dir=str(tmp_path))
         assert report.exit_code(strict=True) == 0
 
 
@@ -182,26 +169,25 @@ class TestStoreHygiene:
 class TestDoctorCli:
     def test_doctor_checkpoint_dir_clean(self, tmp_path, capsys):
         _checkpoint(tmp_path)
-        code = main(["doctor", "--checkpoint-dir", str(tmp_path)])
+        code = main(["doctor", "--results", str(tmp_path)])
         assert code == 0
         assert "doctor.results-ok" in capsys.readouterr().out
 
     def test_doctor_repair_restores_journal_and_store(
-        self, tmp_path, trace, capsys
+        self, tmp_path, capsys
     ):
         # The acceptance scenario: one corrupted checkpoint artifact and
         # one corrupted store artifact; `repro doctor --repair` leaves
         # both healthy on a second scan.
         _rot(_checkpoint(tmp_path)[2])
         store_dir = tmp_path / "store"
-        store = TraceStore(str(store_dir))
-        artifact = store.put(trace)
+        _, artifact = _archive(store_dir)
         with open(artifact, "wb") as handle:
             handle.write(b"rot")
         code = main(
             [
                 "doctor",
-                "--checkpoint-dir",
+                "--results",
                 str(tmp_path),
                 "--store",
                 str(store_dir),
@@ -213,7 +199,7 @@ class TestDoctorCli:
         code = main(
             [
                 "doctor",
-                "--checkpoint-dir",
+                "--results",
                 str(tmp_path),
                 "--store",
                 str(store_dir),
@@ -231,7 +217,7 @@ class TestDoctorCli:
     def test_doctor_json_output(self, tmp_path, capsys):
         _checkpoint(tmp_path)
         code = main(
-            ["doctor", "--checkpoint-dir", str(tmp_path), "--json"]
+            ["doctor", "--results", str(tmp_path), "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -244,7 +230,7 @@ class TestDoctorCli:
         assert main(["store", "ls", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "total: 2 trace(s)" in out
-        assert main(["store", "verify", "--store", str(tmp_path)]) == 0
+        assert main(["doctor", "--store", str(tmp_path)]) == 0
         capsys.readouterr()
         assert (
             main(

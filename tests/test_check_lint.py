@@ -461,13 +461,3 @@ class TestCheckCli:
             assert exit_info.code == 2
         else:  # pragma: no cover - argparse always raises
             raise AssertionError("argparse accepted an unknown pass")
-
-    def test_run_accepts_no_precheck(self, capsys):
-        code = main(
-            [
-                "run", "fig2", "--length", "2000",
-                "--benchmark", "compress", "--sizes", "4",
-                "--no-precheck",
-            ]
-        )
-        assert code == 0

@@ -241,20 +241,76 @@ class TestResilience:
         assert main(self.RUN + ["--checkpoint-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == baseline
 
-    def test_no_resume_discards_journal(self, tmp_path, capsys):
-        install_faults("sweep.point:interrupt@3")
-        main(self.RUN + ["--checkpoint-dir", str(tmp_path)])
-        clear_faults()
-        metrics = tmp_path / "m.json"
-        code = main(
-            self.RUN + ["--checkpoint-dir", str(tmp_path), "--no-resume",
-                        "--metrics-out", str(metrics)]
+    def _counters(self, argv, metrics):
+        assert main(argv + ["--metrics-out", str(metrics)]) == 0
+        return json.loads(metrics.read_text())["counters"]
+
+    def test_no_cache_recomputes_a_populated_checkpoint(
+        self, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        run = self.RUN + ["--checkpoint-dir", str(ckpt)]
+        assert main(run) == 0
+        baseline = capsys.readouterr().out
+        counters = self._counters(
+            run + ["--no-cache"], tmp_path / "m.json"
         )
-        assert code == 0
-        # Nothing was restored: all five points were recomputed.
-        counters = json.loads(metrics.read_text())["counters"]
+        # Nothing was read: all five points were recomputed and
+        # written back over identical bytes.
         assert counters["sweep.points_computed"] == 5
         assert counters["sweep.points_restored"] == 0
+        assert counters["cache.hits"] == 0
+        assert capsys.readouterr().out == baseline
+        assert len(list(ckpt.glob("rs-*.json"))) == 5
+
+    def test_checkpoint_dir_is_the_only_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ckpt, env_store = tmp_path / "ckpt", tmp_path / "env"
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(env_store))
+        assert main(self.RUN) == 0
+        baseline = capsys.readouterr().out
+        for child in env_store.iterdir():
+            child.unlink()
+        run = self.RUN + ["--checkpoint-dir", str(ckpt)]
+        counters = self._counters(run, tmp_path / "m1.json")
+        assert counters["cache.misses"] == 5
+        assert capsys.readouterr().out == baseline
+        assert len(list(ckpt.glob("rs-*.json"))) == 5
+        assert list(env_store.iterdir()) == []
+        counters = self._counters(run, tmp_path / "m2.json")
+        assert counters["sweep.points_restored"] == 5
+        assert counters["cache.hits"] == 5
+        assert counters["sweep.points_computed"] == 0
+        assert capsys.readouterr().out == baseline
+        assert list(env_store.iterdir()) == []
+
+    def test_paranoid_run_reads_no_point(self, tmp_path, capsys):
+        run = self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(run) == 0
+        counters = self._counters(
+            run + ["--paranoid"], tmp_path / "m.json"
+        )
+        assert counters["sweep.points_restored"] == 0
+        assert counters["sweep.points_computed"] == 5
+        assert counters["cache.hits"] == counters["cache.misses"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            RUN + ["--resume"],
+            RUN + ["--no-precheck"],
+            RUN + ["--dashboard"],
+            RUN + ["--plan-from-estimate", "0"],
+            ["store", "verify"],
+        ],
+        ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
+             "store-verify"],
+    )
+    def test_removed_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_paranoid_run_succeeds(self, capsys):
         assert main(self.RUN + ["--paranoid"]) == 0

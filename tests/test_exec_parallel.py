@@ -5,8 +5,8 @@ The contract under test: ``sweep_tiers(..., workers=N)`` must produce
 order — while surviving worker errors and deaths, parent SIGINT, and
 injected faults. The parent is the only process that writes finished
 points, so a SIGKILLed run resumes from the result artifacts it left,
-and its workers never outlive it. The trace store, plan-from-estimate
-pruning and estimator-driven aliasing repair are covered here too.
+and its workers never outlive it. The trace store and estimator-driven
+aliasing repair are covered here too.
 """
 
 import glob
@@ -207,7 +207,7 @@ class TestPointFailure:
         reset_metrics()
         resumed = sweep_tiers(
             "gas", trace, size_bits=[4, 5], workers=2,
-            checkpoint_dir=str(tmp_path), resume=True,
+            checkpoint_dir=str(tmp_path),
         )
         counters = snapshot()["counters"]
         assert counters["sweep.points_computed"] == 1
@@ -267,45 +267,6 @@ class TestCliParallel:
         assert capsys.readouterr().out == baseline
 
 
-class TestPlanFromEstimate:
-    def test_high_threshold_prunes_everything(self, trace):
-        surface = sweep_tiers(
-            "gas", trace, size_bits=[4], plan_from_estimate=1.0
-        )
-        assert surface.tiers == {}
-        assert snapshot()["counters"]["sweep.points_pruned"] == 5
-
-    def test_zero_threshold_prunes_nothing(self, trace):
-        serial_cells = surface_cells(
-            sweep_tiers("gas", trace, size_bits=[4])
-        )
-        surface = sweep_tiers(
-            "gas", trace, size_bits=[4], plan_from_estimate=0.0
-        )
-        assert surface_cells(surface) == serial_cells
-        assert snapshot()["counters"].get("sweep.points_pruned", 0) == 0
-
-    def test_pruning_is_logged_not_silent(self, trace, caplog):
-        with caplog.at_level("WARNING", logger="repro.sim.sweep"):
-            sweep_tiers(
-                "gas", trace, size_bits=[4], plan_from_estimate=1.0
-            )
-        assert any(
-            "pruned 5 of 5" in record.getMessage()
-            for record in caplog.records
-        )
-
-    def test_cli_flag(self, capsys):
-        base = ["run", "fig4", "--length", "2000", "--benchmark",
-                "compress", "--sizes", "4"]
-        assert main(base) == 0
-        baseline = capsys.readouterr().out
-        # Threshold 0 keeps every point (pruning is strictly below),
-        # so the flag must be output-neutral.
-        assert main(base + ["--plan-from-estimate", "0.0"]) == 0
-        assert capsys.readouterr().out == baseline
-
-
 class TestTraceStore:
     def test_from_env_requires_variable(self, tmp_path, monkeypatch):
         assert TraceStore.from_env() is None
@@ -335,14 +296,6 @@ class TestTraceStore:
         second = store.get_or_create("micro-x", factory)
         assert calls == [1]
         assert list(first.taken) == list(second.taken)
-
-    def test_put_is_keyed_by_fingerprint(self, tmp_path, trace):
-        store = TraceStore(str(tmp_path))
-        path = store.put(trace)
-        assert trace.fingerprint() in os.path.basename(path)
-        again = store.put(trace)
-        assert again == path
-        assert snapshot()["counters"]["store.hits"] == 1
 
     def test_experiment_trace_goes_through_store(
         self, tmp_path, monkeypatch

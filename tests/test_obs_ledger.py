@@ -10,11 +10,9 @@ from repro.obs import get_tracer, reset_metrics
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     append_entry,
-    consume_sweep_keys,
     diff_rows,
     git_revision,
     load_entries,
-    note_sweep_key,
     record_run,
     recover_ledger,
     regress_report,
@@ -71,13 +69,6 @@ class TestRecording:
         add_run("fig2", 1.0, path=str(other))
         entries, _ = load_entries(str(other))
         assert len(entries) == 1
-
-    def test_sweep_keys_consumed_into_entry(self, ledger):
-        note_sweep_key("abc123")
-        note_sweep_key("abc123")  # deduplicated
-        entry = add_run("fig2", 1.0)
-        assert entry["sweep_keys"] == ["abc123"]
-        assert consume_sweep_keys() == []  # consumed exactly once
 
     def test_git_revision_env_override(self):
         assert git_revision() == "testrev"
@@ -271,7 +262,7 @@ class TestLedgerCli:
         assert len(entries) == 1
         assert entries[0]["bench"] == "fig2"
         assert entries[0]["branches"] > 0
-        assert entries[0]["sweep_keys"] == []  # no checkpoint journal
+        assert "sweep_keys" not in entries[0]
         assert entries[0]["cpu_s"] >= entries[0]["wall_s"] * 0.99
 
     def test_append_entry_requires_no_crc(self, ledger):

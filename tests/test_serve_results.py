@@ -153,11 +153,9 @@ class TestResultStore:
 
 class TestGcStores:
     def test_combined_budget_spans_both_stores(self, tmp_path):
-        from repro.workloads.registry import make_workload
-
         traces = TraceStore(str(tmp_path / "traces"))
         results = ResultStore(str(tmp_path / "results"))
-        traces.put(make_workload("compress", length=500, seed=0))
+        traces.get("compress", length=500, seed=0)
         for row_bits in range(4):
             results.put(
                 point_key("gas", "fp0", 5, row_bits), 5, _point()
