@@ -88,16 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "instrument the simulator's hot stages (trace decode, "
-            "index stream, fsm scan, counter update, point persist) "
-            "into sim.phase.* histograms; render them with "
-            "`repro obs summarize --phases`"
-        ),
-    )
-    run.add_argument(
         "--no-cache",
         dest="use_cache",
         action="store_false",
@@ -475,12 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pretty-print a --metrics-out JSON or --trace-out JSONL file",
     )
     summarize.add_argument("path", help="metrics or span-trace file")
-    summarize.add_argument(
-        "--phases",
-        action="store_true",
-        help="render the --profile phase breakdown (sim.phase.* vs "
-        "sim.wall_s) instead of the full summary",
-    )
 
     history = obs_sub.add_parser(
         "history",
@@ -580,16 +564,6 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         help="write completed telemetry spans to PATH as JSON lines",
     )
     parser.add_argument(
-        "--trace-out-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help=(
-            "--trace-out format: streaming JSON lines (default) or a "
-            "Chrome trace_event JSON written at exit (loadable in "
-            "Perfetto / chrome://tracing)"
-        ),
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
@@ -638,10 +612,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = get_tracer()
     tracer.reset()
     trace_out = getattr(args, "trace_out", None)
-    trace_out_format = getattr(args, "trace_out_format", "jsonl")
-    if trace_out and trace_out_format == "jsonl":
-        # chrome format is written from the in-memory span tree at
-        # exit instead of streamed line by line.
+    if trace_out:
         tracer.configure_sink(trace_out)
     try:
         code = _dispatch(args)
@@ -660,15 +631,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 128 + 13
     finally:
-        if trace_out and trace_out_format == "chrome":
-            try:
-                from repro.obs.export import write_chrome_trace
-
-                write_chrome_trace(trace_out, tracer)
-            except OSError as error:  # pragma: no cover - disk trouble
-                diag.error("error: cannot write chrome trace: %s", error)
-        elif trace_out:
-            tracer.close_sink()
+        tracer.close_sink()
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         try:
@@ -722,12 +685,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         from repro.experiments.runner import run_experiment
 
-        from repro.obs.profile import disable_profiling, enable_profiling
-
-        if args.profile:
-            enable_profiling()
-        else:
-            disable_profiling()
         on_point = None
         if args.progress:
             from repro.obs.progress import ProgressReporter
@@ -1123,7 +1080,7 @@ def _dispatch_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "summarize":
         from repro.obs.report import summarize_path
 
-        print(summarize_path(args.path, phases=args.phases))
+        print(summarize_path(args.path))
         return 0
 
     if args.obs_command == "history":

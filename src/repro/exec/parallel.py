@@ -36,11 +36,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, counter, reset_metrics, snapshot
-from repro.obs.profile import (
-    disable_profiling,
-    enable_profiling,
-    profiling_enabled,
-)
 from repro.obs.spans import get_tracer, span
 from repro.runtime.faults import maybe_inject
 from repro.sim.results import TierPoint
@@ -122,7 +117,7 @@ def _telemetry() -> Dict[str, Any]:
     }
 
 
-def _worker_main(conn, tasks, engine, paranoid, profile, parent_pid) -> None:
+def _worker_main(conn, tasks, engine, paranoid, parent_pid) -> None:
     """Process body: compute the tasks the parent sends until told to stop.
 
     A task that raises is reported back; anything stronger (an injected
@@ -137,9 +132,6 @@ def _worker_main(conn, tasks, engine, paranoid, profile, parent_pid) -> None:
     ).start()
     tracer = get_tracer()
     tracer.abandon_sink()  # a fork inherits the parent's open sink
-    disable_profiling()
-    if profile:
-        enable_profiling()
     while True:
         try:
             index = conn.recv()
@@ -209,7 +201,6 @@ def run_points(
                 tasks,
                 engine,
                 paranoid,
-                profiling_enabled(),
                 os.getpid(),
             ),
             daemon=True,

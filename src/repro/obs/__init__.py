@@ -3,8 +3,9 @@
 A dependency-free telemetry layer the simulation and runtime stack
 report into (see the per-module docs):
 
-* :mod:`repro.obs.spans`    -- nested wall-clock span tracing with an
-  in-memory tree and an optional JSONL trace sink;
+* :mod:`repro.obs.spans`    -- nested wall-clock spans, the one timing
+  record: per-name count / total / self time, and an optional
+  streamed JSONL trace sink;
 * :mod:`repro.obs.metrics`  -- process-local counters / gauges /
   histograms in one global registry;
 * :mod:`repro.obs.logging`  -- key=value or JSON structured logging for
@@ -12,20 +13,21 @@ report into (see the per-module docs):
 * :mod:`repro.obs.report`   -- end-of-run summary tables and the
   ``run_metrics.json`` artifact (``repro obs summarize`` reads both);
 * :mod:`repro.obs.progress` -- throttled stderr heartbeats with ETA,
-  the one live display for serial and parallel sweeps alike.
+  the one live display for serial and parallel sweeps alike;
+* :mod:`repro.obs.export`   -- Prometheus textfile export.
 
-Instrumentation is always on but fires per sweep point / engine call
-(never per branch), so its cost is noise; the file sinks and log
-verbosity are opt-in via the CLI flags ``--trace-out``,
-``--metrics-out``, ``--progress``, and ``--log-level``.
+The simulator's hot stages (``workload.generate``, ``trace_decode``,
+``index_stream``, ``counter_update`` with ``fsm_scan`` inside it, and
+``persist``) are spans like any other, so every run's span table is
+its phase breakdown: the self times of ``engine.<kind>`` and of the
+spans inside it sum to ``sim.wall_s``. Instrumentation is always on
+but fires per sweep point / engine call (never per branch), so its
+cost is noise; the file sinks and log verbosity are opt-in via the CLI
+flags ``--trace-out``, ``--metrics-out``, ``--progress``, and
+``--log-level``.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    write_chrome_trace,
-    write_prometheus,
-)
+from repro.obs.export import prometheus_text, write_prometheus
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     load_entries,
@@ -49,17 +51,10 @@ from repro.obs.metrics import (
     reset_metrics,
     snapshot,
 )
-from repro.obs.profile import (
-    disable_profiling,
-    enable_profiling,
-    phase,
-    profiling_enabled,
-)
 from repro.obs.progress import ProgressReporter
 from repro.obs.report import (
     METRICS_SCHEMA,
     collect,
-    render_phases,
     render_summary,
     summarize_path,
     write_metrics,
@@ -74,9 +69,7 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "chrome_trace",
     "prometheus_text",
-    "write_chrome_trace",
     "write_prometheus",
     "LEDGER_SCHEMA",
     "load_entries",
@@ -86,11 +79,6 @@ __all__ = [
     "render_history",
     "resolve_ledger_path",
     "BUCKET_BOUNDS",
-    "disable_profiling",
-    "enable_profiling",
-    "phase",
-    "profiling_enabled",
-    "render_phases",
     "get_logger",
     "setup_logging",
     "teardown_logging",

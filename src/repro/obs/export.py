@@ -1,82 +1,15 @@
-"""Exporters: Chrome ``trace_event`` JSON and Prometheus textfiles.
+"""Exporter: Prometheus textfiles.
 
-Two one-way bridges out of the in-process telemetry:
-
-* :func:`chrome_trace` converts the span tracer's in-memory tree into
-  the Chrome ``trace_event`` format (``{"traceEvents": [...]}`` with
-  ``"ph": "X"`` complete events, microsecond timestamps), which loads
-  directly in Perfetto / ``chrome://tracing``. Enabled per run with
-  ``repro run ... --trace-out FILE --trace-out-format chrome``. Only
-  spans retained in the parent process tree are exported — per-worker
-  span trees live in their own JSONL sinks.
-* :func:`prometheus_text` renders a metrics snapshot (live registry,
-  a saved ``run_metrics.json``, or the newest ledger rows) in the
-  Prometheus textfile exposition format, for the node-exporter
-  textfile collector.
-  ``repro obs export-prom PATH`` writes it atomically.
+:func:`prometheus_text` renders a metrics snapshot (live registry, a
+saved ``run_metrics.json``, or the newest ledger rows) in the
+Prometheus textfile exposition format, for the node-exporter textfile
+collector. ``repro obs export-prom PATH`` writes it atomically.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from typing import Any, Dict, List, Optional
-
-from repro.obs.spans import SpanRecord, SpanTracer, get_tracer
-
-
-def chrome_trace(tracer: Optional[SpanTracer] = None) -> Dict[str, Any]:
-    """The tracer's span tree as a Chrome ``trace_event`` document.
-
-    Every retained span becomes one complete ("X") event with
-    microsecond ``ts`` (relative to the tracer's origin) and ``dur``;
-    span attributes ride along in ``args``. The walk is iterative, so
-    arbitrarily deep trees cannot hit the recursion limit.
-    """
-    if tracer is None:
-        tracer = get_tracer()
-    events: List[Dict[str, Any]] = []
-    pid = os.getpid()
-    stack: List[SpanRecord] = list(reversed(tracer.roots))
-    while stack:
-        record = stack.pop()
-        if record.end is None:
-            continue
-        events.append(
-            {
-                "name": record.name,
-                "ph": "X",
-                "cat": "repro",
-                "ts": (record.start - tracer.origin) * 1e6,
-                "dur": record.duration * 1e6,
-                "pid": pid,
-                "tid": 1,
-                "args": {k: _arg(v) for k, v in record.attrs.items()},
-            }
-        )
-        stack.extend(reversed(record.children))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(path: str, tracer: Optional[SpanTracer] = None) -> int:
-    """Write :func:`chrome_trace` to ``path``; returns the event count."""
-    from repro.runtime.durable import atomic_write_text
-
-    document = chrome_trace(tracer)
-    atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
-    return len(document["traceEvents"])
-
-
-def _arg(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-# ----------------------------------------------------------------------
-# Prometheus textfile exposition
-# ----------------------------------------------------------------------
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 

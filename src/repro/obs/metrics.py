@@ -218,15 +218,7 @@ WELL_KNOWN = {
     "gauges": (),
     "histograms": (
         "engine.branches_per_sec",  # per-engine-call throughput
-        "sweep.point_s",            # wall seconds per computed sweep point
-        # Phase profiler (repro.obs.profile; populated under --profile):
-        "sim.phase.trace_decode",     # trace load/generation seconds
-        "sim.phase.index_stream",     # counter-index stream computation
-        "sim.phase.fsm_scan",         # segmented automaton scan passes
-        "sim.phase.counter_update",   # sort/scatter around the scan
-        "sim.phase.persist",          # result-store writes per point
-        "sim.phase.engine_other",     # engine wall not covered above
-        "analyze.profile_s",          # runtime branch-profiling seconds
+        "analyze.profile_s",        # runtime branch-profiling seconds
     ),
 }
 

@@ -7,14 +7,16 @@ Two serialized artifacts, one renderer:
 
       {"schema": "repro.run_metrics/1",
        "counters": {...}, "gauges": {...}, "histograms": {...},
-       "spans": {name: {count, total_s, mean_s, min_s, max_s}},
+       "spans": {name: {count, total_s, self_s, mean_s, min_s, max_s}},
        "derived": {"branches_per_sec": ..., "sim_wall_s": ...}}
 
 * **Trace file** (``--trace-out``) -- JSON lines, one completed span
   per line (see :mod:`repro.obs.spans`).
 
 ``repro obs summarize PATH`` accepts either file and renders the same
-aligned text table an in-process :func:`render_summary` produces.
+aligned text table an in-process :func:`render_summary` produces; the
+span table (count, total and self seconds per span name) reads the
+same from both files of one serial run.
 """
 
 from __future__ import annotations
@@ -97,14 +99,21 @@ def render_summary(report: Optional[Dict[str, Any]] = None) -> str:
     spans = report.get("spans") or {}
     if spans:
         rows = [
-            [name, agg["count"], agg["total_s"], agg["mean_s"], agg["max_s"]]
+            [
+                name,
+                agg["count"],
+                agg["total_s"],
+                _cell(agg.get("self_s")),
+                agg["mean_s"],
+                agg["max_s"],
+            ]
             for name, agg in spans.items()
         ]
         blocks.append(
             "phase timings\n"
             + format_table(
                 rows,
-                headers=("span", "count", "total_s", "mean_s", "max_s"),
+                headers=("span", "count", "total_s", "self_s", "mean_s", "max_s"),
                 float_fmt=".4f",
             )
         )
@@ -176,53 +185,9 @@ def _cell(value: Any) -> Any:
     return value if value is not None else "-"
 
 
-def render_phases(report: Optional[Dict[str, Any]] = None) -> str:
-    """The phase-profiler view: ``sim.phase.*`` time vs ``sim.wall_s``.
-
-    Renders each profiled phase's total seconds, share of engine wall
-    time, and per-occurrence p50/p99. Runs without ``--profile`` have
-    empty phase histograms, which is reported as such rather than as a
-    table of zeros.
-    """
-    if report is None:
-        report = collect()
-    from repro.obs.profile import PHASE_PREFIX, PHASES
-
-    histograms = report.get("histograms") or {}
-    counters = report.get("counters") or {}
-    wall = float(counters.get("sim.wall_s") or 0.0)
-    rows = []
-    for name in PHASES:
-        summary = histograms.get(PHASE_PREFIX + name) or {}
-        count = int(summary.get("count") or 0)
-        if not count:
-            continue
-        total = float(summary.get("total") or 0.0)
-        rows.append(
-            [
-                name,
-                count,
-                total,
-                f"{100.0 * total / wall:.1f}%" if wall else "-",
-                _cell(summary.get("p50")),
-                _cell(summary.get("p99")),
-            ]
-        )
-    if not rows:
-        return "(no phase telemetry; run with --profile)"
-    header = f"phase profile (sim.wall_s = {wall:.4g}s)\n"
-    return header + format_table(
-        rows,
-        headers=("phase", "count", "total_s", "% wall", "p50", "p99"),
-        float_fmt=".4g",
-    )
-
-
-def summarize_path(path: str, phases: bool = False) -> str:
+def summarize_path(path: str) -> str:
     """Render a saved metrics JSON or span-trace JSONL file as text.
 
-    ``phases=True`` renders the phase-profiler view instead of the full
-    summary (metrics files only; a span trace has no histograms).
     Content problems — empty file, unknown schema, mid-file junk —
     raise :class:`ReproError` (CLI exit 2) with the offending path and
     line; a *torn final line* in a JSONL trace is expected after a
@@ -248,7 +213,7 @@ def summarize_path(path: str, phases: bool = False) -> str:
                 f"telemetry file {path!r} has schema "
                 f"{whole.get('schema')!r}, expected {METRICS_SCHEMA!r}"
             )
-        return render_phases(whole) if phases else render_summary(whole)
+        return render_summary(whole)
     try:
         first = json.loads(stripped.splitlines()[0])
     except ValueError as exc:
@@ -256,11 +221,6 @@ def summarize_path(path: str, phases: bool = False) -> str:
             f"telemetry file {path!r} is not JSON or JSONL: {exc}"
         ) from exc
     if isinstance(first, dict) and first.get("kind") == "span":
-        if phases:
-            raise ReproError(
-                f"telemetry file {path!r} is a span trace; --phases "
-                "needs a metrics file from a --profile run"
-            )
         return _summarize_trace_lines(path, stripped.splitlines())
     raise ReproError(
         f"telemetry file {path!r} is neither a {METRICS_SCHEMA} metrics "
@@ -275,7 +235,7 @@ def _summarize_trace_lines(path: str, lines) -> str:
     atomic by design) — noted in the header and skipped. Bad lines
     anywhere else mean the file is not a trace at all and raise.
     """
-    aggregates: Dict[str, list] = {}  # name -> [count, total, min, max]
+    tracer = _spans.SpanTracer()
     total_spans = 0
     torn_tail = False
     last_lineno = len(lines)
@@ -292,29 +252,25 @@ def _summarize_trace_lines(path: str, lines) -> str:
         if not isinstance(record, dict) or record.get("kind") != "span":
             continue
         total_spans += 1
-        name, dur = record.get("name", "?"), float(record.get("dur_s", 0.0))
-        agg = aggregates.get(name)
-        if agg is None:
-            aggregates[name] = [1, dur, dur, dur]
-        else:
-            agg[0] += 1
-            agg[1] += dur
-            agg[2] = min(agg[2], dur)
-            agg[3] = max(agg[3], dur)
-    spans = {
-        name: {
-            "count": count,
-            "total_s": total,
-            "mean_s": total / count,
-            "min_s": lo,
-            "max_s": hi,
+        dur = float(record.get("dur_s", 0.0))
+        one = {
+            "count": 1,
+            "total_s": dur,
+            "self_s": float(record.get("self_s", dur)),
+            "min_s": dur,
+            "max_s": dur,
         }
-        for name, (count, total, lo, hi) in sorted(aggregates.items())
-    }
+        tracer.absorb_aggregates({record.get("name", "?"): one})
     header = f"span trace {path}: {total_spans} spans"
     if torn_tail:
         header += " (torn final line skipped)"
     header += "\n\n"
     return header + render_summary(
-        {"spans": spans, "counters": {}, "gauges": {}, "histograms": {}, "derived": {}}
+        {
+            "spans": tracer.aggregates(),
+            "counters": {},
+            "gauges": {},
+            "histograms": {},
+            "derived": {},
+        }
     )

@@ -1,20 +1,22 @@
-"""Span tracing: nested wall-clock timings for runs and sweeps.
+"""Span tracing: the one timing record of a run.
 
 A *span* is one timed region with a name and optional attributes::
 
     from repro.obs import span
 
     with span("sweep_tiers", scheme="gas", trace="espresso"):
-        with span("sweep.point", n=10, row_bits=4):
+        with span("engine.vectorized", scheme="gas"):
             ...
 
-Spans nest via a per-thread stack, so the tracer reconstructs the call
-tree without any caller bookkeeping. Every completed span is
+Spans nest via a per-thread stack. When a span finishes, its duration
+is added to its parent's child total, so every span knows its *self
+time*: its duration minus its direct children's. Self times of nested
+spans add up without double counting, which is what makes the span
+table a phase breakdown. Every completed span is
 
-* folded into per-name aggregates (count / total / min / max seconds),
-  which cost O(1) memory and feed the end-of-run summary table;
-* retained in an in-memory tree (up to :attr:`SpanTracer.max_records`
-  nodes, so a pathological run cannot exhaust memory); and
+* folded into per-name aggregates (count / total / self / min / max
+  seconds), which cost O(1) memory and feed the end-of-run summary
+  table; and
 * optionally appended as one JSON line to a trace file
   (:meth:`SpanTracer.configure_sink`), the format
   ``repro obs summarize`` reads back.
@@ -31,7 +33,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
 
 #: Schema tag written into every JSONL trace line.
@@ -47,25 +49,28 @@ class SpanRecord:
     start: float
     depth: int
     end: Optional[float] = None
-    children: List["SpanRecord"] = field(default_factory=list)
+    #: Summed durations of the finished direct children.
+    child_s: float = 0.0
 
     @property
     def duration(self) -> float:
         """Elapsed seconds (to *now* for a still-open span)."""
         return (self.end if self.end is not None else time.perf_counter()) - self.start
 
+    @property
+    def self_s(self) -> float:
+        """Elapsed seconds not spent in a direct child span."""
+        return self.duration - self.child_s
+
 
 class SpanTracer:
-    """Collects spans into aggregates, a bounded tree, and a JSONL sink."""
+    """Collects spans into per-name aggregates and a JSONL sink."""
 
-    def __init__(self, max_records: int = 100_000):
-        self.max_records = max_records
-        self.roots: List[SpanRecord] = []
+    def __init__(self) -> None:
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._aggregates: Dict[str, List[float]] = {}  # name -> [count, total, min, max]
-        self._retained = 0
-        self.dropped = 0
+        # name -> [count, total, min, max, self]
+        self._aggregates: Dict[str, List[float]] = {}
         self._sink: Optional[TextIO] = None
         self._sink_path: Optional[str] = None
         self._sink_pending = 0
@@ -80,14 +85,15 @@ class SpanTracer:
         record = SpanRecord(
             name=name, attrs=attrs, start=time.perf_counter(), depth=len(stack)
         )
-        parent = stack[-1] if stack else None
         stack.append(record)
         try:
             yield record
         finally:
             record.end = time.perf_counter()
             stack.pop()
-            self._finish(record, parent)
+            if stack:
+                stack[-1].child_s += record.duration
+            self._finish(record)
 
     def traced(self, name: Optional[str] = None, **attrs: Any) -> Callable:
         """Decorator form of :meth:`span`."""
@@ -145,17 +151,20 @@ class SpanTracer:
         return self._origin
 
     def aggregates(self) -> Dict[str, Dict[str, float]]:
-        """Per-name timing summary: count / total / mean / min / max."""
+        """Per-name timing summary: count / total / self / mean / min / max."""
         with self._lock:
             return {
                 name: {
                     "count": int(count),
                     "total_s": total,
+                    "self_s": self_s,
                     "mean_s": total / count if count else 0.0,
                     "min_s": lo,
                     "max_s": hi,
                 }
-                for name, (count, total, lo, hi) in sorted(self._aggregates.items())
+                for name, (count, total, lo, hi, self_s) in sorted(
+                    self._aggregates.items()
+                )
             }
 
     def absorb_aggregates(self, aggregates: Dict[str, Dict[str, float]]) -> None:
@@ -164,34 +173,26 @@ class SpanTracer:
         Used at parallel-sweep join time: each worker's span timings
         (saved in its per-worker metrics file) are folded into the
         parent tracer's per-name aggregates, so ``run_metrics.json``
-        and the summary table report the whole run. Only the aggregate
-        counters merge — worker span *trees* stay in the per-worker
-        JSONL sinks.
+        and the summary table report the whole run.
         """
         with self._lock:
             for name, summary in aggregates.items():
                 count = int(summary.get("count") or 0)
-                if count <= 0:
-                    continue
-                total = float(summary.get("total_s") or 0.0)
-                lo = float(summary.get("min_s") or 0.0)
-                hi = float(summary.get("max_s") or 0.0)
-                agg = self._aggregates.get(name)
-                if agg is None:
-                    self._aggregates[name] = [count, total, lo, hi]
-                else:
-                    agg[0] += count
-                    agg[1] += total
-                    agg[2] = min(agg[2], lo)
-                    agg[3] = max(agg[3], hi)
+                if count > 0:
+                    _fold(
+                        self._aggregates,
+                        name,
+                        count,
+                        float(summary.get("total_s") or 0.0),
+                        float(summary.get("self_s") or 0.0),
+                        float(summary.get("min_s") or 0.0),
+                        float(summary.get("max_s") or 0.0),
+                    )
 
     def reset(self) -> None:
         """Forget all recorded spans (sinks stay configured)."""
         with self._lock:
-            self.roots = []
             self._aggregates = {}
-            self._retained = 0
-            self.dropped = 0
             self._origin = time.perf_counter()
         self._local = threading.local()
 
@@ -203,25 +204,12 @@ class SpanTracer:
             stack = self._local.stack = []
         return stack
 
-    def _finish(self, record: SpanRecord, parent: Optional[SpanRecord]) -> None:
+    def _finish(self, record: SpanRecord) -> None:
+        duration, self_s = record.duration, record.self_s
         with self._lock:
-            agg = self._aggregates.get(record.name)
-            duration = record.duration
-            if agg is None:
-                self._aggregates[record.name] = [1, duration, duration, duration]
-            else:
-                agg[0] += 1
-                agg[1] += duration
-                agg[2] = min(agg[2], duration)
-                agg[3] = max(agg[3], duration)
-            if self._retained < self.max_records:
-                self._retained += 1
-                if parent is not None:
-                    parent.children.append(record)
-                else:
-                    self.roots.append(record)
-            else:
-                self.dropped += 1
+            _fold(
+                self._aggregates, record.name, 1, duration, self_s, duration, duration
+            )
         if self._sink is not None:
             line = json.dumps(
                 {
@@ -231,6 +219,7 @@ class SpanTracer:
                     "depth": record.depth,
                     "start_s": round(record.start - self._origin, 9),
                     "dur_s": round(duration, 9),
+                    "self_s": round(self_s, 9),
                     "attrs": {k: _jsonable(v) for k, v in record.attrs.items()},
                 },
                 sort_keys=True,
@@ -243,6 +232,27 @@ class SpanTracer:
             if self._sink_pending >= 64:
                 self._sink.flush()
                 self._sink_pending = 0
+
+
+def _fold(
+    aggregates: Dict[str, List[float]],
+    name: str,
+    count: int,
+    total: float,
+    self_s: float,
+    lo: float,
+    hi: float,
+) -> None:
+    """Add ``count`` spans of one name into ``aggregates``."""
+    agg = aggregates.get(name)
+    if agg is None:
+        aggregates[name] = [count, total, lo, hi, self_s]
+    else:
+        agg[0] += count
+        agg[1] += total
+        agg[2] = min(agg[2], lo)
+        agg[3] = max(agg[3], hi)
+        agg[4] += self_s
 
 
 def _jsonable(value: Any) -> Any:

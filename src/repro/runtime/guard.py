@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ReproError, SimulationError
-from repro.obs import profile
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
@@ -76,15 +75,14 @@ def result_invariant_violation(
 def _timed_engine(kind: str, run, spec: PredictorSpec, trace: BranchTrace):
     """Run one engine call under a span, reporting throughput metrics.
 
-    ``sim.wall_s`` and ``sim.cpu_s`` both advance by the call's elapsed
-    time here; they diverge only in the parallel executor, which keeps
-    worker engine time out of the parent's ``sim.wall_s`` (elapsed
-    wall clock) while summing it into ``sim.cpu_s``. Under ``--profile``
-    the slice of this call not covered by an instrumented phase is
-    recorded as the ``engine_other`` residual, so the ``sim.phase.*``
-    engine histograms tile the engine wall time.
+    ``engine.<kind>`` is the one span per engine call; the stage spans
+    inside it (``index_stream``, ``counter_update``, ``fsm_scan``) and
+    its own self time tile its duration. ``sim.wall_s`` and
+    ``sim.cpu_s`` both advance by the call's elapsed time here; they
+    diverge only in the parallel executor, which keeps worker engine
+    time out of the parent's ``sim.wall_s`` (elapsed wall clock) while
+    summing it into ``sim.cpu_s``.
     """
-    covered_before = profile.covered_engine_seconds()
     with span(f"engine.{kind}", scheme=spec.scheme, trace=trace.name):
         started = time.perf_counter()
         result = run()
@@ -93,9 +91,6 @@ def _timed_engine(kind: str, run, spec: PredictorSpec, trace: BranchTrace):
     counter("sim.branches").inc(len(trace))
     counter("sim.wall_s").inc(elapsed)
     counter("sim.cpu_s").inc(elapsed)
-    profile.record_engine_other(
-        max(0.0, elapsed - (profile.covered_engine_seconds() - covered_before))
-    )
     if elapsed > 0:
         histogram("engine.branches_per_sec").observe(len(trace) / elapsed)
     return result

@@ -33,10 +33,6 @@ def simulate(
         raise ConfigurationError(
             f"unknown engine {engine!r}; choose from {ENGINES}"
         )
-    from repro.obs.spans import span
     from repro.runtime.guard import guarded_simulate
 
-    with span(
-        "simulate", scheme=spec.scheme, engine=engine, trace=trace.name
-    ):
-        return guarded_simulate(spec, trace, engine=engine, paranoid=paranoid)
+    return guarded_simulate(spec, trace, engine=engine, paranoid=paranoid)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.obs.profile import phase
+from repro.obs.spans import span
 from repro.predictors.counters import (
     counter_init_state,
     counter_outputs,
@@ -64,7 +64,7 @@ def scan_automaton(
     ``(T,)`` uint8 array: the automaton's state immediately before
     consuming each input (i.e. the state a predictor would read).
     """
-    with phase("fsm_scan"):
+    with span("fsm_scan"):
         return _scan_automaton(transitions, inputs, segment_ids, init_state)
 
 
@@ -134,11 +134,9 @@ def segmented_counter_predictions(
     simulation would produce. Equivalent to driving
     :class:`repro.predictors.counters.CounterBank` access by access.
     """
-    # The profiled phases here are disjoint on purpose: the sort/gather
-    # before the scan and the output scatter after it report as
-    # ``counter_update``, while ``scan_automaton`` times itself as
-    # ``fsm_scan`` — so phase totals add instead of double-counting.
-    with phase("counter_update"):
+    # ``fsm_scan`` nests inside this span, so ``counter_update`` self
+    # time is the sort/gather before the scan and the scatter after it.
+    with span("counter_update"):
         idx = np.asarray(idx)
         taken = np.asarray(taken, dtype=bool)
         if idx.shape != taken.shape:
@@ -149,13 +147,12 @@ def segmented_counter_predictions(
         order = np.argsort(idx, kind="stable")
         sorted_idx = idx[order]
         sorted_taken = taken[order]
-    states = scan_automaton(
-        transitions=counter_transitions(counter_bits),
-        inputs=sorted_taken.astype(np.uint8),
-        segment_ids=sorted_idx,
-        init_state=init_state,
-    )
-    with phase("counter_update"):
+        states = scan_automaton(
+            transitions=counter_transitions(counter_bits),
+            inputs=sorted_taken.astype(np.uint8),
+            segment_ids=sorted_idx,
+            init_state=init_state,
+        )
         outputs = counter_outputs(counter_bits)
         predictions = np.empty(len(idx), dtype=bool)
         predictions[order] = outputs[states]

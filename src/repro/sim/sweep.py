@@ -24,11 +24,10 @@ run.
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, ConfigurationError
-from repro.obs.metrics import counter, histogram
+from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.predictors.specs import PER_ADDRESS_SCHEMES, PredictorSpec
 from repro.runtime.deadline import retry_with_backoff
@@ -125,14 +124,11 @@ def compute_point(
         maybe_inject("sweep.point")
         return simulate(spec, trace, engine=engine, paranoid=paranoid)
 
-    started = time.perf_counter()
-    with span("sweep.point", scheme=scheme, n=n, row_bits=row_bits):
-        result = retry_with_backoff(
-            _simulate_once,
-            retries=POINT_RETRIES,
-            retryable=(RuntimeError, OSError),
-        )
-    histogram("sweep.point_s").observe(time.perf_counter() - started)
+    result = retry_with_backoff(
+        _simulate_once,
+        retries=POINT_RETRIES,
+        retryable=(RuntimeError, OSError),
+    )
     counter("sweep.points_computed").inc()
     return TierPoint(
         col_bits=n - row_bits,
@@ -229,7 +225,6 @@ def sweep_tiers(
     resumes from it.
     """
     from repro.check.configs import verify_sweep_plan
-    from repro.obs.profile import phase
     from repro.runtime.deadline import CooperativeInterrupt
     from repro.serve.results import point_key
 
@@ -294,7 +289,7 @@ def sweep_tiers(
         key = keys[(n, point.row_bits)]
         if store is not None:
             try:
-                with phase("persist"):
+                with span("persist"):
                     store.put(key, n, point)
             except OSError as exc:
                 raise CheckpointError(

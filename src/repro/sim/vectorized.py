@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, TraceError
+from repro.obs.spans import span
 from repro.predictors.bht import reset_history
 from repro.predictors.counters import counter_init_state, counter_outputs
 from repro.predictors.specs import (
@@ -36,7 +37,6 @@ from repro.predictors.specs import (
     counter_index,
     word_index,
 )
-from repro.obs.profile import phase
 from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
 from repro.sim.results import SimulationResult
 from repro.traces.trace import BranchTrace
@@ -236,7 +236,7 @@ def index_stream(spec: PredictorSpec, trace: BranchTrace) -> np.ndarray:
     spec layer (:func:`repro.predictors.specs.counter_index`) so the
     static checker proves bounds on the same formula the engines run.
     """
-    with phase("index_stream"):
+    with span("index_stream"):
         return _index_stream(spec, trace)
 
 

@@ -152,12 +152,12 @@ def _load_text(path: str) -> BranchTrace:
 
 def load_trace(path: PathLike) -> BranchTrace:
     """Read a trace saved by :func:`save_trace` (either format)."""
-    from repro.obs.profile import phase
+    from repro.obs.spans import span
 
     text = os.fspath(path)
     if not os.path.exists(text):
         raise TraceError(f"no trace file at {text!r}")
-    with phase("trace_decode"):
+    with span("trace_decode"):
         if text.endswith(".txt"):
             return _load_text(text)
         try:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.spans import span
 from repro.traces.trace import BranchTrace
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PROFILES, get_profile
@@ -74,6 +75,9 @@ def make_workload(
         kernel's input data.
     cache:
         Keep the trace in an in-process cache (bounded) for reuse.
+
+    Generation runs under a ``workload.generate`` span; a cache hit
+    opens none.
     """
     if trace_seed is None:
         trace_seed = seed
@@ -85,7 +89,8 @@ def make_workload(
         key = (name, int(length), int(seed), int(trace_seed))
         if cache and key in _CACHE:
             return _CACHE[key]
-        trace = make_real_workload(name, length=length, seed=trace_seed)
+        with span("workload.generate", workload=name, length=length):
+            trace = make_real_workload(name, length=length, seed=trace_seed)
         _remember(key, trace, cache)
         return trace
     if name not in PROFILES:
@@ -101,8 +106,9 @@ def make_workload(
     key = (name, int(length), int(seed), int(trace_seed))
     if cache and key in _CACHE:
         return _CACHE[key]
-    program = build_program(profile, seed=seed)
-    trace = generate_trace(program, length=length, seed=trace_seed)
+    with span("workload.generate", workload=name, length=length):
+        program = build_program(profile, seed=seed)
+        trace = generate_trace(program, length=length, seed=trace_seed)
     _remember(key, trace, cache)
     return trace
 

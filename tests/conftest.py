@@ -1,11 +1,9 @@
 """Suite-wide isolation for cross-run telemetry.
 
 ``repro run`` appends to the run ledger (``~/.repro/ledger.jsonl`` by
-default) and the phase profiler keeps module-global state — both must
-never leak out of (or between) tests. Every test gets a throwaway
-ledger path via ``$REPRO_LEDGER`` and a pinned ``$REPRO_GIT_REV`` (so
-ledger tests never shell out to git), and profiling is force-disabled
-on teardown.
+default), which must never leak out of (or between) tests. Every test
+gets a throwaway ledger path via ``$REPRO_LEDGER`` and a pinned
+``$REPRO_GIT_REV`` (so ledger tests never shell out to git).
 """
 
 import pytest
@@ -17,11 +15,3 @@ def _isolated_ledger(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_GIT_REV", "testrev")
     monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
     yield
-
-
-@pytest.fixture(autouse=True)
-def _profiling_off():
-    from repro.obs.profile import disable_profiling
-
-    yield
-    disable_profiling()

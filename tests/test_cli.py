@@ -303,9 +303,13 @@ class TestResilience:
             RUN + ["--dashboard"],
             RUN + ["--plan-from-estimate", "0"],
             ["store", "verify"],
+            RUN + ["--profile"],
+            RUN + ["--trace-out", "t.json", "--trace-out-format", "chrome"],
+            ["obs", "summarize", "m.json", "--phases"],
         ],
         ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
-             "store-verify"],
+             "store-verify", "profile", "trace-out-format",
+             "summarize-phases"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -375,12 +375,12 @@ class TestAliasingFix:
 class TestTelemetryMerge:
     def test_histogram_absorb(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("sweep.point_s")
+        histogram = registry.histogram("engine.branches_per_sec")
         histogram.observe(1.0)
         histogram.absorb(
             {"count": 2, "total": 6.0, "min": 2.0, "max": 4.0}
         )
-        summary = registry.snapshot()["histograms"]["sweep.point_s"]
+        summary = registry.snapshot()["histograms"]["engine.branches_per_sec"]
         assert summary["count"] == 3
         assert summary["total"] == 7.0
         assert summary["min"] == 1.0
@@ -389,22 +389,42 @@ class TestTelemetryMerge:
     def test_tracer_absorb_aggregates(self):
         tracer = SpanTracer()
         tracer.absorb_aggregates(
-            {"sweep.point": {"count": 2, "total_s": 3.0,
-                             "min_s": 1.0, "max_s": 2.0}}
+            {"counter_update": {"count": 2, "total_s": 3.0, "self_s": 1.0,
+                                "min_s": 1.0, "max_s": 2.0}}
         )
         tracer.absorb_aggregates(
-            {"sweep.point": {"count": 1, "total_s": 0.5,
-                             "min_s": 0.5, "max_s": 0.5}}
+            {"counter_update": {"count": 1, "total_s": 0.5, "self_s": 0.25,
+                                "min_s": 0.5, "max_s": 0.5}}
         )
         aggregates = tracer.aggregates()
-        assert aggregates["sweep.point"]["count"] == 3
-        assert aggregates["sweep.point"]["min_s"] == 0.5
+        assert aggregates["counter_update"]["count"] == 3
+        assert aggregates["counter_update"]["min_s"] == 0.5
+        assert aggregates["counter_update"]["self_s"] == 1.25
 
     def test_parallel_run_merges_worker_telemetry(self, trace):
         sweep_tiers("gas", trace, size_bits=[4], workers=2)
         data = snapshot()
         assert data["counters"]["sim.branches"] == 5 * 4_000
-        assert data["histograms"]["sweep.point_s"]["count"] == 5
+        spans = get_tracer().aggregates()
+        assert spans["engine.vectorized"]["count"] == 5
+        assert spans["engine.vectorized"]["self_s"] > 0
+
+    def test_worker_span_counts_match_serial(self, tmp_path, capsys):
+        run = ["run", "fig4", "--benchmark", "compress", "--length", "2000",
+               "--sizes", "4", "5"]
+        spans = {}
+        for workers in ("1", "2"):
+            metrics = tmp_path / f"m{workers}.json"
+            argv = run + ["--workers", workers, "--metrics-out", str(metrics)]
+            assert main(argv) == 0
+            spans[workers] = json.loads(metrics.read_text())["spans"]
+        serial, merged = spans["1"], spans["2"]
+        for name in ("engine.vectorized", "index_stream", "counter_update",
+                     "fsm_scan"):
+            assert serial[name]["count"] == merged[name]["count"] == 11
+            assert merged[name]["self_s"] > 0
+        for name, summary in serial.items():
+            assert merged[name]["count"] == summary["count"], name
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -1,20 +1,15 @@
-"""Exporter tests: Chrome trace_event JSON and Prometheus textfiles."""
-
-import json
+"""Exporter tests: Prometheus textfiles."""
 
 import pytest
 
 from repro.cli import EXIT_ERROR, main
 from repro.obs import get_tracer, reset_metrics
 from repro.obs.export import (
-    chrome_trace,
     ledger_prometheus_text,
     prometheus_text,
-    write_chrome_trace,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTracer
 
 
 @pytest.fixture(autouse=True)
@@ -27,100 +22,29 @@ def _clean_telemetry():
     reset_metrics()
 
 
-def validate_trace_event_document(document):
-    """Assert the trace_event schema Perfetto/chrome://tracing expects."""
-    assert set(document) == {"traceEvents", "displayTimeUnit"}
-    assert isinstance(document["traceEvents"], list)
-    for event in document["traceEvents"]:
-        assert event["ph"] == "X"
-        assert isinstance(event["name"], str) and event["name"]
-        assert isinstance(event["ts"], float) and event["ts"] >= 0
-        assert isinstance(event["dur"], float) and event["dur"] >= 0
-        assert isinstance(event["pid"], int)
-        assert isinstance(event["tid"], int)
-        assert isinstance(event["args"], dict)
-
-
-class TestChromeTrace:
-    def test_span_tree_becomes_complete_events(self):
-        tracer = SpanTracer()
-        with tracer.span("outer", scheme="gas"):
-            with tracer.span("inner"):
-                pass
-        document = chrome_trace(tracer)
-        validate_trace_event_document(document)
-        names = [e["name"] for e in document["traceEvents"]]
-        assert names == ["outer", "inner"]
-        outer, inner = document["traceEvents"]
-        assert outer["args"] == {"scheme": "gas"}
-        assert outer["ts"] <= inner["ts"]
-        assert inner["dur"] <= outer["dur"]
-
-    def test_open_spans_are_skipped(self):
-        tracer = SpanTracer()
-        ctx = tracer.span("open")
-        ctx.__enter__()
-        assert chrome_trace(tracer)["traceEvents"] == []
-        ctx.__exit__(None, None, None)
-        assert len(chrome_trace(tracer)["traceEvents"]) == 1
-
-    def test_non_json_attrs_stringified(self):
-        tracer = SpanTracer()
-        with tracer.span("x", obj=object(), n=3):
-            pass
-        args = chrome_trace(tracer)["traceEvents"][0]["args"]
-        assert args["n"] == 3
-        assert isinstance(args["obj"], str)
-
-    def test_write_round_trip(self, tmp_path):
-        tracer = SpanTracer()
-        for _ in range(3):
-            with tracer.span("work"):
-                pass
-        out = tmp_path / "trace.json"
-        assert write_chrome_trace(str(out), tracer) == 3
-        document = json.loads(out.read_text())
-        validate_trace_event_document(document)
-        assert len(document["traceEvents"]) == 3
-
-    def test_cli_trace_out_format_chrome(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        code = main(
-            ["run", "fig2", "--length", "2000", "--benchmark", "compress",
-             "--sizes", "4", "--trace-out", str(out),
-             "--trace-out-format", "chrome"]
-        )
-        assert code == 0
-        document = json.loads(out.read_text())
-        validate_trace_event_document(document)
-        assert any(
-            e["name"] == "sweep_tiers" for e in document["traceEvents"]
-        )
-
-
 class TestPrometheusText:
     def snapshot(self):
         registry = MetricsRegistry()
         registry.counter("sim.branches").inc(42)
         registry.gauge("g.x").set(7)
         for v in (0.5, 1.5, 2.5):
-            registry.histogram("sweep.point_s").observe(v)
+            registry.histogram("engine.branches_per_sec").observe(v)
         return registry.snapshot()
 
     def test_counters_gauges_histograms(self):
         text = prometheus_text(self.snapshot())
         assert "repro_sim_branches_total 42.0" in text
         assert "repro_g_x 7.0" in text
-        assert 'repro_sweep_point_s{quantile="0.5"}' in text
-        assert 'repro_sweep_point_s{quantile="0.99"}' in text
-        assert "repro_sweep_point_s_sum 4.5" in text
-        assert "repro_sweep_point_s_count 3" in text
+        assert 'repro_engine_branches_per_sec{quantile="0.5"}' in text
+        assert 'repro_engine_branches_per_sec{quantile="0.99"}' in text
+        assert "repro_engine_branches_per_sec_sum 4.5" in text
+        assert "repro_engine_branches_per_sec_count 3" in text
         assert "# TYPE repro_sim_branches_total counter" in text
-        assert "# TYPE repro_sweep_point_s summary" in text
+        assert "# TYPE repro_engine_branches_per_sec summary" in text
 
     def test_empty_histograms_omitted(self):
         text = prometheus_text(MetricsRegistry().snapshot())
-        assert "repro_sweep_point_s_count" not in text
+        assert "repro_engine_branches_per_sec_count" not in text
 
     def test_names_sanitized(self):
         registry = MetricsRegistry()
