@@ -4,8 +4,9 @@
 Runs a tiny Figure-4 sweep three times:
 
 1. uninterrupted, as the golden baseline;
-2. with an injected SIGINT mid-sweep and a checkpoint directory — the
-   run must die with the completed points already stored there;
+2. with a real SIGINT mid-sweep and a checkpoint directory — the run
+   must stop with the completed points (the in-flight one included)
+   already stored there;
 3. resumed from that directory — the output must be bit-identical to
    the baseline.
 
@@ -21,6 +22,8 @@ the resume path cannot rot unnoticed.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 import tempfile
 from typing import List, Optional
@@ -33,8 +36,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args(argv)
 
+    import repro.sim.sweep as sweep
     from repro.experiments import ExperimentOptions, run_experiment
-    from repro.runtime import clear_faults, install_faults
 
     def options(checkpoint_dir=None):
         return ExperimentOptions(
@@ -49,17 +52,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     baseline = run_experiment("fig4", options())
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as workdir:
-        print("[2/3] sweep with injected mid-run SIGINT ...")
-        install_faults("sweep.point:interrupt@5")
+        print("[2/3] sweep with a real mid-run SIGINT ...")
+        compute_point = sweep.compute_point
+        calls = []
+
+        def interrupting(*point_args, **kwargs):
+            # Ctrl-C arrives while the fifth point is being computed.
+            calls.append(1)
+            if len(calls) == 5:
+                os.kill(os.getpid(), signal.SIGINT)
+            return compute_point(*point_args, **kwargs)
+
+        sweep.compute_point = interrupting
         try:
             run_experiment("fig4", options(workdir))
         except KeyboardInterrupt:
             print("      interrupted as planned; finished points stored")
         else:
-            print("FAIL: injected interrupt never fired", file=sys.stderr)
+            print("FAIL: the SIGINT never stopped the run", file=sys.stderr)
             return 1
         finally:
-            clear_faults()
+            sweep.compute_point = compute_point
 
         print("[3/3] resuming from the checkpoint dir ...")
         resumed = run_experiment("fig4", options(workdir))

@@ -7,8 +7,8 @@ The library provides:
 * :mod:`repro.workloads`  -- calibrated synthetic workload generator
 * :mod:`repro.predictors` -- the full two-level predictor design space
 * :mod:`repro.sim`        -- scalar reference + vectorized numpy engines
-* :mod:`repro.runtime`    -- resilient runs: checkpoints, deadlines,
-  engine guarding, fault injection
+* :mod:`repro.runtime`    -- resilient runs: checkpoints, cooperative
+  interrupts, engine guarding
 * :mod:`repro.obs`        -- observability: span tracing, metrics,
   structured logging, run reports, progress
 * :mod:`repro.aliasing`   -- aliasing instrumentation and classification

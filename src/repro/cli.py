@@ -357,59 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_options(doctor)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="randomized fault-injection matrix over parallel sweeps",
-        description=(
-            "Run a seeded matrix of fault scenarios (worker crashes, "
-            "kills and interrupts, slow workers and polls, torn and "
-            "corrupt result writes) against a parallel micro sweep and "
-            "assert the pool's invariants: the sweep completes, the "
-            "results are bit-identical to a fault-free serial run, and "
-            "a re-run over the same checkpoint dir prints the same "
-            "surface and leaves no damaged result artifact. "
-            "Exit 0 = every scenario held, 1 = an invariant broke."
-        ),
-    )
-    chaos.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="rng seed; the whole scenario matrix is a deterministic "
-        "function of it",
-    )
-    chaos.add_argument(
-        "--scenarios",
-        type=int,
-        default=8,
-        metavar="K",
-        help="number of fault scenarios to draw and run (default: 8)",
-    )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes per scenario sweep (default: 2)",
-    )
-    chaos.add_argument("--scheme", default="gshare")
-    chaos.add_argument(
-        "--length",
-        type=int,
-        default=2000,
-        help="dynamic branches in the chaos micro trace",
-    )
-    chaos.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="tier exponents for the micro sweep (default: 4 5)",
-    )
-    chaos.add_argument("--benchmark", default="compress")
-    _add_obs_options(chaos)
-
     store = sub.add_parser(
         "store",
         help="trace-store hygiene: list, evict",
@@ -792,32 +739,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(render(report, as_json=args.json, strict=args.strict))
         return report.exit_code(args.strict)
-
-    if args.command == "chaos":
-        from repro.exec.chaos import run_chaos
-
-        on_scenario = None
-        if args.progress:
-            def on_scenario(result) -> None:
-                verdict = "ok" if result.ok else "FAIL"
-                print(
-                    f"[chaos {result.scenario.index + 1}/{args.scenarios}] "
-                    f"{verdict} {result.scenario.name} "
-                    f"({result.duration_s:.2f}s)",
-                    file=sys.stderr,
-                )
-        report = run_chaos(
-            seed=args.seed,
-            scenarios=args.scenarios,
-            workers=args.workers,
-            scheme=args.scheme,
-            length=args.length,
-            size_bits=tuple(args.sizes) if args.sizes else (4, 5),
-            benchmark=args.benchmark,
-            on_scenario=on_scenario,
-        )
-        print(report.render())
-        return 0 if report.ok else 1
 
     if args.command == "store":
         from repro.workloads.store import TraceStore

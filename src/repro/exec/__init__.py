@@ -2,13 +2,9 @@
 
 The paper's constant-size tiers are embarrassingly parallel — every
 ``(c, r)`` split simulates independently — so sweep points run on a
-pool of worker processes:
-
-* :mod:`repro.exec.parallel` -- the pool (:func:`run_points`) that
-  ``sweep_tiers(..., workers=N)`` uses: workers return finished
-  points, the parent writes them;
-* :mod:`repro.exec.chaos`    -- the seeded fault matrix behind
-  ``repro chaos``.
+pool of worker processes. :mod:`repro.exec.parallel` holds the pool
+(:func:`run_points`) that ``sweep_tiers(..., workers=N)`` uses:
+workers return finished points, the parent writes them.
 
 Parallel results are exactly the serial results: the same
 :func:`~repro.sim.sweep.compute_point` runs on the same trace bytes,

@@ -18,9 +18,9 @@ task, so the pool needs no leases, fencing or journals:
   there too comes back as a per-key error instead of an exception.
 
 ``poll`` is called between scheduling steps and may raise to stop the
-pool (SIGINT, a deadline): dispatch stops, in-flight
-points still land through ``on_result`` (bounded by
-:data:`DRAIN_TIMEOUT_S`), and the exception propagates.
+pool (a deferred SIGINT): dispatch stops, in-flight points still land
+through ``on_result`` (bounded by :data:`DRAIN_TIMEOUT_S`), and the
+exception propagates.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, counter, reset_metrics, snapshot
 from repro.obs.spans import get_tracer, span
-from repro.runtime.faults import maybe_inject
 from repro.sim.results import TierPoint
 from repro.sim.sweep import compute_point
 from repro.traces.trace import BranchTrace
@@ -120,8 +119,9 @@ def _telemetry() -> Dict[str, Any]:
 def _worker_main(conn, tasks, engine, paranoid, parent_pid) -> None:
     """Process body: compute the tasks the parent sends until told to stop.
 
-    A task that raises is reported back; anything stronger (an injected
-    interrupt, a kill) ends the process, and the parent sees it die.
+    A task that raises is reported back; anything stronger (a
+    ``BaseException``, a kill) ends the process, and the parent sees it
+    die.
     """
     # The parent owns SIGINT/SIGTERM handling; a worker takes the
     # default SIGTERM so the parent can always terminate it.
@@ -143,7 +143,6 @@ def _worker_main(conn, tasks, engine, paranoid, parent_pid) -> None:
         tracer.reset()
         point = error = None
         try:
-            maybe_inject("exec.worker")
             point = tasks[index].compute(engine, paranoid)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -274,7 +273,6 @@ def run_points(
             for _ in range(min(workers, len(tasks))):
                 spawn()
             while pool and (queue or any(w.task is not None for w in pool)):
-                maybe_inject("exec.poll")
                 poll()
                 for worker in pool:
                     if worker.task is None:

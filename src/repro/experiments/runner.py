@@ -84,7 +84,7 @@ def run_experiment(
     When ``options.checkpoint_dir`` is set the experiment's sweeps
     write every finished point to a result store there as it lands and
     restore them on the next run, so whatever interrupts the run
-    (Ctrl-C, a deadline, an engine error), completed work is never
+    (Ctrl-C, ``kill -9``, an engine error), completed work is never
     lost.
     """
     from repro.obs.spans import span

@@ -194,10 +194,7 @@ WELL_KNOWN = {
         "guard.paranoid_disagreements",
         "sweep.points_computed",   # simulated this run
         "sweep.points_restored",   # points restored from a result store
-        "retry.attempts",          # transient failures retried with backoff
-        "deadline.expirations",
         "interrupt.deferred",      # SIGINTs held to the next point boundary
-        "faults.injected",
         "check.findings",          # actionable static-check findings
         "store.hits",              # trace-store loads that skipped generation
         "store.misses",            # trace-store requests that had to generate
@@ -205,8 +202,6 @@ WELL_KNOWN = {
         "exec.worker_failures",    # pool points lost to a worker error/death
         "doctor.repairs",          # artifacts repaired by `repro doctor`
         "store.evictions",         # trace-store files removed by gc/LRU
-        "chaos.scenarios",         # chaos fault scenarios executed
-        "chaos.failures",          # chaos scenarios that broke an invariant
         "sim.cpu_s",               # engine seconds summed across processes
         "analyze.functions",       # code objects decomposed into CFGs
         "analyze.cfg.blocks",      # basic blocks across extracted CFGs

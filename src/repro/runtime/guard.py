@@ -33,7 +33,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import counter, histogram
 from repro.obs.spans import span
 from repro.predictors.specs import PredictorSpec
-from repro.runtime.faults import maybe_inject
 from repro.sim.reference import simulate_reference
 from repro.sim.results import SimulationResult
 from repro.sim.vectorized import has_vectorized_engine, simulate_vectorized
@@ -97,11 +96,9 @@ def _timed_engine(kind: str, run, spec: PredictorSpec, trace: BranchTrace):
 
 
 def _run_vectorized(spec: PredictorSpec, trace: BranchTrace) -> SimulationResult:
-    def run() -> SimulationResult:
-        maybe_inject("engine.vectorized")
-        return simulate_vectorized(spec, trace)
-
-    return _timed_engine("vectorized", run, spec, trace)
+    return _timed_engine(
+        "vectorized", lambda: simulate_vectorized(spec, trace), spec, trace
+    )
 
 
 def _run_reference(spec: PredictorSpec, trace: BranchTrace) -> SimulationResult:

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import counter
 from repro.runtime.durable import atomic_write_text, sweep_key
-from repro.runtime.faults import fire_site
 from repro.sim.results import TierPoint
 
 #: Environment variable naming the shared result-store directory.
@@ -149,9 +148,7 @@ class ResultStore:
         Idempotent and last-writer-wins safe: results are deterministic
         functions of their key, so concurrent writers of the same key
         write identical bytes and the atomic rename keeps readers from
-        ever seeing a torn artifact. The ``results.put`` fault site can
-        tear or corrupt the written bytes; such an artifact reads as a
-        miss and is recomputed.
+        ever seeing a torn artifact.
         """
         os.makedirs(self.directory, exist_ok=True)
         payload = {
@@ -160,14 +157,8 @@ class ResultStore:
             "point": _point_to_json(n, point),
         }
         payload["crc"] = _artifact_crc(payload)
-        text = json.dumps(payload, sort_keys=True) + "\n"
-        fired = fire_site("results.put")
-        if "corrupt" in fired:
-            text = text[:-8] + "#corrupt"
-        elif "torn-write" in fired:
-            text = text[: len(text) // 2]
         path = self._path(key)
-        atomic_write_text(path, text)
+        atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
         return path
 
     def _load(self, key: str) -> Optional[Dict]:

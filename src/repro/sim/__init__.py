@@ -20,7 +20,7 @@ from repro.sim.engine import simulate
 from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
 from repro.sim.reference import simulate_reference
 from repro.sim.results import SimulationResult, SweepResult, TierSurface
-from repro.sim.sweep import sweep_shapes, sweep_tiers
+from repro.sim.sweep import sweep_tiers
 from repro.sim.vectorized import has_vectorized_engine, simulate_vectorized
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "SimulationResult",
     "SweepResult",
     "TierSurface",
-    "sweep_shapes",
     "sweep_tiers",
 ]

@@ -13,7 +13,7 @@ written to the run's one :class:`~repro.serve.results.ResultStore`
 (``checkpoint_dir``, else ``$REPRO_RESULT_STORE``) the moment it lands;
 a re-run of the same sweep restores those points as cache hits and
 simulates only the rest. SIGINT finishes the in-flight point and exits
-cleanly; an optional ``deadline`` bounds the run the same way.
+cleanly.
 
 ``workers > 1`` runs the pending points on a pool of processes (see
 :mod:`repro.exec.parallel`); this process stays the only writer of
@@ -30,8 +30,6 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.predictors.specs import PER_ADDRESS_SCHEMES, PredictorSpec
-from repro.runtime.deadline import retry_with_backoff
-from repro.runtime.faults import maybe_inject
 from repro.sim.engine import simulate
 from repro.sim.results import TierPoint, TierSurface
 from repro.traces.trace import BranchTrace
@@ -88,11 +86,6 @@ def spec_for_point(
     )
 
 
-#: Retries of a point after a transient engine failure (``RuntimeError``
-#: or ``OSError``) before the failure propagates.
-POINT_RETRIES = 2
-
-
 def compute_point(
     scheme: str,
     trace: BranchTrace,
@@ -104,13 +97,10 @@ def compute_point(
     engine: str = "auto",
     paranoid: bool = False,
 ) -> TierPoint:
-    """Simulate one tier point, retrying transient failures.
+    """Simulate one tier point.
 
     The one definition of a point's computation: the serial sweep, the
-    pool workers and the pool's serial fallback all call it. The
-    ``sweep.point`` fault site fires inside the retried callable, so an
-    injected ``raise`` behaves like a transient engine crash, while an
-    injected ``interrupt`` is never retried.
+    pool workers and the pool's serial fallback all call it.
     """
     spec = spec_for_point(
         scheme,
@@ -119,16 +109,7 @@ def compute_point(
         bht_entries=bht_entries,
         bht_assoc=bht_assoc,
     )
-
-    def _simulate_once():
-        maybe_inject("sweep.point")
-        return simulate(spec, trace, engine=engine, paranoid=paranoid)
-
-    result = retry_with_backoff(
-        _simulate_once,
-        retries=POINT_RETRIES,
-        retryable=(RuntimeError, OSError),
-    )
+    result = simulate(spec, trace, engine=engine, paranoid=paranoid)
     counter("sweep.points_computed").inc()
     return TierPoint(
         col_bits=n - row_bits,
@@ -167,7 +148,6 @@ def sweep_tiers(
     row_bits_filter: Optional[Sequence[int]] = None,
     checkpoint_dir: Optional[str] = None,
     paranoid: bool = False,
-    deadline=None,
     on_point: Optional[Callable[[TierPoint, int, int], None]] = None,
     workers: int = 1,
     use_cache: bool = True,
@@ -199,10 +179,6 @@ def sweep_tiers(
     paranoid:
         Cross-check vectorized vs reference engines per point. A
         paranoid sweep reads no point from the store.
-    deadline:
-        Optional :class:`repro.runtime.deadline.Deadline`; when it
-        expires the sweep stops at a point boundary and raises
-        :class:`~repro.runtime.deadline.DeadlineExceeded`.
     on_point:
         Optional progress hook ``on_point(point, done, total)`` called
         after every point lands in the surface — restored points
@@ -220,12 +196,11 @@ def sweep_tiers(
         simulates every point; computed points are still written. The
         CLI exposes ``--no-cache``.
 
-    SIGINT and deadline expiry stop the sweep at a point boundary; every
-    point that landed before then is already in the store, so a re-run
-    resumes from it.
+    SIGINT stops the sweep at a point boundary; every point that landed
+    before then is already in the store, so a re-run resumes from it.
     """
     from repro.check.configs import verify_sweep_plan
-    from repro.runtime.deadline import CooperativeInterrupt
+    from repro.runtime.interrupt import CooperativeInterrupt
     from repro.serve.results import point_key
 
     size_bits = list(size_bits)
@@ -309,12 +284,6 @@ def sweep_tiers(
     with CooperativeInterrupt() as interrupt, span(
         "sweep_tiers", scheme=scheme, trace=trace.name, points=total
     ):
-
-        def poll() -> None:
-            if deadline is not None:
-                deadline.check(f"sweep_tiers({scheme})")
-            interrupt.checkpoint()
-
         if workers > 1 and pending:
             from repro.exec.parallel import PointTask, run_points
 
@@ -336,13 +305,13 @@ def sweep_tiers(
                 workers=workers,
                 engine=engine,
                 paranoid=paranoid,
-                poll=poll,
+                poll=interrupt.checkpoint,
             )
             if errors:
                 raise next(iter(errors.values()))
         else:
             for n, row_bits in pending:
-                poll()
+                interrupt.checkpoint()
                 persist(
                     n,
                     compute_point(
@@ -365,33 +334,3 @@ def sweep_tiers(
         if n in surface.tiers
     }
     return surface
-
-def sweep_shapes(
-    scheme: str,
-    trace: BranchTrace,
-    shapes: Sequence[tuple],
-    bht_entries: Optional[int] = None,
-    bht_assoc: int = 4,
-    engine: str = "auto",
-    paranoid: bool = False,
-) -> List[TierPoint]:
-    """Simulate an explicit list of (col_bits, row_bits) shapes."""
-    points = []
-    for col_bits, row_bits in shapes:
-        spec = spec_for_point(
-            scheme,
-            col_bits=col_bits,
-            row_bits=row_bits,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
-        )
-        result = simulate(spec, trace, engine=engine, paranoid=paranoid)
-        points.append(
-            TierPoint(
-                col_bits=col_bits,
-                row_bits=row_bits,
-                misprediction_rate=result.misprediction_rate,
-                first_level_miss_rate=result.first_level_miss_rate,
-            )
-        )
-    return points

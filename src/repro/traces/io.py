@@ -8,8 +8,8 @@ Two formats, chosen by extension:
   as ``0``/``1``; human-greppable, drops the name.
 
 Saves are atomic: the file is written to a ``.tmp`` sibling and
-renamed into place, so a crash (or an injected ``trace.save`` fault)
-mid-save leaves any previous archive untouched and no temp debris.
+renamed into place, so a crash mid-save leaves any previous archive
+untouched and no temp debris.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import List, Union
 import numpy as np
 
 from repro.errors import TraceError
-from repro.runtime.faults import maybe_inject
 from repro.traces.trace import BranchTrace
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -75,7 +74,6 @@ def save_trace(trace: BranchTrace, path: PathLike) -> str:
             _write_text(trace, tmp)
         else:
             _write_npz(trace, tmp)
-        maybe_inject("trace.save")
         os.replace(tmp, final)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,19 +15,15 @@ from repro.check.doctor import run_doctor, scan_result_store, scan_store
 from repro.cli import main
 from repro.errors import CheckError
 from repro.obs import reset_metrics, snapshot
-from repro.runtime import clear_faults
 from repro.sim.results import TierPoint
 from repro.workloads.store import TraceStore
 
 
 @pytest.fixture(autouse=True)
 def _clean_runtime(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
-    clear_faults()
     reset_metrics()
     yield
-    clear_faults()
     reset_metrics()
 
 
@@ -173,7 +169,7 @@ class TestDoctorCli:
         assert code == 0
         assert "doctor.results-ok" in capsys.readouterr().out
 
-    def test_doctor_repair_restores_journal_and_store(
+    def test_doctor_repair_restores_results_and_store(
         self, tmp_path, capsys
     ):
         # The acceptance scenario: one corrupted checkpoint artifact and

@@ -5,13 +5,6 @@ import json
 import pytest
 
 from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, main
-from repro.runtime import clear_faults, install_faults
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_faults():
-    yield
-    clear_faults()
 
 
 class TestListing:
@@ -217,26 +210,27 @@ class TestResilience:
     RUN = ["run", "fig4", "--length", "2000",
            "--benchmark", "compress", "--sizes", "4"]
 
-    def test_interrupt_exits_130_and_flushes_journal(self, tmp_path, capsys):
-        install_faults("sweep.point:interrupt@3")
+    def test_interrupt_exits_130_and_stores_finished_points(
+        self, tmp_path, capsys, sigint_on_point
+    ):
+        sigint_on_point(3)
         code = main(self.RUN + ["--checkpoint-dir", str(tmp_path)])
         assert code == EXIT_INTERRUPT
         assert "interrupted" in capsys.readouterr().err
-        # The two points completed before the injected Ctrl-C are
-        # already persisted, one result artifact each.
-        assert len(list(tmp_path.glob("rs-*.json"))) == 2
+        # The two points completed before Ctrl-C and the one in flight
+        # when it arrived are persisted, one result artifact each.
+        assert len(list(tmp_path.glob("rs-*.json"))) == 3
 
     def test_interrupted_run_resumes_to_identical_output(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, sigint_on_point
     ):
         assert main(self.RUN) == 0
         baseline = capsys.readouterr().out
-        install_faults("sweep.point:interrupt@3")
+        sigint_on_point(3)
         assert (
             main(self.RUN + ["--checkpoint-dir", str(tmp_path)])
             == EXIT_INTERRUPT
         )
-        clear_faults()
         capsys.readouterr()
         assert main(self.RUN + ["--checkpoint-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == baseline
@@ -306,10 +300,11 @@ class TestResilience:
             RUN + ["--profile"],
             RUN + ["--trace-out", "t.json", "--trace-out-format", "chrome"],
             ["obs", "summarize", "m.json", "--phases"],
+            ["chaos"],
         ],
         ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
              "store-verify", "profile", "trace-out-format",
-             "summarize-phases"],
+             "summarize-phases", "chaos"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -320,9 +315,11 @@ class TestResilience:
         assert main(self.RUN + ["--paranoid"]) == 0
         assert "2^4" in capsys.readouterr().out
 
-    def test_engine_fault_degrades_instead_of_dying(self, capsys):
+    def test_engine_fault_degrades_instead_of_dying(
+        self, capsys, crashing_vectorized
+    ):
         assert main(self.RUN) == 0
         baseline = capsys.readouterr().out
-        install_faults("engine.vectorized:raise")
+        crashing_vectorized()
         assert main(self.RUN) == 0
         assert capsys.readouterr().out == baseline

@@ -2,8 +2,9 @@
 
 The contract under test: ``sweep_tiers(..., workers=N)`` must produce
 *exactly* the serial results — same points, same floats, same tier
-order — while surviving worker errors and deaths, parent SIGINT, and
-injected faults. The parent is the only process that writes finished
+order — while surviving worker errors and deaths and a parent SIGINT,
+each forced by substituting a function the forked workers inherit.
+The parent is the only process that writes finished
 points, so a SIGKILLed run resumes from the result artifacts it left,
 and its workers never outlive it. The trace store and estimator-driven
 aliasing repair are covered here too.
@@ -28,7 +29,6 @@ from repro.exec.parallel import PointTask, run_points
 from repro.obs import get_tracer, reset_metrics, snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.runtime import clear_faults, install_faults
 from repro.serve.results import ResultStore, point_key
 from repro.sim.sweep import compute_point, sweep_tiers
 from repro.workloads.registry import make_workload
@@ -37,13 +37,10 @@ from repro.workloads.store import TraceStore
 
 @pytest.fixture(autouse=True)
 def _clean_runtime(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
     monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
-    clear_faults()
     reset_metrics()
     get_tracer().reset()
     yield
-    clear_faults()
     reset_metrics()
     get_tracer().close_sink()
     get_tracer().reset()
@@ -93,7 +90,7 @@ class TestParallelIdentity:
             rows = [p.row_bits for p in points]
             assert rows == sorted(rows)
 
-    def test_ephemeral_journal_leaves_no_tempdirs(self, trace):
+    def test_parallel_run_leaves_no_tempdirs(self, trace):
         pattern = os.path.join(tempfile.gettempdir(), "repro-sweep-*")
         before = set(glob.glob(pattern))
         sweep_tiers("gas", trace, size_bits=[4], workers=2)
@@ -104,6 +101,20 @@ class TestParallelIdentity:
             sweep_tiers("gas", trace, size_bits=[4], workers=0)
 
 
+def _in_workers(monkeypatch, fail):
+    """Substitute the pool's ``compute_point`` so that ``fail(n,
+    row_bits)`` runs first in forked workers only; the parent's serial
+    fallback computes normally."""
+    parent = os.getpid()
+
+    def failing(scheme, trace, n, row_bits, **kwargs):
+        if os.getpid() != parent:
+            fail(n, row_bits)
+        return compute_point(scheme, trace, n, row_bits, **kwargs)
+
+    monkeypatch.setattr(parallel, "compute_point", failing)
+
+
 class TestWorkerCrashResilience:
     def test_all_workers_crashing_falls_back_to_serial(
         self, trace, monkeypatch
@@ -112,45 +123,60 @@ class TestWorkerCrashResilience:
             sweep_tiers("gas", trace, size_bits=[4])
         )
         reset_metrics()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.worker:raise")
+
+        def crash(n, row_bits):
+            raise RuntimeError(f"worker crashed on n={n} r={row_bits}")
+
+        _in_workers(monkeypatch, crash)
         surface = sweep_tiers("gas", trace, size_bits=[4], workers=2)
         assert surface_cells(surface) == serial_cells
         counters = snapshot()["counters"]
         assert counters["exec.worker_failures"] > 0
         assert counters["sweep.points_computed"] == 5
 
-    def test_killed_worker_points_survive_in_journal(
-        self, trace, monkeypatch
+    def test_killed_worker_points_survive(
+        self, trace, tmp_path, monkeypatch
     ):
-        # Every worker returns one point and is SIGKILLed on its second
-        # (the fault fires per process): the parent keeps the returned
-        # points, replaces the dead workers, re-dispatches their
-        # in-flight points, and converges on the serial surface.
+        # The first worker to start a point SIGKILLs itself (once across
+        # all processes, claimed through an exclusive-create marker): the
+        # parent replaces the dead worker, re-dispatches its in-flight
+        # point, and converges on the serial surface.
         serial_cells = surface_cells(
             sweep_tiers("gas", trace, size_bits=[4])
         )
         reset_metrics()
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.worker:kill@2")
+        marker = str(tmp_path / "killed")
+
+        def kill_once(n, row_bits):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        _in_workers(monkeypatch, kill_once)
         surface = sweep_tiers("gas", trace, size_bits=[4], workers=2)
         assert surface_cells(surface) == serial_cells
         counters = snapshot()["counters"]
-        assert counters["exec.worker_failures"] >= 1
-        # Replacement workers made progress after the deaths.
-        assert counters["exec.workers_spawned"] > 2
+        assert counters["exec.worker_failures"] == 1
+        # A replacement worker made progress after the death.
+        assert counters["exec.workers_spawned"] == 3
 
-    def test_interrupted_parallel_run_resumes_from_journal(
-        self, trace, tmp_path, monkeypatch
+    def test_interrupted_parallel_run_resumes_from_artifacts(
+        self, trace, tmp_path, worker_sigint
     ):
         serial_cells = surface_cells(
             sweep_tiers("gas", trace, size_bits=[4, 5])
         )
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "exec.poll:interrupt@1")
+        worker_sigint(4, 1)
         with pytest.raises(KeyboardInterrupt):
             sweep_tiers(
                 "gas", trace, size_bits=[4, 5], workers=2,
                 checkpoint_dir=str(tmp_path),
             )
-        monkeypatch.delenv("REPRO_FAULT_SPEC")
+        # The point whose worker sent the SIGINT was in flight; it landed.
+        stored = ResultStore(str(tmp_path))
+        assert stored.get(point_key("gas", trace.fingerprint(), 4, 1))
         resumed = sweep_tiers(
             "gas", trace, size_bits=[4, 5], workers=2,
             checkpoint_dir=str(tmp_path),
@@ -217,25 +243,6 @@ class TestPointFailure:
         )
 
 
-class TestWorkerFaultRetry:
-    def test_transient_point_fault_retries_inside_worker(
-        self, trace, monkeypatch
-    ):
-        serial_cells = surface_cells(
-            sweep_tiers("gas", trace, size_bits=[4])
-        )
-        reset_metrics()
-        # One injected failure per worker process, under the retry
-        # wrapper: the point retries and succeeds, the worker lives,
-        # and the sweep never degrades to respawn rounds.
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "sweep.point:raise@2")
-        surface = sweep_tiers("gas", trace, size_bits=[4], workers=2)
-        assert surface_cells(surface) == serial_cells
-        counters = snapshot()["counters"]
-        assert counters["retry.attempts"] >= 1
-        assert counters.get("exec.worker_failures", 0) == 0
-
-
 class TestCliParallel:
     RUN = ["run", "fig4", "--length", "2000",
            "--benchmark", "compress", "--sizes", "4"]
@@ -247,18 +254,18 @@ class TestCliParallel:
         assert capsys.readouterr().out == baseline
 
     def test_parallel_interrupt_exits_130_and_resumes(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, worker_sigint
     ):
         assert main(self.RUN) == 0
         baseline = capsys.readouterr().out
-        install_faults("exec.poll:interrupt@1")
+        worker_sigint(4, 1)
         code = main(
             self.RUN + ["--checkpoint-dir", str(tmp_path),
                         "--workers", "2"]
         )
         assert code == EXIT_INTERRUPT
         assert "interrupted" in capsys.readouterr().err
-        clear_faults()
+        assert list(tmp_path.glob("rs-*.json"))
         code = main(
             self.RUN + ["--checkpoint-dir", str(tmp_path),
                         "--workers", "2"]
@@ -434,6 +441,17 @@ KILL_RUN = ["run", "fig4", "--benchmark", "compress", "--length", "20000",
             "--sizes", "4", "5", "6", "7", "8", "9", "10", "11", "12"]
 
 
+#: ``repro`` with every pool point stalled for a minute; forked workers
+#: inherit the substitution.
+STALLED_WORKERS = (
+    "import sys, time\n"
+    "from repro.cli import main\n"
+    "from repro.exec.parallel import PointTask\n"
+    "PointTask.compute = lambda self, engine, paranoid: time.sleep(60)\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
 def _repro_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -510,11 +528,10 @@ class TestParentKill:
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
         # Every worker stalls a minute inside its first point, so only
         # noticing the parent's death can end it within the bound.
-        env = _repro_env()
-        env["REPRO_FAULT_SPEC"] = "exec.worker:delay(60)"
         run = subprocess.Popen(
-            [sys.executable, "-m", "repro", *KILL_RUN, "--workers", "2"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            [sys.executable, "-c", STALLED_WORKERS, *KILL_RUN,
+             "--workers", "2"],
+            env=_repro_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
             assert _wait_for(lambda: len(_children(run.pid)) >= 2)

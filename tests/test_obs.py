@@ -24,7 +24,6 @@ from repro.obs import (
 from repro.obs.logging import JsonFormatter, KeyValueFormatter, setup_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.runtime import clear_faults
 from repro.sim.sweep import sweep_tiers
 from repro.workloads.registry import make_workload
 
@@ -34,7 +33,6 @@ def _clean_telemetry():
     reset_metrics()
     get_tracer().reset()
     yield
-    clear_faults()
     get_tracer().close_sink()
     get_tracer().reset()
     reset_metrics()
@@ -216,7 +214,7 @@ class TestMetrics:
     def test_well_known_counters_predeclared(self):
         snap = snapshot()
         for name in ("guard.degradations", "exec.worker_failures",
-                     "sweep.points_restored", "faults.injected"):
+                     "sweep.points_restored", "cache.hits"):
             assert snap["counters"][name] == 0
 
 
@@ -242,14 +240,12 @@ class TestSweepTelemetry:
         assert counters["sweep.points_computed"] == 0
 
     def test_fault_injected_degradation_increments_guard_counter(
-        self, monkeypatch, trace
+        self, crashing_vectorized, trace
     ):
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "engine.vectorized:raise@1")
-        clear_faults()  # drop any cached plan so the env var is re-read
+        crashing_vectorized({1})
         sweep_tiers("gas", trace, size_bits=[4])
         counters = snapshot()["counters"]
         assert counters["guard.degradations"] == 1
-        assert counters["faults.injected"] == 1
         assert counters["engine.reference.runs"] >= 1
 
     def test_on_point_hook_sees_every_point(self, tmp_path, trace):
@@ -395,10 +391,9 @@ class TestCliTelemetry:
         assert "sweep_tiers" in capsys.readouterr().out
 
     def test_metrics_capture_checkpoint_and_fault_counters(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, crashing_vectorized
     ):
-        monkeypatch.setenv("REPRO_FAULT_SPEC", "engine.vectorized:raise@1")
-        clear_faults()
+        crashing_vectorized({1})
         metrics = tmp_path / "m.json"
         code = main(
             self.RUN
@@ -408,7 +403,6 @@ class TestCliTelemetry:
         assert code == 0
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["guard.degradations"] == 1
-        assert counters["faults.injected"] == 1
         assert counters["sweep.points_computed"] == 2
         assert len(list((tmp_path / "ckpt").glob("rs-*.json"))) == 2
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.predictors import make_predictor_spec
-from repro.sim import SimulationResult, TierSurface, sweep_shapes, sweep_tiers
+from repro.sim import SimulationResult, TierSurface, sweep_tiers
 from repro.sim.engine import simulate
 from repro.sim.results import TierPoint
 from repro.sim.sweep import spec_for_point
@@ -137,10 +137,3 @@ class TestSweepTiers:
                             row_bits_filter=[0]).point(13, 0)
         assert abs(small.misprediction_rate - large.misprediction_rate) < 0.02
 
-
-class TestSweepShapes:
-    def test_explicit_shapes(self, small_trace):
-        points = sweep_shapes(
-            "gshare", small_trace, shapes=[(2, 4), (4, 2)]
-        )
-        assert [(p.col_bits, p.row_bits) for p in points] == [(2, 4), (4, 2)]
