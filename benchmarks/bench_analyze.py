@@ -3,11 +3,8 @@
 Profiles the measured corpus (runtime branch recording), scores it
 (`analyze_trace`), simulates gshare over the same trace, and asserts
 the headline property of the new subsystem: the information-theoretic
-ranking tracks actual simulated mispredictions. Throughput lands in
-the run ledger as profiled-branches-per-second of wall time.
+ranking tracks actual simulated mispredictions.
 """
-
-import time
 
 from conftest import BENCH_LENGTH, BENCH_SEED
 
@@ -16,7 +13,6 @@ from repro.analysis.branch_report import (
     predictability_alignment,
 )
 from repro.cfg.predictability import analyze_trace
-from repro.obs.ledger import record_run
 from repro.predictors.factory import make_predictor_spec
 from repro.sim.engine import simulate
 from repro.workloads.registry import clear_cache, make_workload
@@ -48,17 +44,7 @@ def bench_analyze(benchmark):
         return rows
 
     clear_cache()
-    started = time.perf_counter()
     rows = benchmark.pedantic(pipeline, rounds=1, iterations=1)
-    wall_s = time.perf_counter() - started
-    branches = sum(len_ for _, report, _r, _a in rows
-                   for len_ in [report.dynamic_branches])
-    record_run(
-        "analyze",
-        branches_per_sec=branches / wall_s if wall_s else 0.0,
-        wall_s=wall_s,
-        engine="profiler",
-    )
     print()
     for name, report, result, rho in rows:
         shares = report.class_shares()

@@ -3,8 +3,7 @@
 One ``pas`` tier, computed twice over the same trace: once with the
 serial runner, once on a pool of two workers. Asserts the parallel
 surface is byte-identical to the serial one and that two workers buy a
-real speedup, then records both runs in the run ledger so the
-serial/parallel ratio is tracked across PRs.
+real speedup.
 """
 
 import os
@@ -12,8 +11,6 @@ import time
 
 from conftest import BENCH_SEED, scaled_options
 
-from repro.obs import reset_metrics, snapshot
-from repro.obs.ledger import record_run
 from repro.sim.sweep import sweep_tiers
 from repro.workloads.registry import make_workload
 
@@ -41,8 +38,7 @@ def _cells(surface):
     ]
 
 
-def _timed_sweep(trace, workers, bench):
-    reset_metrics()
+def _timed_sweep(trace, workers):
     started = time.perf_counter()
     surface = sweep_tiers(
         "pas",
@@ -51,15 +47,7 @@ def _timed_sweep(trace, workers, bench):
         bht_entries=512,
         workers=workers,
     )
-    wall_s = time.perf_counter() - started
-    branches = snapshot()["counters"]["sim.branches"]
-    record_run(
-        bench,
-        branches_per_sec=branches / wall_s,
-        wall_s=wall_s,
-        workers=workers,
-    )
-    return surface, wall_s
+    return surface, time.perf_counter() - started
 
 
 def bench_exec_parallel():
@@ -68,8 +56,8 @@ def bench_exec_parallel():
         "compress", length=options.length, seed=BENCH_SEED
     )
 
-    serial, serial_s = _timed_sweep(trace, 1, "exec_parallel_serial")
-    parallel, parallel_s = _timed_sweep(trace, 2, "exec_parallel_2workers")
+    serial, serial_s = _timed_sweep(trace, 1)
+    parallel, parallel_s = _timed_sweep(trace, 2)
 
     assert _cells(parallel) == _cells(serial)
     speedup = serial_s / parallel_s

@@ -5,11 +5,9 @@ experiment registry, prints the same rows/series the paper reports, and
 records the wall-clock cost under pytest-benchmark (single round: these
 are artifact regenerations, not micro-benchmarks).
 
-Each regeneration also appends one row to the run ledger through
-:func:`repro.obs.ledger.record_run` (``repro obs history`` lists it),
-with the harness's own wall time: ``branches_per_sec`` means "dynamic
-branches simulated per second of wall time", comparable across PRs as
-the engines get faster.
+The perf trajectory across revisions is the end-to-end harness in
+``benchmarks/e2e`` (``run.py --out``, then ``run.py compare``); these
+benches check the paper's findings at a chosen scale.
 
 Scale knobs (see EXPERIMENTS.md for the paper-vs-measured record):
 
@@ -19,13 +17,10 @@ Scale knobs (see EXPERIMENTS.md for the paper-vs-measured record):
 """
 
 import os
-import time
 
 import pytest
 
 from repro.experiments import ExperimentOptions, run_experiment
-from repro.obs import reset_metrics, snapshot
-from repro.obs.ledger import record_run
 
 BENCH_LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "120000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
@@ -43,27 +38,14 @@ def scaled_options(**overrides) -> ExperimentOptions:
 
 @pytest.fixture
 def regenerate(benchmark):
-    """Run one experiment once under the benchmark timer, print it, and
-    record its throughput in the run ledger."""
+    """Run one experiment once under the benchmark timer and print it."""
 
     def runner(experiment_id: str, options: ExperimentOptions):
-        reset_metrics()
-        started = time.perf_counter()
         result = benchmark.pedantic(
             run_experiment,
             args=(experiment_id, options),
             rounds=1,
             iterations=1,
-        )
-        wall_s = time.perf_counter() - started
-        branches = snapshot()["counters"].get("sim.branches", 0)
-        # Explicit harness timings: the bench timer brackets more than
-        # engine wall time.
-        record_run(
-            experiment_id,
-            branches_per_sec=branches / wall_s if wall_s else 0.0,
-            wall_s=wall_s,
-            workers=options.workers,
         )
         print()
         result.show()

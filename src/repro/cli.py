@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     obs = sub.add_parser(
-        "obs", help="inspect saved telemetry and the cross-run ledger"
+        "obs", help="inspect a saved --metrics-out or --trace-out file"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     summarize = obs_sub.add_parser(
@@ -412,82 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pretty-print a --metrics-out JSON or --trace-out JSONL file",
     )
     summarize.add_argument("path", help="metrics or span-trace file")
-
-    history = obs_sub.add_parser(
-        "history",
-        help="list runs recorded in the ledger (newest last)",
-    )
-    history.add_argument(
-        "--bench", default=None, help="only this bench/experiment"
-    )
-    history.add_argument(
-        "--limit", type=int, default=20, metavar="N",
-        help="show at most the N most recent rows (0 = all)",
-    )
-    history.add_argument(
-        "--json", action="store_true",
-        help="emit the matching ledger rows as a JSON list",
-    )
-    _add_ledger_option(history)
-
-    diff = obs_sub.add_parser(
-        "diff",
-        help="compare latest per-bench throughput between two git revs",
-    )
-    diff.add_argument("rev1", help="baseline git revision (short rev)")
-    diff.add_argument("rev2", help="candidate git revision (short rev)")
-    diff.add_argument("--bench", default=None)
-    diff.add_argument("--json", action="store_true")
-    _add_ledger_option(diff)
-
-    regress = obs_sub.add_parser(
-        "regress",
-        help="gate the newest run of each bench against its ledger "
-        "history (exit 1 on a throughput regression)",
-    )
-    regress.add_argument(
-        "--threshold", type=float, default=10.0, metavar="PCT",
-        help="flag drops of more than PCT%% vs the baseline median "
-        "(default: 10)",
-    )
-    regress.add_argument(
-        "--baseline-window", type=int, default=5, metavar="K",
-        help="baseline = median of the last K prior runs (default: 5)",
-    )
-    regress.add_argument("--bench", default=None)
-    regress.add_argument(
-        "--json", action="store_true",
-        help="emit findings in the `repro check --json` schema",
-    )
-    _add_ledger_option(regress)
-
-    export_prom = obs_sub.add_parser(
-        "export-prom",
-        help="write a Prometheus textfile snapshot of the live/saved "
-        "metrics (and latest per-bench ledger gauges)",
-    )
-    export_prom.add_argument("path", help="textfile to write")
-    export_prom.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="export a saved run_metrics.json instead of the live "
-        "registry",
-    )
-    export_prom.add_argument(
-        "--with-ledger", action="store_true",
-        help="append latest-per-bench throughput gauges from the ledger",
-    )
-    _add_ledger_option(export_prom)
     return parser
-
-
-def _add_ledger_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
-        help="ledger file (default: $REPRO_LEDGER or ~/.repro/"
-        "ledger.jsonl)",
-    )
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -652,11 +577,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         result.show()
         if args.export:
             _export_result(result, args.export)
-        # Cross-run ledger: every successful run appends one row
-        # (disable by exporting an empty $REPRO_LEDGER).
-        from repro.obs.ledger import record_run
-
-        record_run(args.experiment, workers=args.workers)
         return 0
 
     if args.command == "check":
@@ -971,101 +891,11 @@ def _dispatch_analyze(args: argparse.Namespace) -> int:
     )
 
 
-def _ledger_entries(args) -> list:
-    """Load the ledger addressed by ``--ledger``/$REPRO_LEDGER."""
-    from repro.obs.ledger import load_entries, resolve_ledger_path
-
-    path = resolve_ledger_path(args.ledger)
-    if path is None:
-        raise ReproError(
-            "the run ledger is disabled ($REPRO_LEDGER is empty); pass "
-            "--ledger PATH to read a specific file"
-        )
-    entries, bad = load_entries(path)
-    if bad:
-        from repro.obs import get_logger
-
-        get_logger("repro.cli").warning(
-            "ledger %s: skipped %d corrupt line(s) %s; run a ledger "
-            "append (or `repro doctor`) to quarantine them",
-            path,
-            len(bad),
-            bad[:5],
-        )
-    return entries
-
-
 def _dispatch_obs(args: argparse.Namespace) -> int:
-    import json as _json
-
     if args.obs_command == "summarize":
         from repro.obs.report import summarize_path
 
         print(summarize_path(args.path))
-        return 0
-
-    if args.obs_command == "history":
-        from repro.obs.ledger import render_history
-
-        entries = _ledger_entries(args)
-        if args.json:
-            selected = [
-                e for e in entries
-                if args.bench is None or e.get("bench") == args.bench
-            ]
-            if args.limit:
-                selected = selected[-args.limit:]
-            print(_json.dumps(selected, indent=2, sort_keys=True))
-        else:
-            print(render_history(entries, bench=args.bench, limit=args.limit))
-        return 0
-
-    if args.obs_command == "diff":
-        from repro.obs.ledger import diff_rows, render_diff
-
-        entries = _ledger_entries(args)
-        if args.json:
-            print(
-                _json.dumps(
-                    diff_rows(entries, args.rev1, args.rev2, args.bench),
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(render_diff(entries, args.rev1, args.rev2, args.bench))
-        return 0
-
-    if args.obs_command == "regress":
-        from repro.check.runner import render
-        from repro.obs.ledger import regress_report
-
-        report = regress_report(
-            _ledger_entries(args),
-            threshold_pct=args.threshold,
-            baseline_window=args.baseline_window,
-            bench=args.bench,
-        )
-        print(render(report, as_json=args.json, strict=False))
-        return report.exit_code(strict=False)
-
-    if args.obs_command == "export-prom":
-        from repro.obs.export import write_prometheus
-
-        snapshot = None
-        if args.metrics:
-            try:
-                with open(args.metrics, "r", encoding="ascii") as handle:
-                    snapshot = _json.load(handle)
-            except (OSError, ValueError) as exc:
-                raise ReproError(
-                    f"cannot read metrics file {args.metrics!r}: {exc}"
-                ) from exc
-        ledger_entries = _ledger_entries(args) if args.with_ledger else None
-        write_prometheus(
-            args.path, snapshot=snapshot, ledger_entries=ledger_entries
-        )
-        print(f"[wrote Prometheus textfile to {args.path}]")
         return 0
 
     raise AssertionError(f"unhandled obs command {args.obs_command!r}")

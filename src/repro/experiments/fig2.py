@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.analysis.ascii_plots import render_series
 from repro.experiments.base import ExperimentOptions, ExperimentResult
 from repro.sim.sweep import sweep_tiers
-from repro.workloads.registry import list_workloads
+from repro.workloads.profiles import PAPER_BENCHMARKS
 
 EXPERIMENT_ID = "fig2"
 TITLE = "Address-indexed predictors (paper Figure 2)"
@@ -22,7 +22,7 @@ TITLE = "Address-indexed predictors (paper Figure 2)"
 
 def run(options: Optional[ExperimentOptions] = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    benchmarks = options.resolve_benchmarks(list_workloads())
+    benchmarks = options.resolve_benchmarks(PAPER_BENCHMARKS)
     size_bits = list(options.size_bits)
 
     series: Dict[str, List[float]] = {}

@@ -14,8 +14,7 @@ from typing import Optional
 from repro.experiments.base import ExperimentOptions, ExperimentResult
 from repro.traces.stats import characterize
 from repro.utils.tables import format_table
-from repro.workloads.profiles import PROFILES, get_profile
-from repro.workloads.registry import list_workloads
+from repro.workloads.profiles import PAPER_BENCHMARKS, PROFILES, get_profile
 
 EXPERIMENT_ID = "table1"
 TITLE = "Benchmark characterization (paper Table 1)"
@@ -23,7 +22,7 @@ TITLE = "Benchmark characterization (paper Table 1)"
 
 def run(options: Optional[ExperimentOptions] = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    benchmarks = options.resolve_benchmarks(list_workloads())
+    benchmarks = options.resolve_benchmarks(PAPER_BENCHMARKS)
 
     headers = [
         "benchmark",

@@ -13,8 +13,7 @@ report into (see the per-module docs):
 * :mod:`repro.obs.report`   -- end-of-run summary tables and the
   ``run_metrics.json`` artifact (``repro obs summarize`` reads both);
 * :mod:`repro.obs.progress` -- throttled stderr heartbeats with ETA,
-  the one live display for serial and parallel sweeps alike;
-* :mod:`repro.obs.export`   -- Prometheus textfile export.
+  the one live display for serial and parallel sweeps alike.
 
 The simulator's hot stages (``workload.generate``, ``trace_decode``,
 ``index_stream``, ``counter_update`` with ``fsm_scan`` inside it, and
@@ -27,16 +26,6 @@ flags ``--trace-out``, ``--metrics-out``, ``--progress``, and
 ``--log-level``.
 """
 
-from repro.obs.export import prometheus_text, write_prometheus
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    load_entries,
-    record_run,
-    regress_report,
-    render_diff,
-    render_history,
-    resolve_ledger_path,
-)
 from repro.obs.logging import get_logger, setup_logging, teardown_logging
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
@@ -69,15 +58,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "prometheus_text",
-    "write_prometheus",
-    "LEDGER_SCHEMA",
-    "load_entries",
-    "record_run",
-    "regress_report",
-    "render_diff",
-    "render_history",
-    "resolve_ledger_path",
     "BUCKET_BOUNDS",
     "get_logger",
     "setup_logging",

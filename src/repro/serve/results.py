@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import counter
@@ -92,9 +93,10 @@ def _point_from_json(payload: Dict) -> TierPoint:
 
 
 def _artifact_crc(payload: Dict) -> int:
-    from repro.obs.ledger import _entry_crc
-
-    return _entry_crc(payload)
+    """crc32 of the canonical JSON encoding (sans the ``crc`` field)."""
+    body = {k: v for k, v in payload.items() if k != "crc"}
+    canonical = json.dumps(body, sort_keys=True).encode("ascii")
+    return zlib.crc32(canonical) & 0xFFFFFFFF
 
 
 class ResultStore:

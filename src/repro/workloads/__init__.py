@@ -23,6 +23,7 @@ from repro.workloads.behaviors import (
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import (
     IBS_BENCHMARKS,
+    PAPER_BENCHMARKS,
     SPEC_BENCHMARKS,
     WorkloadProfile,
     bucket_weights,
@@ -43,6 +44,7 @@ __all__ = [
     "bucket_weights",
     "SPEC_BENCHMARKS",
     "IBS_BENCHMARKS",
+    "PAPER_BENCHMARKS",
     "Program",
     "Routine",
     "StaticBranch",

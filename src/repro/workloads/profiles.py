@@ -395,6 +395,12 @@ IBS_BENCHMARKS: Tuple[str, ...] = tuple(
     name for name, p in PROFILES.items() if p.suite == "ibs-ultrix"
 )
 
+#: The paper's fourteen benchmarks in report order (suite, then name):
+#: the default of every paper-wide artifact (Table 1, Figures 2 and 3).
+PAPER_BENCHMARKS: Tuple[str, ...] = tuple(
+    sorted(PROFILES, key=lambda name: (PROFILES[name].suite, name))
+)
+
 #: The three benchmarks the paper's figures focus on.
 FOCUS_BENCHMARKS: Tuple[str, ...] = ("espresso", "mpeg_play", "real_gcc")
 

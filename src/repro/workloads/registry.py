@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.spans import span
 from repro.traces.trace import BranchTrace
 from repro.workloads.generator import generate_trace
-from repro.workloads.profiles import PROFILES, get_profile
+from repro.workloads.profiles import PAPER_BENCHMARKS, PROFILES, get_profile
 from repro.workloads.program import build_program
 
 _CACHE: Dict[Tuple[str, int, int, int], BranchTrace] = {}
@@ -33,12 +33,11 @@ _CACHE_LIMIT = 32
 
 
 def list_workloads() -> List[str]:
-    """All benchmark names: calibrated profiles (SPEC suite first),
+    """All benchmark names: the paper's fourteen calibrated profiles,
     then the registered real-program workloads."""
     from repro.cfg.corpus import list_real_workloads
 
-    synthetic = sorted(PROFILES, key=lambda n: (PROFILES[n].suite, n))
-    return synthetic + list_real_workloads()
+    return list(PAPER_BENCHMARKS) + list_real_workloads()
 
 
 def is_real_workload(name: str) -> bool:

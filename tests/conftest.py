@@ -1,9 +1,7 @@
-"""Suite-wide isolation for cross-run telemetry.
+"""Suite-wide test isolation and fault fixtures.
 
-``repro run`` appends to the run ledger (``~/.repro/ledger.jsonl`` by
-default), which must never leak out of (or between) tests. Every test
-gets a throwaway ledger path via ``$REPRO_LEDGER`` and a pinned
-``$REPRO_GIT_REV`` (so ledger tests never shell out to git).
+An operator's ``$REPRO_RESULT_STORE`` must never leak into a test: a
+run would serve its points from (and write them to) that shared store.
 
 The fault fixtures below fail the real code by substituting one
 function: a crashing engine, a real SIGINT sent from inside a point.
@@ -18,9 +16,7 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def _isolated_ledger(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
-    monkeypatch.setenv("REPRO_GIT_REV", "testrev")
+def _no_env_result_store(monkeypatch):
     monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
     yield
 

@@ -59,6 +59,33 @@ class TestRun:
         assert code == 0
         assert "real_quicksort" in capsys.readouterr().out
 
+    def test_run_table1_defaults_to_the_paper_benchmarks(self, capsys):
+        assert main(["run", "table1", "--length", "2000"]) == 0
+        out = capsys.readouterr().out
+        suites = [
+            line.split()[1] for line in out.splitlines()
+            if line.split()[1:2] in (["specint92"], ["ibs-ultrix"])
+        ]
+        assert len(suites) == 14
+        assert suites.count("ibs-ultrix") == 8
+        assert "real_quicksort" not in out
+
+    def test_run_writes_nothing_under_home(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A run writes only the files it is asked for: no per-user
+        # history or cache, whatever the environment says.
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        code = main(
+            ["run", "fig4", "--benchmark", "compress", "--length", "2000",
+             "--sizes", "4"]
+        )
+        assert code == 0
+        assert list(home.rglob("*")) == []
+
     def test_unknown_experiment_errors(self, capsys):
         assert main(["run", "fig99", "--length", "1000"]) == EXIT_ERROR
         assert "unknown experiment" in capsys.readouterr().err
@@ -301,10 +328,15 @@ class TestResilience:
             RUN + ["--trace-out", "t.json", "--trace-out-format", "chrome"],
             ["obs", "summarize", "m.json", "--phases"],
             ["chaos"],
+            ["obs", "history"],
+            ["obs", "diff", "a", "b"],
+            ["obs", "regress"],
+            ["obs", "export-prom", "x"],
         ],
         ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
              "store-verify", "profile", "trace-out-format",
-             "summarize-phases", "chaos"],
+             "summarize-phases", "chaos", "obs-history", "obs-diff",
+             "obs-regress", "obs-export-prom"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

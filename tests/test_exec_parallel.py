@@ -455,7 +455,6 @@ STALLED_WORKERS = (
 def _repro_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_LEDGER"] = ""
     return env
 
 

@@ -24,6 +24,14 @@ def fast_options(**overrides):
     return ExperimentOptions(**merged)
 
 
+#: The paper's fourteen benchmarks in report order: IBS-Ultrix, then
+#: SPECint92, each alphabetical.
+PAPER_FOURTEEN = [
+    "groff", "gs", "mpeg_play", "nroff", "real_gcc", "sdet", "verilog",
+    "video_play", "compress", "eqntott", "espresso", "gcc", "sc", "xlisp",
+]
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         ids = list_experiments()
@@ -85,6 +93,15 @@ class TestSeriesExperiments:
         series = result.data["series"]
         assert set(series) == {"compress", "mpeg_play"}
         assert all(len(v) == 3 for v in series.values())
+
+    @pytest.mark.parametrize("experiment_id", ["fig2", "fig3"])
+    def test_default_series_are_the_paper_benchmarks(self, experiment_id):
+        # The real_* CFG kernels are workloads, not paper benchmarks:
+        # they stay selectable with --benchmark but are not defaults.
+        result = run_experiment(
+            experiment_id, ExperimentOptions(length=2_000, size_bits=[4])
+        )
+        assert list(result.data["series"]) == PAPER_FOURTEEN
 
     def test_fig3_rates_are_probabilities(self):
         result = run_experiment(

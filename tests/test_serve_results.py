@@ -151,6 +151,39 @@ class TestResultStore:
         assert store is not None and store.directory == str(tmp_path)
 
 
+#: One artifact exactly as an earlier release wrote it: a fig10 PAs
+#: point (mpeg_play, 3000 branches, 2^6 counters, 2 column bits). Its
+#: bytes pin the on-disk format, the CRC included, across versions.
+PINNED_KEY = "129afcecad9f35a7"
+PINNED_ARTIFACT = (
+    b'{"crc": 1747983811, "key": "129afcecad9f35a7", "point": '
+    b'{"aliasing_rate": null, "col_bits": 2, "first_level_miss_rate": '
+    b'0.028666666666666667, "misprediction_rate": 0.121, "n": 6, '
+    b'"row_bits": 4}, "schema": "repro.result/1"}\n'
+)
+
+
+class TestArtifactFormat:
+    def test_pinned_artifact_verifies(self, tmp_path):
+        path = tmp_path / f"rs-{PINNED_KEY}.json"
+        path.write_bytes(PINNED_ARTIFACT)
+        payload, why = ResultStore(str(tmp_path)).verify(str(path))
+        assert why is None
+        assert payload["point"]["first_level_miss_rate"] == 0.028666666666666667
+
+    def test_put_writes_the_pinned_bytes(self, tmp_path):
+        point = TierPoint(
+            col_bits=2,
+            row_bits=4,
+            misprediction_rate=0.121,
+            aliasing_rate=None,
+            first_level_miss_rate=0.028666666666666667,
+        )
+        path = ResultStore(str(tmp_path)).put(PINNED_KEY, 6, point)
+        with open(path, "rb") as handle:
+            assert handle.read() == PINNED_ARTIFACT
+
+
 class TestGcStores:
     def test_combined_budget_spans_both_stores(self, tmp_path):
         traces = TraceStore(str(tmp_path / "traces"))
