@@ -12,6 +12,10 @@ conflicts into harmless and destructive, and isolates the paper's
 all-ones observation ("approximately a fifth of the aliasing for the
 larger benchmarks was for the pattern with all recorded branches
 taken").
+
+What removing that aliasing buys is simulated, not modelled:
+:func:`dealias_delta` runs the shared table against private
+per-branch tables on one index stream.
 """
 
 from repro.aliasing.classify import (
@@ -28,12 +32,6 @@ from repro.aliasing.instrumentation import (
     sweep_aliasing,
 )
 from repro.aliasing.report import aliasing_report
-from repro.aliasing.weights import (
-    BranchWeight,
-    branch_weights_from_program,
-    branch_weights_from_trace,
-    stream_taken_rate,
-)
 
 __all__ = [
     "ConflictStats",
@@ -46,8 +44,4 @@ __all__ = [
     "observed_alias_sets",
     "sweep_aliasing",
     "aliasing_report",
-    "BranchWeight",
-    "branch_weights_from_program",
-    "branch_weights_from_trace",
-    "stream_taken_rate",
 ]

@@ -117,12 +117,17 @@ def interference_free_predictions(
     branches can never share a counter but each branch's history-driven
     row stream is untouched. The difference against the real table
     (:func:`dealias_delta`) is therefore *exactly* the misprediction
-    cost of second-level aliasing — the quantity the static estimator
-    (:mod:`repro.check.estimator`) predicts without simulating.
+    cost of second-level aliasing.
     """
     if len(trace) == 0:
         raise TraceError("cannot simulate an empty trace")
-    indices = index_stream(spec, trace)
+    return _private_predictions(spec, trace, index_stream(spec, trace))
+
+
+def _private_predictions(
+    spec: PredictorSpec, trace: BranchTrace, indices: np.ndarray
+) -> np.ndarray:
+    """:func:`interference_free_predictions` over a computed stream."""
     _, branch_ids = np.unique(trace.pc, return_inverse=True)
     private = branch_ids.astype(np.int64) * spec.num_counters + indices
     return segmented_counter_predictions(
@@ -132,14 +137,19 @@ def interference_free_predictions(
 
 def dealias_delta(spec: PredictorSpec, trace: BranchTrace) -> float:
     """Simulated misprediction-rate delta of removing all second-level
-    aliasing (shared table minus private per-branch tables)."""
+    aliasing (shared table minus private per-branch tables).
+
+    This is the exact cost of aliasing the paper measures (sections
+    4-5): both predictors run the same index stream, so the delta is
+    what sharing counters across branches costs and nothing else.
+    """
     if len(trace) == 0:
         raise TraceError("cannot simulate an empty trace")
     indices = index_stream(spec, trace)
     shared = segmented_counter_predictions(
         indices, trace.taken, counter_bits=spec.counter_bits
     )
-    private = interference_free_predictions(spec, trace)
+    private = _private_predictions(spec, trace, indices)
     shared_rate = float(np.count_nonzero(shared != trace.taken))
     private_rate = float(np.count_nonzero(private != trace.taken))
     return (shared_rate - private_rate) / len(trace)

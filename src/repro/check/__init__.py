@@ -16,13 +16,9 @@ Three core passes, exposed as ``repro check [configs|aliasing|code|all]``:
   pre-declared metric names, atomic artifact writes, checkpoint-key
   stability).
 
-Plus one opt-in pass (never part of a bare ``all``):
-
-* :mod:`repro.check.estimator` (``repro check dealias``) — static
-  dealiasing-benefit estimation: an analytic row-occupancy mixture
-  model predicting the misprediction-rate delta dealiasing each sweep
-  split would yield; ``--validate`` cross-checks the predictions
-  against the real engine on the Figure-9 micro workloads.
+What removing second-level aliasing would buy is not estimated here:
+:func:`repro.aliasing.dealias_delta` simulates it exactly (shared
+table against private per-branch tables).
 
 All passes emit :class:`~repro.check.findings.Finding` records;
 exit codes are 0 (clean), 1 (findings), 2 (internal error).
@@ -36,16 +32,9 @@ from repro.check.configs import (
     verify_spec_dict,
     verify_sweep_plan,
 )
-from repro.check.estimator import (
-    SplitDelta,
-    check_dealias,
-    predict_dealias_delta,
-    predicted_split_deltas,
-    validate_dealias,
-)
 from repro.check.findings import SEVERITIES, CheckReport, Finding
 from repro.check.lint import lint_paths, lint_source
-from repro.check.runner import OPT_IN_PASSES, PASSES, run_checks
+from repro.check.runner import PASSES, run_checks
 from repro.check.static_alias import (
     AliasPressure,
     StaticBranchInfo,
@@ -61,7 +50,6 @@ __all__ = [
     "CheckReport",
     "SEVERITIES",
     "PASSES",
-    "OPT_IN_PASSES",
     "run_checks",
     "canonical_specs",
     "check_configs",
@@ -78,9 +66,4 @@ __all__ = [
     "alias_pressure",
     "branch_infos_from_program",
     "check_aliasing",
-    "SplitDelta",
-    "check_dealias",
-    "predict_dealias_delta",
-    "predicted_split_deltas",
-    "validate_dealias",
 ]

@@ -22,11 +22,6 @@ from repro.obs.spans import span
 #: Pass names in execution order; "all" expands to this.
 PASSES = ("configs", "aliasing", "code")
 
-#: Opt-in passes: runnable by name, never part of "all". The dealias
-#: estimator stays out because its ``--validate`` mode simulates —
-#: "all" must remain a pure static (milliseconds) gate.
-OPT_IN_PASSES = ("dealias",)
-
 
 def run_checks(
     which: str = "all",
@@ -38,16 +33,14 @@ def run_checks(
     size_bits: Optional[Sequence[int]] = None,
     seed: int = 0,
     fix: bool = False,
-    validate: bool = False,
-    micros: Optional[Sequence[str]] = None,
     bht_entries: Optional[int] = None,
     bht_assoc: int = 4,
 ) -> CheckReport:
     """Run one pass (or all core passes) and aggregate the findings."""
-    if which != "all" and which not in PASSES + OPT_IN_PASSES:
+    if which != "all" and which not in PASSES:
         raise CheckError(
             f"unknown check pass {which!r}; choose from "
-            f"{PASSES + OPT_IN_PASSES + ('all',)}"
+            f"{PASSES + ('all',)}"
         )
     if which == "all":
         selected = PASSES
@@ -69,21 +62,10 @@ def run_checks(
             seed=seed,
             bht_entries=bht_entries,
             bht_assoc=bht_assoc,
-            fix=fix,
         ),
         "code": lambda: lint_paths(
             paths=paths,
             hot_suffixes=tuple(HOT_PATH_SUFFIXES) + tuple(hot_suffixes),
-        ),
-        "dealias": lambda: _run_dealias(
-            validate=validate,
-            benchmarks=benchmarks,
-            schemes=schemes,
-            size_bits=size_bits,
-            seed=seed,
-            micros=micros,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
         ),
     }
 
@@ -103,36 +85,6 @@ def run_checks(
         counter("check.findings").inc(len(actionable))
         report.extend(pass_name, findings)
     return report
-
-
-def _run_dealias(
-    validate: bool,
-    benchmarks: Optional[Sequence[str]],
-    schemes: Optional[Sequence[str]],
-    size_bits: Optional[Sequence[int]],
-    seed: int,
-    micros: Optional[Sequence[str]],
-    bht_entries: Optional[int],
-    bht_assoc: int,
-) -> List[Finding]:
-    from repro.check.estimator import check_dealias, validate_dealias
-
-    if validate:
-        return validate_dealias(
-            micros=micros,
-            schemes=schemes,
-            size_bits=size_bits,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
-        )
-    return check_dealias(
-        benchmarks=benchmarks,
-        schemes=schemes,
-        size_bits=size_bits,
-        seed=seed,
-        bht_entries=bht_entries,
-        bht_assoc=bht_assoc,
-    )
 
 
 def render(report: CheckReport, as_json: bool, strict: bool) -> str:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.aliasing.weights import BranchWeight
 from repro.check.findings import Finding
 from repro.errors import CheckError
 from repro.predictors.specs import (
@@ -225,7 +224,6 @@ def check_aliasing(
     seed: int = 0,
     bht_entries: Optional[int] = None,
     bht_assoc: int = 4,
-    fix: bool = False,
 ) -> List[Finding]:
     """The full aliasing pass: predicted pressure per sweep point.
 
@@ -236,19 +234,7 @@ def check_aliasing(
     ``alias.first-level`` finding per (benchmark, scheme) — the set
     geometry is tier-independent — and the contention stats attached
     to every per-tier finding's data.
-
-    With ``fix``, warning-severity ``alias.pressure`` findings
-    additionally carry the estimator-derived repair
-    (``suggested_budget_bits``): the smallest tier exponent at which
-    the predicted residual aliasing cost drops back under the
-    ``check dealias`` warning threshold — the counterpart of
-    ``check configs --fix`` attaching the nearest sound split.
     """
-    from repro.aliasing.weights import branch_weights_from_program
-    from repro.check.estimator import (
-        _supports_bht,
-        smallest_sufficient_budget,
-    )
     from repro.sim.sweep import SWEEPABLE_SCHEMES, spec_for_point
     from repro.workloads.profiles import FOCUS_BENCHMARKS, get_profile
     from repro.workloads.program import build_program
@@ -267,9 +253,6 @@ def check_aliasing(
     for benchmark in benchmarks:
         program = build_program(get_profile(benchmark), seed=seed)
         infos = branch_infos_from_program(program)
-        # Estimator weights are only needed to repair warnings; build
-        # them at most once per benchmark.
-        estimator_weights: Optional[List[BranchWeight]] = None
         # Every sweepable scheme's collision key is the column index,
         # so pressure is a function of the column width alone — compute
         # each width once and share it across schemes and tiers.
@@ -372,32 +355,6 @@ def check_aliasing(
                     f"split ({best_point}) keeps "
                     f"{best.harmful_weight_share:.0%} harmful"
                 )
-                if fix and severity == "warning":
-                    if estimator_weights is None:
-                        estimator_weights = branch_weights_from_program(
-                            program
-                        )
-                    suggested = smallest_sufficient_budget(
-                        scheme,
-                        estimator_weights,
-                        start_bits=n + 1,
-                        bht_entries=(
-                            bht_entries if _supports_bht(scheme) else None
-                        ),
-                        bht_assoc=bht_assoc,
-                    )
-                    data["suggested_budget_bits"] = suggested
-                    if suggested is not None:
-                        why += (
-                            f"; fix: 2^{suggested} counters is the "
-                            "smallest budget whose predicted residual "
-                            "clears the warning threshold"
-                        )
-                    else:
-                        why += (
-                            "; fix: no budget in range is predicted to "
-                            "dealias this workload"
-                        )
                 findings.append(
                     Finding(
                         check="alias.pressure",

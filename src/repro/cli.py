@@ -115,12 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "configs",
             "aliasing",
             "code",
-            "dealias",
             "all",
         ),
         metavar="pass",
-        help="which pass to run: configs, aliasing, code, dealias, "
-        "or all (default; dealias is opt-in and not part of all)",
+        help="which pass to run: configs, aliasing, code, or all "
+        "(default)",
     )
     check.add_argument(
         "--json",
@@ -182,37 +181,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fix",
         action="store_true",
         help="configs pass: attach the nearest sound (c, r) split to "
-        "budget-mismatch findings; aliasing pass: attach the smallest "
-        "budget whose predicted residual clears the warning threshold",
-    )
-    check.add_argument(
-        "--validate",
-        action="store_true",
-        help="dealias pass: simulate the Figure-9 micro workloads and "
-        "assert the static estimate ranks splits as the engine does",
-    )
-    check.add_argument(
-        "--micro",
-        action="append",
-        dest="micros",
-        metavar="NAME",
-        help="dealias --validate: micro workload to validate against "
-        "(repeatable; default: all built-in validation micros)",
+        "budget-mismatch findings",
     )
     check.add_argument(
         "--bht-entries",
         type=int,
         default=None,
         metavar="N",
-        help="first-level table entries for the aliasing/dealias "
-        "passes (PA/set families; default: perfect histories)",
+        help="first-level table entries for the aliasing pass "
+        "(PA/set families; default: perfect histories)",
     )
     check.add_argument(
         "--bht-assoc",
         type=int,
         default=4,
         metavar="W",
-        help="first-level associativity for the aliasing/dealias passes",
+        help="first-level associativity for the aliasing pass",
     )
     _add_obs_options(check)
 
@@ -592,8 +576,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             size_bits=tuple(args.sizes) if args.sizes else None,
             seed=args.seed,
             fix=args.fix,
-            validate=args.validate,
-            micros=args.micros,
             bht_entries=args.bht_entries,
             bht_assoc=args.bht_assoc,
         )

@@ -8,7 +8,7 @@ the second-level table buys far less than it does for global schemes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 from repro.experiments.base import FOCUS, ExperimentOptions, ExperimentResult
 from repro.experiments.surface_common import surface_experiment
@@ -23,40 +23,3 @@ def run(options: Optional[ExperimentOptions] = None) -> ExperimentResult:
         options=options,
     )
 
-
-def dealias_delta_surface(
-    scheme: str,
-    trace,
-    size_bits: Iterable[int],
-    bht_entries: Optional[int] = None,
-    bht_assoc: int = 4,
-) -> Dict[int, List[Tuple[int, int, float]]]:
-    """Simulated dealiasing-benefit deltas over the Figure-9 tier grid.
-
-    For every ``(c, r)`` split of every tier, runs the real engine
-    twice — the shared second-level table and the private-per-branch
-    counterfactual (:func:`repro.aliasing.dealias_delta`) — and reports
-    ``misprediction(shared) - misprediction(private)`` per point.
-
-    This is the engine-side half of ``repro check dealias --validate``:
-    the static estimator (:mod:`repro.check.estimator`) predicts these
-    deltas from the branch layout alone, and the validation harness
-    asserts the two rank the splits of a tier the same way.
-    """
-    from repro.aliasing.instrumentation import dealias_delta
-    from repro.sim.sweep import spec_for_point
-
-    surface: Dict[int, List[Tuple[int, int, float]]] = {}
-    for n in size_bits:
-        points: List[Tuple[int, int, float]] = []
-        for row_bits in range(n + 1):
-            spec = spec_for_point(
-                scheme,
-                col_bits=n - row_bits,
-                row_bits=row_bits,
-                bht_entries=bht_entries,
-                bht_assoc=bht_assoc,
-            )
-            points.append((n - row_bits, row_bits, dealias_delta(spec, trace)))
-        surface[n] = points
-    return surface

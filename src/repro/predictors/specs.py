@@ -278,110 +278,6 @@ ROW_SOURCES = {
 }
 
 
-# ----------------------------------------------------------------------
-# Class-weight helpers (static dealiasing-benefit estimation)
-# ----------------------------------------------------------------------
-# Closed-form building blocks for :mod:`repro.check.estimator`: given
-# per-branch dynamic direction weights, what does a shared counter's
-# access stream look like?  They live here — next to the index API —
-# because they are pure functions of the same spec geometry, and the
-# estimator must provably use the row widths the engines index with.
-
-
-def counter_stationary_misprediction(
-    taken_rate: float, counter_bits: int = 2
-) -> float:
-    """Steady-state misprediction rate of one saturating counter fed an
-    iid Bernoulli(``taken_rate``) outcome stream.
-
-    The counter is a birth-death chain over ``2^counter_bits`` states
-    (up on taken, down on not-taken, saturating ends); detailed balance
-    gives the stationary distribution ``pi_s ~ r^s`` with
-    ``r = p / (1 - p)``, and the counter predicts taken in the upper
-    half of the state space. The rate is symmetric in ``p <-> 1 - p``,
-    slightly above ``min(p, 1 - p)`` (the counter keeps re-crossing the
-    threshold), and exactly 0.5 at ``p = 0.5``.
-    """
-    if not 0.0 <= taken_rate <= 1.0:
-        raise ConfigurationError(
-            f"taken_rate must be within [0, 1], got {taken_rate}"
-        )
-    check_positive_int(counter_bits, "counter_bits")
-    result = counter_stationary_misprediction_array(
-        np.asarray([taken_rate], dtype=np.float64), counter_bits
-    )
-    return float(result[0])
-
-
-def counter_stationary_misprediction_array(
-    taken_rates: np.ndarray, counter_bits: int = 2
-) -> np.ndarray:
-    """Vectorized :func:`counter_stationary_misprediction`."""
-    p = np.asarray(taken_rates, dtype=np.float64)
-    # Symmetric in p <-> 1-p: fold onto [0, 0.5] so the geometric ratio
-    # r = m/(1-m) stays <= 1 and the power sums are numerically tame.
-    minority = np.minimum(p, 1.0 - p)
-    ratio = minority / np.maximum(1.0 - minority, 1e-300)
-    states = 1 << counter_bits
-    powers = ratio[..., None] ** np.arange(states, dtype=np.float64)
-    total = powers.sum(axis=-1)
-    # Counting states from the not-taken end, the minority (taken)
-    # direction is predicted in the upper half of the state space.
-    upper = powers[..., states // 2 :].sum(axis=-1)
-    lower = total - upper
-    mispredict = (lower * minority + upper * (1.0 - minority)) / total
-    return np.asarray(mispredict, dtype=np.float64)
-
-
-def history_row_distribution(
-    row_bits: int, bit_taken_rate: float
-) -> np.ndarray:
-    """Stationary row-occupancy distribution of a history register.
-
-    Models each of the ``row_bits`` history bits as an independent
-    Bernoulli(``bit_taken_rate``) draw — exact for iid-outcome branches
-    feeding a per-address register, and the mixing approximation for a
-    global register fed by a randomly interleaved branch population.
-    Returns a length-``2^row_bits`` vector: ``P(register == row)``.
-    """
-    if not 0.0 <= bit_taken_rate <= 1.0:
-        raise ConfigurationError(
-            f"bit_taken_rate must be within [0, 1], got {bit_taken_rate}"
-        )
-    if row_bits < 0:
-        raise ConfigurationError(
-            f"row_bits must be >= 0, got {row_bits}"
-        )
-    rows = 1 << row_bits
-    values = np.arange(rows, dtype=np.int64)
-    ones = np.zeros(rows, dtype=np.int64)
-    for bit in range(row_bits):
-        ones += (values >> bit) & 1
-    distribution = (bit_taken_rate**ones) * (
-        (1.0 - bit_taken_rate) ** (row_bits - ones)
-    )
-    return np.asarray(distribution, dtype=np.float64)
-
-
-def xor_permuted_distribution(
-    distribution: np.ndarray, constant: int
-) -> np.ndarray:
-    """Row distribution after XOR-ing the register with ``constant``.
-
-    This is gshare's per-branch view: the shared register distribution
-    permuted by the branch's own PC bits (``P'[v] = P[v ^ k]``); the
-    permutation is what spreads same-column branches across rows.
-    """
-    rows = len(distribution)
-    if rows & (rows - 1):
-        raise ConfigurationError(
-            f"distribution length must be a power of two, got {rows}"
-        )
-    mask = rows - 1
-    values = np.arange(rows, dtype=np.int64) ^ (int(constant) & mask)
-    return np.asarray(distribution, dtype=np.float64)[values]
-
-
 def word_index(pc: IntOrArray) -> IntOrArray:
     """Word-aligned PC: the address bits every table index derives from."""
     if isinstance(pc, np.ndarray):

@@ -145,15 +145,15 @@ def interference_field_trace(
     name: str = "micro-interference-field",
 ) -> BranchTrace:
     """A field of steady branches with mixed directions, randomly
-    interleaved: the dealiasing-estimator validation workload.
+    interleaved: the stress case for :func:`repro.aliasing.dealias_delta`.
 
     Branch ``i`` sits at consecutive word addresses (``base_pc + 4*i``)
     so column splits peel the field apart predictably; a seeded random
     subset of ``round(branches * taken_fraction)`` branches is steadily
     taken (rate ``taken_probability``), the rest steadily not-taken
     (rate ``1 - taken_probability``). Accesses draw branches uniformly
-    at random, which is what makes shared counters see well-mixed
-    streams — the regime the analytic estimator models.
+    at random, so shared counters see well-mixed streams and aliasing
+    between opposite-direction branches is destructive.
     """
     if branches < 2 or length < branches:
         raise WorkloadError("need branches >= 2 and length >= branches")

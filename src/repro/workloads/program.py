@@ -132,42 +132,6 @@ class Program:
         )
 
 
-def branch_direction_weights(
-    program: Program,
-) -> List[Tuple[int, float, float]]:
-    """Per-branch ``(pc, weight, expected_taken_rate)`` export.
-
-    The static view of the program's dynamic direction profile, for
-    consumers (the dealiasing estimator via
-    :func:`repro.aliasing.weights.branch_weights_from_program`) that
-    need direction *masses* rather than the coarse steady-direction
-    classification of :mod:`repro.check.static_alias`:
-
-    * body branches report their behaviour's long-run taken rate
-      (:meth:`repro.workloads.behaviors.Behavior.expected_taken_rate`);
-    * back-edges, which carry no behaviour object, are taken on every
-      loop iteration but the last: rate ``(trips - 1) / trips`` at the
-      routine's characteristic trip count;
-    * weights are the calibration weights normalized to sum to 1.
-    """
-    rows: List[Tuple[int, float, float]] = []
-    for routine in program.routines:
-        trips = routine.fixed_trips
-        backedge_rate = (trips - 1) / trips
-        for branch in routine.branches:
-            if branch.behavior is None:
-                rate = backedge_rate
-            else:
-                rate = float(branch.behavior.expected_taken_rate())
-            rows.append((branch.pc, branch.weight, rate))
-    total = sum(weight for _, weight, _ in rows)
-    if total <= 0.0:
-        raise WorkloadError(
-            f"program {program.name!r} has no dynamic branch weight"
-        )
-    return [(pc, weight / total, rate) for pc, weight, rate in rows]
-
-
 # ----------------------------------------------------------------------
 # Behaviour class assignment
 # ----------------------------------------------------------------------

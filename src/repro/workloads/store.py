@@ -7,14 +7,10 @@ directory, generating on first request and loading thereafter —
 exactly the role the original trace tapes played for the paper's
 authors.
 
-The store doubles as the service layer other subsystems share:
-
-* ``TraceStore.from_env()`` returns a store rooted at
-  ``$REPRO_TRACE_STORE`` (or ``None`` when the variable is unset), so
-  experiments and ``check dealias --validate`` opt into caching by
-  environment without code changes at every call site;
-* :meth:`TraceStore.get_or_create` caches arbitrary trace factories
-  (the estimator's validation micros) under a caller-chosen key.
+``TraceStore.from_env()`` returns a store rooted at
+``$REPRO_TRACE_STORE`` (or ``None`` when the variable is unset), so
+experiments opt into caching by environment without code changes at
+every call site; :meth:`TraceStore.get` is the one way in.
 
 Every load that skips generation counts ``store.hits``; every request
 that had to generate counts ``store.misses``.
@@ -23,7 +19,7 @@ that had to generate counts ``store.misses``.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.obs.metrics import counter
 from repro.traces.io import load_trace, save_trace
@@ -32,13 +28,6 @@ from repro.workloads.registry import make_workload
 
 #: Directory used when none is given; overridable via environment.
 DEFAULT_STORE_ENV = "REPRO_TRACE_STORE"
-
-
-def _safe_key(key: str) -> str:
-    """A filename-safe rendering of a caller-chosen cache key."""
-    return "".join(
-        ch if ch.isalnum() or ch in "-_." else "_" for ch in key
-    )
 
 
 class TraceStore:
@@ -56,9 +45,9 @@ class TraceStore:
         """The store named by ``$REPRO_TRACE_STORE``, or None when unset.
 
         The explicit-opt-in shape: callers that *can* use a store (the
-        serial sweep runner, ``check dealias --validate``) consult this
-        and fall back to plain generation when the operator has not
-        pointed the environment at a cache directory.
+        experiments' trace builder) consult this and fall back to plain
+        generation when the operator has not pointed the environment at
+        a cache directory.
         """
         directory = os.environ.get(DEFAULT_STORE_ENV)
         if not directory:
@@ -94,28 +83,6 @@ class TraceStore:
             trace_seed=trace_seed,
             cache=False,
         )
-        os.makedirs(self.directory, exist_ok=True)
-        save_trace(trace, path)
-        return trace
-
-    def get_or_create(
-        self, key: str, factory: Callable[[], BranchTrace]
-    ) -> BranchTrace:
-        """Load the trace cached under ``key``, else build and save it.
-
-        ``key`` is caller-chosen and must capture everything the
-        factory's output depends on (name, length, seeds) — the store
-        never re-derives it. Saved traces round-trip name and arrays
-        exactly, so a cached load is simulation-identical to a fresh
-        ``factory()`` call.
-        """
-        path = os.path.join(self.directory, _safe_key(key) + ".npz")
-        if os.path.exists(path):
-            counter("store.hits").inc()
-            self._touch(path)
-            return load_trace(path)
-        counter("store.misses").inc()
-        trace = factory()
         os.makedirs(self.directory, exist_ok=True)
         save_trace(trace, path)
         return trace

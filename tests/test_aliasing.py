@@ -9,12 +9,21 @@ from repro.aliasing import (
     all_ones_conflict_share,
     classify_conflicts,
     conflict_mask,
+    dealias_delta,
+    interference_free_predictions,
     sweep_aliasing,
 )
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import make_predictor_spec
+from repro.predictors.specs import PredictorSpec
+from repro.sim.engine import simulate
+from repro.sim.sweep import spec_for_point
 from repro.traces import BranchTrace
 from repro.workloads import make_workload
+from repro.workloads.micro import (
+    biased_field_trace,
+    interference_field_trace,
+)
 
 
 def trace_of(records, name="t"):
@@ -197,3 +206,32 @@ class TestSweepAndReport:
         )
         assert "aliasing" in text
         assert "bimodal" in text
+
+
+class TestSimulatedDealiasDelta:
+    def test_private_tables_change_aliased_predictions(self):
+        trace = interference_field_trace(branches=16, length=4000)
+        spec = PredictorSpec(scheme="bimodal", cols=4)  # 4x oversubscribed
+        shared_differs = interference_free_predictions(spec, trace)
+        assert dealias_delta(spec, trace) > 0.1
+        assert shared_differs.shape == (len(trace),)
+
+    def test_singleton_classes_have_zero_delta(self):
+        # Every branch in its own column: private tables are identical
+        # to the shared one, access for access.
+        trace = biased_field_trace(branches=8, executions_each=100)
+        spec = PredictorSpec(scheme="bimodal", cols=8)
+        assert dealias_delta(spec, trace) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["gas", "gshare", "pas"])
+    def test_shared_half_is_the_simulated_predictor(self, scheme):
+        # delta = (shared - private) / T, so adding the private misses
+        # back must recover exactly what the engine counts for spec.
+        trace = make_workload("mpeg_play", length=6000, seed=0)
+        spec = spec_for_point(scheme, col_bits=2, row_bits=5)
+        private = interference_free_predictions(spec, trace)
+        private_misses = int(np.count_nonzero(private != trace.taken))
+        shared_misses = round(dealias_delta(spec, trace) * len(trace))
+        assert shared_misses + private_misses == (
+            simulate(spec, trace).mispredictions
+        )

@@ -70,6 +70,20 @@ class TestRun:
         assert suites.count("ibs-ultrix") == 8
         assert "real_quicksort" not in out
 
+    def test_run_table1_accepts_real_benchmark(self, capsys):
+        code = main(
+            ["run", "table1", "--length", "2000",
+             "--benchmark", "real_quicksort"]
+        )
+        assert code == 0
+        (row,) = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("real_quicksort")
+        ]
+        # No paper row: suite "real", both paper-reference columns "-".
+        assert row[1] == "real"
+        assert row[6] == row[8] == "-"
+
     def test_run_writes_nothing_under_home(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -332,11 +346,15 @@ class TestResilience:
             ["obs", "diff", "a", "b"],
             ["obs", "regress"],
             ["obs", "export-prom", "x"],
+            ["check", "dealias"],
+            ["check", "--validate"],
+            ["check", "--micro", "mixed-field"],
         ],
         ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
              "store-verify", "profile", "trace-out-format",
              "summarize-phases", "chaos", "obs-history", "obs-diff",
-             "obs-regress", "obs-export-prom"],
+             "obs-regress", "obs-export-prom", "check-dealias",
+             "check-validate", "check-micro"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,8 +6,7 @@ order — while surviving worker errors and deaths and a parent SIGINT,
 each forced by substituting a function the forked workers inherit.
 The parent is the only process that writes finished
 points, so a SIGKILLed run resumes from the result artifacts it left,
-and its workers never outlive it. The trace store and estimator-driven
-aliasing repair are covered here too.
+and its workers never outlive it. The trace store is covered here too.
 """
 
 import glob
@@ -291,19 +290,6 @@ class TestTraceStore:
         assert counters["store.hits"] == 1
         assert list(first.taken) == list(second.taken)
 
-    def test_get_or_create_caches_by_key(self, tmp_path):
-        store = TraceStore(str(tmp_path))
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return make_workload("compress", length=1_000, seed=5)
-
-        first = store.get_or_create("micro-x", factory)
-        second = store.get_or_create("micro-x", factory)
-        assert calls == [1]
-        assert list(first.taken) == list(second.taken)
-
     def test_experiment_trace_goes_through_store(
         self, tmp_path, monkeypatch
     ):
@@ -317,65 +303,13 @@ class TestTraceStore:
         assert counters["store.misses"] == 1
         assert counters["store.hits"] == 1
 
-    def test_validate_dealias_goes_through_store(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.check.estimator as estimator
-
-        monkeypatch.setattr(
-            estimator, "VALIDATION_TRACE_LENGTH", 2_000
-        )
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
-        estimator.validate_dealias(
-            micros=["mixed-field"], schemes=["gshare"], size_bits=[5]
-        )
-        assert snapshot()["counters"]["store.misses"] == 1
-        assert list(tmp_path.glob("micro-mixed-field-L2000.npz"))
-        estimator.validate_dealias(
-            micros=["mixed-field"], schemes=["gshare"], size_bits=[5]
-        )
-        assert snapshot()["counters"]["store.hits"] == 1
-
-
 class TestAliasingFix:
-    def test_warning_carries_suggested_budget(self):
-        findings = check_aliasing(
-            benchmarks=["compress"], schemes=["gshare"],
-            size_bits=[4], fix=True,
-        )
-        warnings = [
-            f for f in findings
-            if f.check == "alias.pressure" and f.severity == "warning"
-        ]
-        assert warnings
-        for finding in warnings:
-            suggested = finding.data["suggested_budget_bits"]
-            assert suggested is not None and suggested > 4
-            assert "fix:" in finding.why
-
     def test_without_fix_no_suggestion(self):
         findings = check_aliasing(
             benchmarks=["compress"], schemes=["gshare"], size_bits=[4]
         )
         assert all(
             "suggested_budget_bits" not in f.data for f in findings
-        )
-
-    def test_smallest_sufficient_budget_bounds(self):
-        from repro.aliasing.weights import branch_weights_from_program
-        from repro.check.estimator import smallest_sufficient_budget
-        from repro.workloads.profiles import get_profile
-        from repro.workloads.program import build_program
-
-        program = build_program(get_profile("compress"), seed=0)
-        weights = branch_weights_from_program(program)
-        budget = smallest_sufficient_budget("gshare", weights, 5)
-        assert budget is not None and budget >= 5
-        assert (
-            smallest_sufficient_budget(
-                "gshare", weights, 5, max_bits=budget - 1
-            )
-            is None
         )
 
 
