@@ -47,7 +47,6 @@ import numpy as np
 from repro.cfg.bytecode import (
     BranchSite,
     ControlFlowGraph,
-    code_key,
     extract_cfg,
     get_monitoring,
     iter_code_objects,

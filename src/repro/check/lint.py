@@ -12,8 +12,9 @@ this codebase relies on:
   (:data:`TRIP_COUNT_NAMES`, int literals, and arithmetic over them)
   or a literal tuple/list. Anything else — iterating a trace, an
   array, ``range(len(...))``, ``range(n)`` for an arbitrary ``n`` —
-  scales with accesses and is flagged; the one documented exception
-  (the first-level LRU) carries an allow marker.
+  scales with accesses and is flagged. Sequential per-access state
+  (the counter table, the first-level LRU) lives in C
+  (``sim/kernels.c``), so the hot files carry no allow marker.
 * ``code.metric-name`` — every literal instrument name passed to
   ``counter()``/``gauge()``/``histogram()`` must be pre-declared in
   :data:`repro.obs.metrics.WELL_KNOWN`, keeping snapshots schema-stable.

@@ -203,6 +203,7 @@ WELL_KNOWN = {
         "doctor.repairs",          # artifacts repaired by `repro doctor`
         "store.evictions",         # trace-store files removed by gc/LRU
         "sim.cpu_s",               # engine seconds summed across processes
+        "sim.native_calls",        # kernel calls run in C (0: no compiler)
         "analyze.functions",       # code objects decomposed into CFGs
         "analyze.cfg.blocks",      # basic blocks across extracted CFGs
         "analyze.cfg.edges",       # CFG edges across extracted CFGs

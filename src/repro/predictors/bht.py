@@ -12,7 +12,9 @@ taken or all not taken branches."
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.bits import mask
@@ -42,6 +44,20 @@ def reset_history(history_bits: int) -> int:
     return RESET_PATTERN >> (RESET_PATTERN_BITS - history_bits)
 
 
+def check_bht_geometry(entries: int, assoc: int) -> None:
+    """Raise unless ``entries`` splits into ``assoc``-way sets."""
+    check_power_of_two(entries, "BHT entries")
+    check_positive_int(assoc, "BHT associativity")
+    if assoc > entries:
+        raise ConfigurationError(
+            f"associativity {assoc} exceeds entry count {entries}"
+        )
+    if entries % assoc != 0:
+        raise ConfigurationError(
+            f"entries ({entries}) must be a multiple of assoc ({assoc})"
+        )
+
+
 class BranchHistoryTable:
     """Tagged set-associative table of per-branch history registers.
 
@@ -51,17 +67,8 @@ class BranchHistoryTable:
     """
 
     def __init__(self, entries: int, assoc: int, history_bits: int):
-        check_power_of_two(entries, "BHT entries")
-        check_positive_int(assoc, "BHT associativity")
+        check_bht_geometry(entries, assoc)
         check_positive_int(history_bits, "history_bits")
-        if assoc > entries:
-            raise ConfigurationError(
-                f"associativity {assoc} exceeds entry count {entries}"
-            )
-        if entries % assoc != 0:
-            raise ConfigurationError(
-                f"entries ({entries}) must be a multiple of assoc ({assoc})"
-            )
         self.entries = entries
         self.assoc = assoc
         self.history_bits = history_bits
@@ -98,6 +105,12 @@ class BranchHistoryTable:
             ways.pop()
         ways.insert(0, (tag, self._reset_value))
         return self._reset_value, False
+
+    def miss_stream(self, pcs: Sequence[int]) -> np.ndarray:
+        """Whether each lookup of ``pcs``, made in order, missed."""
+        return np.fromiter(
+            (not self.lookup(pc)[1] for pc in pcs), dtype=bool, count=len(pcs)
+        )
 
     def record(self, pc: int, taken: bool) -> None:
         """Shift the resolved outcome into the branch's history.

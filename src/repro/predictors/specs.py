@@ -281,7 +281,9 @@ ROW_SOURCES = {
 def word_index(pc: IntOrArray) -> IntOrArray:
     """Word-aligned PC: the address bits every table index derives from."""
     if isinstance(pc, np.ndarray):
-        return (pc >> np.uint64(2)).astype(np.int64)
+        # After the shift the top bits are clear, so the int64 view
+        # holds the same values without a second copy.
+        return (pc >> np.uint64(2)).view(np.int64)
     return int(pc) >> 2
 
 
@@ -304,7 +306,10 @@ def counter_index(
             f"{spec.scheme!r} is not a row-major scheme; its counter "
             "coordinates are per-address"
         )
-    return (row & (spec.rows - 1)) * spec.cols + column_index(spec, word)
+    flat = row & (spec.rows - 1)
+    flat *= spec.cols  # in place on arrays: one temporary, not three
+    flat += column_index(spec, word)
+    return flat
 
 
 def max_counter_index(spec: PredictorSpec) -> int:

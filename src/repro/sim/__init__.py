@@ -4,11 +4,11 @@ Two engines with identical semantics:
 
 * :mod:`repro.sim.reference` — a scalar loop driving the predictor
   objects from :mod:`repro.predictors`; obviously correct, slow.
-* :mod:`repro.sim.vectorized` — numpy engines built on the segmented
-  automaton scan (:mod:`repro.sim.fsm_scan`): the paper simulated
+* :mod:`repro.sim.vectorized` — numpy index streams feeding the
+  counter kernel (:mod:`repro.sim.fsm_scan`), one sequential C pass
+  per configuration (:mod:`repro.sim.native`): the paper simulated
   hundreds of millions of branches per configuration, and the
-  configuration sweeps of Figures 4-10 multiply that by ~80 shapes;
-  the vectorized path is what makes that feasible in Python.
+  configuration sweeps of Figures 4-10 multiply that by ~80 shapes.
 
 ``simulate`` picks the vectorized engine when one exists for the spec
 and falls back to the reference loop otherwise; tests in

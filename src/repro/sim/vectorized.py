@@ -6,15 +6,17 @@ Every engine here follows the same two-phase plan:
    dynamic branch accesses (this is possible because every row-selection
    box in the paper is a function of the outcome/target stream and the
    PC stream, never of predictor state);
-2. hand the ``(index, outcome)`` stream to the segmented automaton scan
-   (:func:`repro.sim.fsm_scan.segmented_counter_predictions`) to obtain
-   the per-access predictions.
+2. hand the ``(index, outcome)`` stream to the counter kernel
+   (:func:`repro.sim.fsm_scan.segmented_counter_predictions`), one
+   sequential C pass, to obtain the per-access predictions.
 
 The per-address engines additionally need the first-level table's
-hit/miss stream; that is the one genuinely stateful component (LRU), so
-it is simulated with a Python loop over accesses — but it only depends
-on (trace, entries, assoc), not on the second-level shape, so one pass
-is shared by an entire Figure-10 surface via a small cache.
+hit/miss stream. That LRU is genuinely stateful, so it runs in the same
+C library (:mod:`repro.sim.native`), or, without a compiler, through
+the scalar :class:`repro.predictors.bht.BranchHistoryTable` the
+reference engine uses. It depends only on (trace, entries, assoc), not
+on the second-level shape, so one pass is shared by an entire Figure-10
+surface via a small cache.
 
 Equivalence with the scalar reference engine is asserted
 prediction-by-prediction in ``tests/test_sim_equivalence.py``.
@@ -28,8 +30,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, TraceError
+from repro.obs.metrics import counter
 from repro.obs.spans import span
-from repro.predictors.bht import reset_history
+from repro.predictors.bht import (
+    BranchHistoryTable,
+    check_bht_geometry,
+    reset_history,
+)
 from repro.predictors.counters import counter_init_state, counter_outputs
 from repro.predictors.specs import (
     PredictorSpec,
@@ -37,7 +44,7 @@ from repro.predictors.specs import (
     counter_index,
     word_index,
 )
-from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
+from repro.sim.fsm_scan import run_automaton, segmented_counter_predictions
 from repro.sim.results import SimulationResult
 from repro.traces.trace import BranchTrace
 
@@ -84,9 +91,20 @@ def global_history_stream(taken: np.ndarray, bits: int) -> np.ndarray:
     """``gh[t]`` = directions of the last ``bits`` branches before t,
     newest outcome in bit 0 (the scalar register's convention)."""
     gh = np.zeros(len(taken), dtype=np.int64)
-    taken64 = taken.astype(np.int64)
-    for age in range(1, bits + 1):
-        gh[age:] |= taken64[:-age] << (age - 1)
+    if bits < 1 or len(taken) < 2:
+        return gh
+    gh[1:] = taken[:-1]
+    # Doubling: a width-w register ORed with itself w branches earlier,
+    # shifted up w bits, is the width-2w register. log2(bits) passes,
+    # in place, instead of one pass (and one temporary) per bit.
+    older = np.empty_like(gh)
+    width = 1
+    while width < bits:
+        np.left_shift(gh[:-width], width, out=older[:-width])
+        gh[width:] |= older[:-width]
+        width *= 2
+    if width > bits:
+        gh &= (1 << bits) - 1
     return gh
 
 
@@ -184,37 +202,29 @@ def bht_miss_stream(
     Independent of history length and of the second-level shape, so the
     result is cached: a whole PAs surface shares one pass.
     """
-    if entries % assoc != 0:
-        raise ConfigurationError(
-            f"entries ({entries}) must be a multiple of assoc ({assoc})"
-        )
+    check_bht_geometry(entries, assoc)
     key = (_trace_fingerprint(trace), len(trace), entries, assoc)
     cached = _BHT_CACHE.get(key)
     if cached is not None:
         return cached
 
-    num_sets = entries // assoc
-    words = (trace.pc >> np.uint64(2)).astype(np.int64)
-    set_ids = (words % num_sets).tolist()
-    tags = (words // num_sets).tolist()
-    miss = np.empty(len(trace), dtype=bool)
-    sets = [[] for _ in range(num_sets)]
-    # LRU recency is genuinely sequential state; this is the one
-    # documented per-access loop, and its result is cached per trace.
-    for i in range(len(trace)):  # check: allow(hot-loop)
-        ways = sets[set_ids[i]]
-        tag = tags[i]
-        try:
-            position = ways.index(tag)
-        except ValueError:
-            miss[i] = True
-            if len(ways) >= assoc:
-                ways.pop()
-            ways.insert(0, tag)
-        else:
-            miss[i] = False
-            if position:
-                ways.insert(0, ways.pop(position))
+    from repro.sim import native  # first use only, as in fsm_scan
+
+    lib = native.library()
+    if lib is None:
+        table = BranchHistoryTable(entries, assoc, history_bits=1)
+        miss = table.miss_stream(trace.pc.tolist())
+    else:
+        num_sets = entries // assoc
+        pc = np.ascontiguousarray(trace.pc, dtype=np.uint64)
+        ways = np.zeros(entries, dtype=np.uint64)
+        fill = np.zeros(num_sets, dtype=np.int64)
+        miss = np.empty(len(pc), dtype=bool)
+        lib.repro_lru(
+            pc.ctypes.data, len(pc), num_sets, assoc,
+            ways.ctypes.data, fill.ctypes.data, miss.ctypes.data,
+        )
+        counter("sim.native_calls").inc()
 
     if len(_BHT_CACHE) >= _BHT_CACHE_LIMIT:
         _BHT_CACHE.pop(next(iter(_BHT_CACHE)))
@@ -450,14 +460,11 @@ def _tournament_predictions(
     chooser_index = words & (spec.chooser_rows - 1)
     inputs = a_correct.astype(np.uint8) + 2 * b_correct.astype(np.uint8)
 
-    order = np.argsort(chooser_index, kind="stable")
-    states_before = scan_automaton(
-        transitions=transitions,
-        inputs=inputs[order],
-        segment_ids=chooser_index[order],
-        init_state=counter_init_state(nbits),
+    chooser_state = np.full(
+        spec.chooser_rows, counter_init_state(nbits), dtype=np.uint8
     )
-    outputs = counter_outputs(nbits)
-    use_b = np.empty(len(trace), dtype=bool)
-    use_b[order] = outputs[states_before]
+    states_before = run_automaton(
+        transitions, inputs, chooser_index, chooser_state
+    )
+    use_b = counter_outputs(nbits)[states_before]
     return np.where(use_b, pred_b, pred_a)

@@ -2,6 +2,7 @@
 
 An operator's ``$REPRO_RESULT_STORE`` must never leak into a test: a
 run would serve its points from (and write them to) that shared store.
+Likewise the native kernels build into a cache of the session's own.
 
 The fault fixtures below fail the real code by substituting one
 function: a crashing engine, a real SIGINT sent from inside a point.
@@ -13,6 +14,19 @@ import signal
 import time
 
 import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _private_build_cache(tmp_path_factory):
+    """Build the native kernels into a per-session cache, never into
+    the developer's ``~/.cache``."""
+    saved = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    yield
+    if saved is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
 
 
 @pytest.fixture(autouse=True)

@@ -14,7 +14,6 @@ from repro.pipeline import (
 from repro.predictors import make_predictor_spec
 from repro.sim import simulate
 from repro.sim.results import SimulationResult
-from repro.traces import BranchTrace
 from repro.workloads import make_workload
 from repro.workloads.micro import biased_field_trace, loop_trace
 

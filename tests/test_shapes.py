@@ -7,7 +7,6 @@ is a calibrated synthetic model, see DESIGN.md section 2).
 
 import pytest
 
-from repro.analysis.best_config import crossover_size
 from repro.experiments import ExperimentOptions, run_experiment
 
 #: Shared moderate-length options; class-scoped fixtures cache results.

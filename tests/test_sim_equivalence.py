@@ -89,6 +89,18 @@ class TestEngineEquivalence:
         slow = simulate_reference(spec, trace)
         assert np.array_equal(fast.predictions, slow.predictions)
 
+    @pytest.mark.parametrize(
+        "spec", SPECS, ids=[s.describe() for s in SPECS]
+    )
+    def test_numpy_fallback_matches_reference(self, spec, monkeypatch):
+        """Without the C kernels (no compiler), the numpy scan and the
+        scalar LRU give the same predictions."""
+        from repro.sim import native, vectorized
+
+        monkeypatch.setattr(native, "library", lambda: None)
+        monkeypatch.setattr(vectorized, "_BHT_CACHE", {})
+        _assert_engines_agree(spec, random_trace(13))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_property_gshare_and_pas_match(self, seed):
@@ -183,3 +195,50 @@ class TestBhtMissStream:
 
         with pytest.raises(ConfigurationError):
             bht_miss_stream(random_trace(1), entries=8, assoc=3)
+
+    @pytest.mark.parametrize(
+        "entries,assoc",
+        [(16, 1), (16, 2), (16, 4), (16, 16), (64, 4), (8, 8), (1, 1)],
+        ids=["1-way", "2-way", "4-way", "fully-assoc-16", "64x4",
+             "fully-assoc-8", "one-entry"],
+    )
+    @pytest.mark.parametrize("engine", ["native", "fallback"])
+    def test_native_and_fallback_match_scalar_table(
+        self, entries, assoc, engine, monkeypatch
+    ):
+        """The C LRU and the no-compiler path (the scalar table itself)
+        equal driving ``BranchHistoryTable.lookup``, on random PCs
+        that overflow every set."""
+        from repro.predictors.bht import BranchHistoryTable
+        from repro.sim import native, vectorized
+
+        if engine == "native" and native.library() is None:
+            pytest.skip("no C compiler")
+        if engine == "fallback":
+            monkeypatch.setattr(native, "library", lambda: None)
+        monkeypatch.setattr(vectorized, "_BHT_CACHE", {})
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            pc = (rng.integers(0, 3 * entries + 5, size=700) * 4
+                  + 0x40_0000_0000).astype(np.uint64)
+            trace = BranchTrace(pc=pc, taken=rng.random(700) < 0.5,
+                                target=pc + np.uint64(8))
+            table = BranchHistoryTable(entries, assoc, history_bits=2)
+            expected = np.array([not table.lookup(int(p))[1] for p in pc])
+            got = bht_miss_stream(trace, entries=entries, assoc=assoc)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "entries,assoc", [(8, 3), (0, 1), (8, 0), (4, 8), (12, 4), (8, -2)]
+    )
+    def test_bad_geometry_never_reaches_c(self, entries, assoc, monkeypatch):
+        from repro.errors import ConfigurationError
+        from repro.sim import native
+
+        class NoC:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} reached C")
+
+        monkeypatch.setattr(native, "library", NoC)
+        with pytest.raises(ConfigurationError):
+            bht_miss_stream(random_trace(5), entries=entries, assoc=assoc)

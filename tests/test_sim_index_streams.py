@@ -72,6 +72,20 @@ class TestGlobalHistoryStream:
         # Before access 3: outcomes [T,F,T] with newest (T) in bit 0.
         assert gh[3] == 0b101
 
+    @given(
+        st.lists(st.booleans(), max_size=80),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_pass_per_bit(self, outcomes, bits):
+        """The doubling construction equals ORing in one outcome per
+        register bit, for every width and length."""
+        taken = np.array(outcomes, dtype=bool)
+        expected = np.zeros(len(taken), dtype=np.int64)
+        for age in range(1, bits + 1):
+            expected[age:] |= taken[:-age].astype(np.int64) << (age - 1)
+        assert np.array_equal(global_history_stream(taken, bits), expected)
+
     def test_bimodal_independent_of_outcomes(self):
         trace = random_trace(5)
         flipped = BranchTrace(
