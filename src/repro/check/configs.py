@@ -40,7 +40,7 @@ from repro.predictors.specs import (
 #: Tier exponents the default verification grid covers (the paper's).
 DEFAULT_SIZE_BITS: Tuple[int, ...] = tuple(range(4, 16))
 
-#: Widest counter automaton the FSM-scan tables are built for.
+#: Widest counter automaton the counter kernel's tables are built for.
 MAX_SANE_COUNTER_BITS = 6
 
 

@@ -14,7 +14,11 @@ this codebase relies on:
   array, ``range(len(...))``, ``range(n)`` for an arbitrary ``n`` —
   scales with accesses and is flagged. Sequential per-access state
   (the counter table, the first-level LRU) lives in C
-  (``sim/kernels.c``), so the hot files carry no allow marker.
+  (``sim/kernels.c``), so the hot files carry no allow marker. The
+  no-compiler twins of those loops sit outside the hot files, beside
+  the scalar models they mirror:
+  :func:`repro.predictors.counters.drive_automata` and
+  :meth:`repro.predictors.bht.BranchHistoryTable.miss_stream`.
 * ``code.metric-name`` — every literal instrument name passed to
   ``counter()``/``gauge()``/``histogram()`` must be pre-declared in
   :data:`repro.obs.metrics.WELL_KNOWN`, keeping snapshots schema-stable.

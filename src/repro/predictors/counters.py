@@ -9,8 +9,12 @@ consistent:
 * :class:`CounterBank` — a numpy-backed array of counters addressed by
   index, used by the scalar reference predictors;
 * :func:`counter_transitions` / :func:`counter_outputs` — the explicit
-  automaton tables consumed by the vectorized segmented scan
+  automaton tables consumed by the counter kernel
   (:mod:`repro.sim.fsm_scan`).
+
+:func:`drive_automata` is that kernel's loop in Python: a statement-for-
+statement twin of ``repro_automaton`` in ``sim/kernels.c``, run when the
+C library cannot be built.
 """
 
 from __future__ import annotations
@@ -135,3 +139,28 @@ class CounterBank:
     def storage_bits(self) -> int:
         """Bits of state this bank implements (for budget comparisons)."""
         return self.size * self.nbits
+
+
+def drive_automata(
+    idx: np.ndarray,
+    inputs: np.ndarray,
+    transitions: np.ndarray,
+    state: np.ndarray,
+    before: np.ndarray,
+) -> None:
+    """Python twin of ``repro_automaton`` (``sim/kernels.c``).
+
+    Access t reads machine ``idx[t]``: its state goes to ``before[t]``,
+    then becomes ``transitions[inputs[t], state]``. ``state`` is the
+    caller's table and is updated in place. Trusts its arguments as the
+    C loop does; :func:`repro.sim.fsm_scan.run_automaton` checks them.
+    """
+    table = transitions.tolist()
+    states = state.tolist()
+    out = [0] * len(idx)
+    for t, (i, symbol) in enumerate(zip(idx.tolist(), inputs.tolist())):
+        s = states[i]
+        out[t] = s
+        states[i] = table[symbol][s]
+    state[:] = states
+    before[:] = out

@@ -6,7 +6,8 @@ Two engines with identical semantics:
   objects from :mod:`repro.predictors`; obviously correct, slow.
 * :mod:`repro.sim.vectorized` — numpy index streams feeding the
   counter kernel (:mod:`repro.sim.fsm_scan`), one sequential C pass
-  per configuration (:mod:`repro.sim.native`): the paper simulated
+  per configuration (:mod:`repro.sim.native`), or, without a
+  compiler, the same loop transcribed into Python: the paper simulated
   hundreds of millions of branches per configuration, and the
   configuration sweeps of Figures 4-10 multiply that by ~80 shapes.
 
@@ -17,9 +18,9 @@ prediction by prediction.
 """
 
 from repro.sim.engine import simulate
-from repro.sim.fsm_scan import scan_automaton, segmented_counter_predictions
+from repro.sim.fsm_scan import segmented_counter_predictions
 from repro.sim.reference import simulate_reference
-from repro.sim.results import SimulationResult, SweepResult, TierSurface
+from repro.sim.results import SimulationResult, TierSurface
 from repro.sim.sweep import sweep_tiers
 from repro.sim.vectorized import has_vectorized_engine, simulate_vectorized
 
@@ -28,10 +29,8 @@ __all__ = [
     "simulate_reference",
     "simulate_vectorized",
     "has_vectorized_engine",
-    "scan_automaton",
     "segmented_counter_predictions",
     "SimulationResult",
-    "SweepResult",
     "TierSurface",
     "sweep_tiers",
 ]

@@ -12,8 +12,10 @@ two processes building at once each install a complete file and neither
 can load a half-written one. A cached file that fails to load is
 rebuilt once. When there is no compiler, or the build or load fails
 again, :func:`library` returns ``None`` for the rest of the process and
-logs one warning; the callers then run their numpy or Python fallback,
-which gives the same results more slowly.
+logs one warning; the callers then run the same loops in Python
+(:func:`repro.predictors.counters.drive_automata`,
+:meth:`repro.predictors.bht.BranchHistoryTable.miss_stream`), which give
+the same results more slowly.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def library() -> Optional[ctypes.CDLL]:
         except Exception as exc:  # any failure means: use the fallback
             _lib = False
             get_logger("repro.sim.native").warning(
-                "native kernels unavailable (%s); using the numpy scan "
-                "and the Python LRU, which are much slower", exc,
+                "native kernels unavailable (%s); using the Python "
+                "counter and LRU loops, which are much slower", exc,
             )
     return _lib if isinstance(_lib, ctypes.CDLL) else None

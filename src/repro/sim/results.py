@@ -120,19 +120,3 @@ class TierSurface:
     @property
     def sizes(self) -> List[int]:
         return sorted(self.tiers)
-
-
-@dataclass
-class SweepResult:
-    """A bundle of surfaces (one per scheme or benchmark)."""
-
-    surfaces: Dict[str, TierSurface] = field(default_factory=dict)
-
-    def add(self, key: str, surface: TierSurface) -> None:
-        self.surfaces[key] = surface
-
-    def __getitem__(self, key: str) -> TierSurface:
-        return self.surfaces[key]
-
-    def keys(self) -> List[str]:
-        return list(self.surfaces)

@@ -8,7 +8,8 @@ Every engine here follows the same two-phase plan:
    PC stream, never of predictor state);
 2. hand the ``(index, outcome)`` stream to the counter kernel
    (:func:`repro.sim.fsm_scan.segmented_counter_predictions`), one
-   sequential C pass, to obtain the per-access predictions.
+   sequential C pass (its Python twin without a compiler), to obtain
+   the per-access predictions.
 
 The per-address engines additionally need the first-level table's
 hit/miss stream. That LRU is genuinely stateful, so it runs in the same

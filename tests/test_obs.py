@@ -9,9 +9,7 @@ from repro.obs import (
     METRICS_SCHEMA,
     ProgressReporter,
     collect,
-    counter,
     get_tracer,
-    histogram,
     render_summary,
     reset_metrics,
     snapshot,

@@ -1,15 +1,9 @@
-"""Tests for the oracle predictors and micro-workloads."""
+"""Tests for the micro-workloads."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TraceError, WorkloadError
-from repro.predictors.oracle import (
-    ORACLE_KINDS,
-    information_bounds,
-    oracle_predictions,
-    oracle_result,
-)
+from repro.errors import WorkloadError
 from repro.workloads.micro import (
     aliasing_pair_trace,
     alternating_trace,
@@ -76,71 +70,3 @@ class TestMicroWorkloads:
     def test_validation(self, factory):
         with pytest.raises(WorkloadError):
             factory()
-
-
-class TestOracles:
-    def test_prophet_is_perfect(self):
-        trace = alternating_trace(50)
-        assert np.array_equal(
-            oracle_predictions("prophet", trace), trace.taken
-        )
-
-    def test_majority_oracle_on_biased_branch(self):
-        trace = biased_field_trace(3, 200, taken_probability=0.9, seed=2)
-        predictions = oracle_predictions("majority", trace)
-        miss = float(np.mean(predictions != trace.taken))
-        # Majority direction misses exactly the minority instances.
-        assert abs(miss - (1 - trace.taken_rate)) < 0.02
-
-    def test_majority_oracle_useless_on_alternation(self):
-        trace = alternating_trace(100)
-        predictions = oracle_predictions("majority", trace)
-        assert float(np.mean(predictions != trace.taken)) == pytest.approx(
-            0.5
-        )
-
-    def test_self_pattern_oracle_nails_patterns(self):
-        trace = pattern_trace([True, True, False, False], repeats=100)
-        predictions = oracle_predictions("self_pattern", trace,
-                                         history_bits=4)
-        tail = slice(8, None)  # skip the reset-prefix warmup
-        assert np.array_equal(
-            predictions[tail], trace.taken[tail]
-        )
-
-    def test_global_oracle_nails_correlation(self):
-        trace = correlated_pair_trace(2_000, noise=0.0, seed=3)
-        predictions = oracle_predictions("global_pattern", trace,
-                                         history_bits=2)
-        b_instances = slice(1, None, 2)
-        miss = float(
-            np.mean(predictions[b_instances] != trace.taken[b_instances])
-        )
-        assert miss < 0.02
-
-    def test_information_bounds_ordering(self):
-        """prophet <= pattern oracles <= majority, by construction."""
-        from repro.workloads import make_workload
-
-        trace = make_workload("espresso", length=8_000, seed=5)
-        bounds = information_bounds(trace, history_bits=8)
-        assert bounds["prophet"] == 0.0
-        assert bounds["global_pattern"] <= bounds["majority"] + 1e-9
-        assert bounds["self_pattern"] <= bounds["majority"] + 1e-9
-        assert set(bounds) == set(ORACLE_KINDS)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            oracle_predictions("clairvoyant", alternating_trace(10))
-
-    def test_empty_trace_rejected(self):
-        from repro.traces import BranchTrace
-
-        with pytest.raises(TraceError):
-            oracle_predictions("majority", BranchTrace.from_records([]))
-
-    def test_oracle_result_wrapper(self):
-        trace = alternating_trace(20)
-        result = oracle_result("prophet", trace)
-        assert result.misprediction_rate == 0.0
-        assert result.engine == "oracle:prophet"

@@ -93,8 +93,8 @@ class TestEngineEquivalence:
         "spec", SPECS, ids=[s.describe() for s in SPECS]
     )
     def test_numpy_fallback_matches_reference(self, spec, monkeypatch):
-        """Without the C kernels (no compiler), the numpy scan and the
-        scalar LRU give the same predictions."""
+        """Without the C kernels (no compiler), the counter loop's Python
+        twin and the scalar LRU give the same predictions."""
         from repro.sim import native, vectorized
 
         monkeypatch.setattr(native, "library", lambda: None)

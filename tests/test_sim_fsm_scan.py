@@ -1,5 +1,5 @@
-"""Tests for the counter kernel: the C loop, its numpy-scan fallback,
-and the scan itself, each against direct per-access execution."""
+"""Tests for the counter kernel: the C loop and its Python twin, each
+against ``CounterBank`` and direct per-access execution."""
 
 import contextlib
 
@@ -12,106 +12,22 @@ from repro.errors import ConfigurationError
 from repro.predictors.counters import (
     CounterBank,
     counter_init_state,
+    counter_threshold,
     counter_transitions,
 )
 from repro.sim import native
-from repro.sim.fsm_scan import (
-    run_automaton,
-    scan_automaton,
-    segmented_counter_predictions,
-    stable_order,
-)
+from repro.sim.fsm_scan import run_automaton, segmented_counter_predictions
 
 
-def sequential_scan(transitions, inputs, segment_ids, init_state):
-    """Direct per-step execution: the semantics the scan must match."""
+def sequential_run(transitions, inputs, idx, init_state):
+    """Direct per-access execution: the semantics both paths must match."""
     states = np.empty(len(inputs), dtype=np.uint8)
     current = {}
-    for i, (symbol, segment) in enumerate(zip(inputs, segment_ids)):
-        state = current.get(segment, init_state)
+    for i, (symbol, machine) in enumerate(zip(inputs, idx)):
+        state = current.get(machine, init_state)
         states[i] = state
-        current[segment] = transitions[symbol, state]
+        current[machine] = transitions[symbol, state]
     return states
-
-
-class TestScanAutomaton:
-    def test_empty(self):
-        out = scan_automaton(
-            counter_transitions(2), np.array([]), np.array([]), 2
-        )
-        assert len(out) == 0
-
-    def test_single_segment_counter(self):
-        transitions = counter_transitions(2)
-        inputs = np.array([1, 1, 0, 0, 0, 1], dtype=np.uint8)
-        segments = np.zeros(6, dtype=np.int64)
-        out = scan_automaton(transitions, inputs, segments, init_state=2)
-        assert list(out) == [2, 3, 3, 2, 1, 0]
-
-    def test_segments_are_independent(self):
-        transitions = counter_transitions(2)
-        inputs = np.array([0, 0, 1, 1], dtype=np.uint8)
-        segments = np.array([0, 0, 1, 1])
-        out = scan_automaton(transitions, inputs, segments, init_state=2)
-        # Segment 1 restarts from the initial state.
-        assert list(out) == [2, 1, 2, 3]
-
-    def test_decreasing_segments_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scan_automaton(
-                counter_transitions(2),
-                np.array([1, 1]),
-                np.array([1, 0]),
-                2,
-            )
-
-    def test_bad_init_state_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scan_automaton(
-                counter_transitions(2), np.array([1]), np.array([0]), 9
-            )
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scan_automaton(
-                counter_transitions(2),
-                np.array([1, 0]),
-                np.array([0]),
-                2,
-            )
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 5), st.booleans()),
-            min_size=1,
-            max_size=300,
-        ),
-        st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_sequential_execution(self, accesses, nbits):
-        """Property: the log-time scan equals direct execution for any
-        access pattern and counter width."""
-        segments = np.array(sorted(a[0] for a in accesses))
-        inputs = np.array([int(a[1]) for a in accesses], dtype=np.uint8)
-        transitions = counter_transitions(nbits)
-        init = counter_init_state(nbits)
-        fast = scan_automaton(transitions, inputs, segments, init)
-        slow = sequential_scan(transitions, inputs, segments, init)
-        assert np.array_equal(fast, slow)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_random_four_input_automaton(self, seed):
-        """The scan works for any automaton, not just counters."""
-        rng = np.random.default_rng(seed)
-        transitions = rng.integers(0, 5, size=(4, 5)).astype(np.uint8)
-        n = int(rng.integers(1, 400))
-        inputs = rng.integers(0, 4, size=n).astype(np.uint8)
-        segments = np.sort(rng.integers(0, 8, size=n))
-        fast = scan_automaton(transitions, inputs, segments, init_state=0)
-        slow = sequential_scan(transitions, inputs, segments, 0)
-        assert np.array_equal(fast, slow)
 
 
 class TestSegmentedCounterPredictions:
@@ -150,8 +66,8 @@ class TestSegmentedCounterPredictions:
 
 
 @contextlib.contextmanager
-def numpy_fallback():
-    """Run the kernel's no-compiler path: the sort plus segmented scan."""
+def python_twin():
+    """Run the kernel's no-compiler path: the C loop's Python twin."""
     saved = native.library
     native.library = lambda: None
     try:
@@ -176,13 +92,11 @@ def bank_predictions(idx, taken, nbits=2):
 
 
 def all_paths(idx, taken, nbits=2):
-    """Predictions from the C kernel and from the numpy fallback."""
+    """Predictions from the C kernel and from its Python twin."""
     fast = segmented_counter_predictions(idx, taken, counter_bits=nbits)
-    with numpy_fallback():
-        scanned = segmented_counter_predictions(
-            idx, taken, counter_bits=nbits
-        )
-    return fast, scanned
+    with python_twin():
+        twin = segmented_counter_predictions(idx, taken, counter_bits=nbits)
+    return fast, twin
 
 
 #: Adversarial streams: (idx, taken) pairs.
@@ -200,16 +114,89 @@ ADVERSARIAL = {
 }
 
 
+class TestPythonTwin:
+    """The no-compiler path on its own: runs on every host."""
+
+    def run(self, transitions, inputs, idx, state):
+        with python_twin():
+            return run_automaton(
+                transitions, np.asarray(inputs, dtype=np.uint8),
+                np.asarray(idx, dtype=np.int64), state,
+            )
+
+    def test_empty(self):
+        state = np.full(3, 2, dtype=np.uint8)
+        out = self.run(counter_transitions(2), [], [], state)
+        assert out.dtype == np.uint8 and len(out) == 0
+        assert list(state) == [2, 2, 2]
+
+    def test_single_counter(self):
+        state = np.full(1, 2, dtype=np.uint8)
+        out = self.run(counter_transitions(2), [1, 1, 0, 0, 0, 1],
+                       [0] * 6, state)
+        assert list(out) == [2, 3, 3, 2, 1, 0]
+        assert list(state) == [1]
+
+    def test_counters_are_independent(self):
+        state = np.full(2, 2, dtype=np.uint8)
+        out = self.run(counter_transitions(2), [0, 0, 1, 1], [0, 0, 1, 1],
+                       state)
+        # Counter 1 starts from its own state, untouched by counter 0.
+        assert list(out) == [2, 1, 2, 3]
+        assert list(state) == [0, 3]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.booleans()),
+            min_size=1,
+            max_size=300,
+        ),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_execution(self, accesses, nbits):
+        idx = [a[0] for a in accesses]
+        inputs = [int(a[1]) for a in accesses]
+        transitions = counter_transitions(nbits)
+        init = counter_init_state(nbits)
+        state = np.full(6, init, dtype=np.uint8)
+        out = self.run(transitions, inputs, idx, state)
+        assert np.array_equal(
+            out, sequential_run(transitions, inputs, idx, init)
+        )
+        assert np.array_equal(
+            out >= counter_threshold(nbits), bank_predictions(idx, inputs, nbits)
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_random_four_input_automaton(self, seed):
+        """Any automaton, not just counters, with its end state kept."""
+        rng = np.random.default_rng(seed)
+        transitions = rng.integers(0, 5, size=(4, 5)).astype(np.uint8)
+        n = int(rng.integers(1, 400))
+        inputs = rng.integers(0, 4, size=n)
+        idx = rng.integers(0, 8, size=n)
+        state = np.zeros(8, dtype=np.uint8)
+        out = self.run(transitions, inputs, idx, state)
+        assert np.array_equal(out, sequential_run(transitions, inputs, idx, 0))
+        end = np.zeros(8, dtype=np.uint8)
+        for symbol, machine in zip(inputs, idx):
+            end[machine] = transitions[symbol, end[machine]]
+        assert np.array_equal(state, end)
+
+
 class TestNativeKernel:
     @pytest.mark.parametrize("nbits", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
     def test_adversarial_streams(self, native_lib, name, nbits):
         idx, taken = ADVERSARIAL[name]
-        fast, scanned = all_paths(idx, taken, nbits)
+        fast, twin = all_paths(idx, taken, nbits)
         expected = bank_predictions(idx, taken, nbits)
         assert fast.dtype == bool and len(fast) == len(idx)
+        assert twin.dtype == bool and len(twin) == len(idx)
         assert np.array_equal(fast, expected)
-        assert np.array_equal(scanned, expected)
+        assert np.array_equal(twin, expected)
 
     @given(
         st.lists(
@@ -221,14 +208,15 @@ class TestNativeKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_counter_bank_and_scan(self, accesses, nbits):
+        """C loop, Python twin and ``CounterBank`` agree."""
         if native.library() is None:
             pytest.skip("no C compiler")
         idx = np.array([a[0] for a in accesses], dtype=np.int64)
         taken = np.array([a[1] for a in accesses], dtype=bool)
-        fast, scanned = all_paths(idx, taken, nbits)
+        fast, twin = all_paths(idx, taken, nbits)
         expected = bank_predictions(idx, taken, nbits)
         assert np.array_equal(fast, expected)
-        assert np.array_equal(scanned, expected)
+        assert np.array_equal(twin, expected)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -247,19 +235,13 @@ class TestNativeKernel:
         idx = rng.integers(0, 8, size=n)
         state = np.full(8, 2, dtype=np.uint8)
         fast = run_automaton(transitions, inputs, idx, state)
-        with numpy_fallback():
-            fallback_state = np.full(8, 2, dtype=np.uint8)
-            scanned = run_automaton(transitions, inputs, idx, fallback_state)
-        order = np.argsort(idx, kind="stable")
-        oracle = np.empty(n, dtype=np.uint8)
-        oracle[order] = scan_automaton(
-            transitions, inputs[order], idx[order], init_state=2
-        )
-        expected = sequential_scan(transitions, inputs, idx, 2)
+        with python_twin():
+            twin_state = np.full(8, 2, dtype=np.uint8)
+            twin = run_automaton(transitions, inputs, idx, twin_state)
+        expected = sequential_run(transitions, inputs, idx, 2)
         assert np.array_equal(fast, expected)
-        assert np.array_equal(scanned, expected)
-        assert np.array_equal(oracle, expected)
-        assert np.array_equal(state, fallback_state)
+        assert np.array_equal(twin, expected)
+        assert np.array_equal(state, twin_state)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -275,7 +257,7 @@ class TestNativeKernel:
         inputs = (rng.random(n) < 0.6).astype(np.uint8)
         transitions = counter_transitions(nbits)
         init = counter_init_state(nbits)
-        for context in (contextlib.nullcontext, numpy_fallback):
+        for context in (contextlib.nullcontext, python_twin):
             with context():
                 whole_state = np.full(12, init, dtype=np.uint8)
                 whole = run_automaton(transitions, inputs, idx, whole_state)
@@ -294,11 +276,11 @@ class TestNativeKernel:
         given a table of ``max + 1`` counters."""
         idx = np.array([0, 1 << 40, 0, 1 << 40, 5, 1 << 40])
         taken = np.array([False, False, False, True, True, False])
-        fast, scanned = all_paths(idx, taken)
+        fast, twin = all_paths(idx, taken)
         expected = bank_predictions(np.unique(idx, return_inverse=True)[1],
                                     taken)
         assert np.array_equal(fast, expected)
-        assert np.array_equal(scanned, expected)
+        assert np.array_equal(twin, expected)
 
 
 class _NoC:
@@ -381,17 +363,3 @@ class TestKernelPreconditions:
             np.zeros(0, np.int64), np.zeros(0, bool)
         )
         assert out.dtype == bool and len(out) == 0
-
-
-class TestStableOrder:
-    @pytest.mark.parametrize("top", [0, 2**15 - 1, 2**16 - 1])
-    def test_radix_order_equals_int64_stable_argsort(self, top):
-        rng = np.random.default_rng(top)
-        idx = rng.integers(0, top + 1, size=5000)
-        idx[rng.integers(0, 5000)] = top
-        expected = np.argsort(idx.astype(np.int64), kind="stable")
-        assert np.array_equal(stable_order(idx), expected)
-
-    def test_wide_indices_fall_back_to_int64_sort(self):
-        idx = np.array([1 << 16, 3, 1 << 16, 0])
-        assert list(stable_order(idx)) == [3, 1, 0, 2]

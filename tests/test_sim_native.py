@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.obs import snapshot
 from repro.predictors import make_predictor_spec
 from repro.sim import native, simulate_vectorized, vectorized
 from repro.sim.fsm_scan import segmented_counter_predictions
@@ -85,6 +87,39 @@ class TestFallback:
             assert np.array_equal(fast.predictions, slow.predictions)
             assert fast.first_level_miss_rate == slow.first_level_miss_rate
         assert np.array_equal(native_stream, fallback_stream)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--benchmark", "compress", "--length", "2000",
+             "--sizes", "4", "5", "--no-cache"],
+            ["fig10", "--length", "2000", "--sizes", "4", "5", "--no-cache"],
+        ],
+        ids=["fig4", "fig10"],
+    )
+    def test_run_stdout_identical_without_compiler(
+        self, fresh, monkeypatch, caplog, capsys, argv
+    ):
+        """``repro run`` through the Python loops prints the bytes the
+        C kernels print, without one call into C."""
+        if native.compiler() is None:
+            pytest.skip("no C compiler")
+        assert main(["run", *argv]) == 0
+        assert snapshot()["counters"]["sim.native_calls"] > 0
+        native_out = capsys.readouterr().out
+
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(vectorized, "_BHT_CACHE", {})
+        monkeypatch.setattr(native, "compiler", lambda: None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(fresh / "empty"))
+        with caplog.at_level(logging.WARNING, logger="repro.sim.native"):
+            assert main(["run", *argv]) == 0
+        assert capsys.readouterr().out == native_out
+        assert snapshot()["counters"]["sim.native_calls"] == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "repro.sim.native"]
+        assert len(warnings) == 1
+        assert "native kernels unavailable" in warnings[0]
 
     def test_failed_build_falls_back(self, fresh, monkeypatch, caplog):
         monkeypatch.setattr(native, "compiler", lambda: "/bin/false")

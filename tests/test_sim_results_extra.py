@@ -5,28 +5,7 @@ import pytest
 
 from repro.predictors import BimodalPredictor, make_predictor_spec
 from repro.sim import simulate_reference
-from repro.sim.results import SweepResult, TierPoint, TierSurface
 from repro.workloads.micro import alternating_trace
-
-
-class TestSweepResult:
-    def make_surface(self, scheme):
-        surface = TierSurface(scheme=scheme, trace_name="t")
-        surface.add(
-            4, TierPoint(col_bits=4, row_bits=0, misprediction_rate=0.1)
-        )
-        return surface
-
-    def test_add_and_get(self):
-        bundle = SweepResult()
-        bundle.add("gas", self.make_surface("gas"))
-        bundle.add("gshare", self.make_surface("gshare"))
-        assert bundle["gas"].scheme == "gas"
-        assert sorted(bundle.keys()) == ["gas", "gshare"]
-
-    def test_missing_key_raises(self):
-        with pytest.raises(KeyError):
-            SweepResult()["nope"]
 
 
 class TestReferenceEngineWithObjects:
