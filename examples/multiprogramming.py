@@ -9,9 +9,6 @@ compared against the back-to-back (no switching) baseline. The shorter
 the quantum, the more often each program finds its counters and
 history registers trashed by the other.
 
-Also demonstrates the convergence diagnostics used to validate that
-reproduction-scale traces are long enough to report steady-state rates.
-
 Run::
 
     python examples/multiprogramming.py [length_per_program]
@@ -20,7 +17,6 @@ Run::
 import sys
 
 from repro import make_predictor_spec, make_workload, simulate
-from repro.analysis import steady_state_rate
 from repro.traces import interleave_traces
 from repro.utils.tables import format_table
 
@@ -64,15 +60,6 @@ def main() -> None:
     print(f"groff + verilog, {length} branches each\n")
     print(format_table(rows, headers=headers))
 
-    # Convergence check on the finest-grained case.
-    spec = specs[1][1]
-    merged = interleave_traces([groff, verilog], quantum=QUANTA[0])
-    estimate = steady_state_rate(simulate(spec, merged))
-    print(
-        f"\ngshare steady-state: {estimate.rate:.2%} "
-        f"± {estimate.standard_error:.2%} "
-        f"(training transient {estimate.training_transient:+.2%})"
-    )
     print(
         "\nGlobal-history schemes suffer most: the shared history "
         "register and XOR-mixed rows blend both programs' outcome "

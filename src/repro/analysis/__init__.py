@@ -14,12 +14,6 @@ from repro.analysis.branch_report import (
     predictability_alignment,
 )
 from repro.analysis.compare import DiffGrid, diff_surfaces
-from repro.analysis.convergence import (
-    SteadyStateEstimate,
-    convergence_report,
-    steady_state_rate,
-    windowed_rates,
-)
 from repro.analysis.export import (
     diff_grid_to_csv,
     series_to_csv,
@@ -38,10 +32,6 @@ __all__ = [
     "branch_report",
     "concentration",
     "predictability_alignment",
-    "SteadyStateEstimate",
-    "convergence_report",
-    "steady_state_rate",
-    "windowed_rates",
     "diff_grid_to_csv",
     "series_to_csv",
     "surface_to_csv",

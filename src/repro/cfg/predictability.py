@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.check.findings import Finding
 from repro.errors import AnalysisError
+from repro.sim.vectorized import global_history_stream
 from repro.traces.stats import outcome_entropy
 from repro.traces.trace import BranchTrace
 
@@ -82,23 +83,6 @@ def _conditional_entropy(
     for row in active:
         hcond += (row_totals[row] / n) * _entropy_of_counts(joint[row])
     return float(hcond)
-
-
-def _history_values(taken: np.ndarray, history_bits: int) -> np.ndarray:
-    """``h[i]`` = the ``history_bits`` outcomes before position ``i``.
-
-    Bit 0 is the most recent outcome. Positions earlier than the warm-up
-    window see a partially filled (zero-padded) register, exactly as a
-    hardware history register starts from reset.
-    """
-    n = len(taken)
-    hist = np.zeros(n, dtype=np.int64)
-    bits = taken.astype(np.int64)
-    for j in range(history_bits):
-        if n - 1 - j <= 0:
-            break
-        hist[j + 1 :] |= bits[: n - 1 - j] << j
-    return hist
 
 
 @dataclass(frozen=True)
@@ -352,7 +336,10 @@ def analyze_trace(
             f"history_bits must be in [1, 16], got {history_bits}"
         )
     taken = trace.taken
-    global_hist = _history_values(taken, history_bits)
+    # The k outcomes before each position, newest in bit 0, zero-padded
+    # during warm-up as a register starts from reset: the global
+    # register over the whole stream, the local one over a branch's own.
+    global_hist = global_history_stream(taken, history_bits)
     num_contexts = 1 << history_bits
 
     order = np.argsort(trace.pc, kind="stable")
@@ -371,7 +358,7 @@ def analyze_trace(
         entropy = outcome_entropy(rate)
 
         contexts = global_hist[group]
-        local = _history_values(outcomes, history_bits)
+        local = global_history_stream(outcomes, history_bits)
 
         global_ce = _conditional_entropy(contexts, outcomes, num_contexts)
         local_ce = _conditional_entropy(local, outcomes, num_contexts)

@@ -52,7 +52,7 @@ from repro.cfg.bytecode import (
     iter_code_objects,
 )
 from repro.errors import AnalysisError
-from repro.obs.metrics import counter, histogram
+from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.traces.trace import INSTRUCTION_BYTES, BranchTrace
 
@@ -384,18 +384,10 @@ def profile_calls(
 
     The one-shot convenience wrapper: builds a profiler over the
     instrumented callables, executes the workload inside the
-    ``analyze.profile`` span (wall time lands in the
-    ``analyze.profile_s`` histogram), and materializes the recorded
-    stream as a named trace.
+    ``analyze.profile`` span, which times it, and materializes the
+    recorded stream as a named trace.
     """
-    import time
-
     profiler = BranchProfiler(instrument)
-    with span("analyze.profile"):
-        start = time.perf_counter()
-        with profiler:
-            run()
-        histogram("analyze.profile_s").observe(
-            time.perf_counter() - start
-        )
+    with span("analyze.profile"), profiler:
+        run()
     return profiler.build_trace(name)

@@ -19,8 +19,8 @@ this codebase relies on:
   the scalar models they mirror:
   :func:`repro.predictors.counters.drive_automata` and
   :meth:`repro.predictors.bht.BranchHistoryTable.miss_stream`.
-* ``code.metric-name`` — every literal instrument name passed to
-  ``counter()``/``gauge()``/``histogram()`` must be pre-declared in
+* ``code.metric-name`` — every literal counter name passed to
+  ``counter()`` must be pre-declared in
   :data:`repro.obs.metrics.WELL_KNOWN`, keeping snapshots schema-stable.
 * ``code.raw-write`` — artifact writes go through the atomic writer
   (:func:`repro.runtime.durable.atomic_write_text`), not bare
@@ -210,14 +210,10 @@ def _matches(path: str, suffixes: Sequence[str]) -> bool:
     return any(_posix(path).endswith(suffix) for suffix in suffixes)
 
 
-def _declared_metric_names() -> "dict[str, Set[str]]":
+def _declared_counter_names() -> Set[str]:
     from repro.obs.metrics import WELL_KNOWN
 
-    return {
-        "counter": set(WELL_KNOWN["counters"]),
-        "histogram": set(WELL_KNOWN["histograms"]),
-        "gauge": set(WELL_KNOWN.get("gauges", ())),
-    }
+    return set(WELL_KNOWN)
 
 
 class _Linter(ast.NodeVisitor):
@@ -229,7 +225,7 @@ class _Linter(ast.NodeVisitor):
         lines: Sequence[str],
         is_hot: bool,
         is_writer: bool,
-        metric_names: "dict[str, Set[str]]",
+        counter_names: Set[str],
         is_checkpoint: bool = False,
         is_compat: bool = False,
         is_analysis: bool = False,
@@ -241,7 +237,7 @@ class _Linter(ast.NodeVisitor):
         self.is_checkpoint = is_checkpoint
         self.is_compat = is_compat
         self.is_analysis = is_analysis
-        self.metric_names = metric_names
+        self.counter_names = counter_names
         self.findings: List[Finding] = []
         # Innermost-function flags for the dtype-width rule: does the
         # enclosing function compute a register-width table size?
@@ -640,21 +636,21 @@ class _Linter(ast.NodeVisitor):
                 "time.* call inside a vectorized hot path; timing "
                 "belongs to callers and repro.obs spans",
             )
-        # undeclared literal metric names
+        # undeclared literal counter names
         if (
             isinstance(func, ast.Name)
-            and func.id in self.metric_names
+            and func.id == "counter"
             and node.args
             and isinstance(node.args[0], ast.Constant)
             and isinstance(node.args[0].value, str)
         ):
             name = node.args[0].value
-            if name not in self.metric_names[func.id]:
+            if name not in self.counter_names:
                 self._add(
                     "metric-name",
                     "error",
                     node.lineno,
-                    f"{func.id}({name!r}) is not pre-declared in "
+                    f"counter({name!r}) is not pre-declared in "
                     "repro.obs.metrics.WELL_KNOWN; snapshots would "
                     "change schema between runs",
                 )
@@ -716,7 +712,7 @@ def lint_source(
         lines=source.splitlines(),
         is_hot=is_hot,
         is_writer=is_writer,
-        metric_names=_declared_metric_names(),
+        counter_names=_declared_counter_names(),
         is_checkpoint=is_checkpoint,
         is_compat=is_compat,
         is_analysis=is_analysis,

@@ -423,7 +423,7 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
         "--metrics-out",
         metavar="PATH",
         default=None,
-        help="write end-of-run counters/histograms/span timings to PATH "
+        help="write end-of-run counters and span timings to PATH "
         "as JSON (readable via `repro obs summarize`)",
     )
     parser.add_argument(

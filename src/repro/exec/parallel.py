@@ -105,13 +105,9 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _telemetry() -> Dict[str, Any]:
-    """This worker's metrics and span aggregates since the last reset."""
-    data = snapshot()
+    """This worker's counters and span aggregates since the last reset."""
     return {
-        "counters": {k: v for k, v in data["counters"].items() if v},
-        "histograms": {
-            k: h for k, h in data["histograms"].items() if h.get("count")
-        },
+        "counters": {k: v for k, v in snapshot()["counters"].items() if v},
         "spans": get_tracer().aggregates(),
     }
 
@@ -155,8 +151,6 @@ def _absorb(telemetry: Dict[str, Any]) -> None:
         # (it is in their sim.cpu_s); the parent accounts elapsed wall.
         if name != "sim.wall_s":
             REGISTRY.counter(name).inc(value)
-    for name, summary in telemetry["histograms"].items():
-        REGISTRY.histogram(name).absorb(summary)
     get_tracer().absorb_aggregates(telemetry["spans"])
 
 

@@ -6,8 +6,8 @@ report into (see the per-module docs):
 * :mod:`repro.obs.spans`    -- nested wall-clock spans, the one timing
   record: per-name count / total / self time, and an optional
   streamed JSONL trace sink;
-* :mod:`repro.obs.metrics`  -- process-local counters / gauges /
-  histograms in one global registry;
+* :mod:`repro.obs.metrics`  -- process-local counters in one global
+  registry: what a run did, never how long it took;
 * :mod:`repro.obs.logging`  -- key=value or JSON structured logging for
   the ``repro.*`` namespace;
 * :mod:`repro.obs.report`   -- end-of-run summary tables and the
@@ -28,15 +28,10 @@ flags ``--trace-out``, ``--metrics-out``, ``--progress``, and
 
 from repro.obs.logging import get_logger, setup_logging, teardown_logging
 from repro.obs.metrics import (
-    BUCKET_BOUNDS,
     REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
-    gauge,
-    histogram,
     reset_metrics,
     snapshot,
 )
@@ -54,22 +49,16 @@ from repro.obs.spans import (
     SpanTracer,
     get_tracer,
     span,
-    traced,
 )
 
 __all__ = [
-    "BUCKET_BOUNDS",
     "get_logger",
     "setup_logging",
     "teardown_logging",
     "REGISTRY",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "counter",
-    "gauge",
-    "histogram",
     "reset_metrics",
     "snapshot",
     "ProgressReporter",
@@ -83,5 +72,4 @@ __all__ = [
     "SpanTracer",
     "get_tracer",
     "span",
-    "traced",
 ]

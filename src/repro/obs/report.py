@@ -5,10 +5,12 @@ Two serialized artifacts, one renderer:
 * **Metrics file** (``--metrics-out``) -- a single JSON object,
   schema :data:`METRICS_SCHEMA`::
 
-      {"schema": "repro.run_metrics/1",
-       "counters": {...}, "gauges": {...}, "histograms": {...},
+      {"schema": "repro.run_metrics/2",
+       "counters": {...},
        "spans": {name: {count, total_s, self_s, mean_s, min_s, max_s}},
        "derived": {"branches_per_sec": ..., "sim_wall_s": ...}}
+
+  Spans are the one timing record; the counters say what was done.
 
 * **Trace file** (``--trace-out``) -- JSON lines, one completed span
   per line (see :mod:`repro.obs.spans`).
@@ -16,7 +18,10 @@ Two serialized artifacts, one renderer:
 ``repro obs summarize PATH`` accepts either file and renders the same
 aligned text table an in-process :func:`render_summary` produces; the
 span table (count, total and self seconds per span name) reads the
-same from both files of one serial run.
+same from both files of one serial run. A metrics file of the older
+``repro.run_metrics/1`` schema still summarizes: its spans, counters
+and derived rows render, and its gauge and histogram blocks are
+ignored.
 """
 
 from __future__ import annotations
@@ -29,37 +34,21 @@ from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
 from repro.utils.tables import format_table
 
-METRICS_SCHEMA = "repro.run_metrics/1"
+METRICS_SCHEMA = "repro.run_metrics/2"
 
-#: Top-level keys of the metrics report; ``collect(extra=...)`` refuses
-#: extras that would shadow them.
-RESERVED_KEYS = (
-    "schema",
-    "counters",
-    "gauges",
-    "histograms",
-    "spans",
-    "derived",
-    "extra",
-)
+#: Metrics schemas ``repro obs summarize`` reads (this one and older).
+READABLE_SCHEMAS = ("repro.run_metrics/1", METRICS_SCHEMA)
 
 
-def collect(extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Snapshot the global registry + tracer into one report dict.
-
-    ``extra`` entries are namespaced under the report's ``"extra"``
-    key; an extra named like a schema key (:data:`RESERVED_KEYS`) is a
-    caller bug and raises :class:`ReproError` rather than silently
-    clobbering the snapshot.
-    """
-    snapshot = _metrics.snapshot()
-    counters = snapshot["counters"]
+def collect() -> Dict[str, Any]:
+    """Snapshot the global registry + tracer into one report dict."""
+    counters = _metrics.snapshot()["counters"]
     branches = counters.get("sim.branches", 0)
     wall = counters.get("sim.wall_s", 0)
     cpu = counters.get("sim.cpu_s", 0) or wall
-    report: Dict[str, Any] = {
+    return {
         "schema": METRICS_SCHEMA,
-        **snapshot,
+        "counters": counters,
         "spans": _spans.get_tracer().aggregates(),
         "derived": {
             # sim.wall_s is elapsed wall-clock (the parallel executor
@@ -70,22 +59,13 @@ def collect(extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
             "sim_cpu_s": cpu,
         },
     }
-    if extra:
-        clobbered = sorted(set(extra) & set(RESERVED_KEYS))
-        if clobbered:
-            raise ReproError(
-                f"collect(extra=...) keys {clobbered} collide with the "
-                f"{METRICS_SCHEMA} schema; pick non-reserved names"
-            )
-        report["extra"] = dict(extra)
-    return report
 
 
-def write_metrics(path: str, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+def write_metrics(path: str) -> Dict[str, Any]:
     """Write the current :func:`collect` report to ``path`` atomically."""
     from repro.runtime.durable import atomic_write_text
 
-    report = collect(extra)
+    report = collect()
     atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
@@ -103,7 +83,7 @@ def render_summary(report: Optional[Dict[str, Any]] = None) -> str:
                 name,
                 agg["count"],
                 agg["total_s"],
-                _cell(agg.get("self_s")),
+                agg.get("self_s", "-"),
                 agg["mean_s"],
                 agg["max_s"],
             ]
@@ -132,57 +112,7 @@ def render_summary(report: Optional[Dict[str, Any]] = None) -> str:
             + format_table(rows, headers=("counter", "value"), float_fmt=".1f")
         )
 
-    gauges = {
-        name: value
-        for name, value in (report.get("gauges") or {}).items()
-        if value is not None
-    }
-    if gauges:
-        rows = [[name, value] for name, value in sorted(gauges.items())]
-        blocks.append(
-            "gauges\n" + format_table(rows, headers=("gauge", "value"))
-        )
-
-    histograms = report.get("histograms") or {}
-    if histograms:
-        rows = [
-            [
-                name,
-                summary["count"],
-                summary["mean"],
-                _cell(summary.get("min")),
-                _cell(summary.get("p50")),
-                _cell(summary.get("p90")),
-                _cell(summary.get("p99")),
-                _cell(summary.get("max")),
-            ]
-            for name, summary in sorted(histograms.items())
-        ]
-        blocks.append(
-            "histograms\n"
-            + format_table(
-                rows,
-                headers=(
-                    "histogram", "count", "mean",
-                    "min", "p50", "p90", "p99", "max",
-                ),
-                float_fmt=".4g",
-            )
-        )
-
-    extra = report.get("extra") or {}
-    if extra:
-        rows = [[name, _cell(value)] for name, value in sorted(extra.items())]
-        blocks.append(
-            "extra\n" + format_table(rows, headers=("key", "value"))
-        )
-
     return "\n\n".join(blocks) if blocks else "(no telemetry recorded)"
-
-
-def _cell(value: Any) -> Any:
-    """A table cell for a possibly-missing numeric field."""
-    return value if value is not None else "-"
 
 
 def summarize_path(path: str) -> str:
@@ -208,7 +138,7 @@ def summarize_path(path: str) -> str:
     except ValueError:
         whole = None
     if isinstance(whole, dict):
-        if whole.get("schema") != METRICS_SCHEMA:
+        if whole.get("schema") not in READABLE_SCHEMAS:
             raise ReproError(
                 f"telemetry file {path!r} has schema "
                 f"{whole.get('schema')!r}, expected {METRICS_SCHEMA!r}"
@@ -265,12 +195,4 @@ def _summarize_trace_lines(path: str, lines) -> str:
     if torn_tail:
         header += " (torn final line skipped)"
     header += "\n\n"
-    return header + render_summary(
-        {
-            "spans": tracer.aggregates(),
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "derived": {},
-        }
-    )
+    return header + render_summary({"spans": tracer.aggregates()})

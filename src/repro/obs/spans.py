@@ -28,13 +28,12 @@ Everything here is stdlib-only and safe to import from any layer.
 
 from __future__ import annotations
 
-import functools
 import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 #: Schema tag written into every JSONL trace line.
 TRACE_SCHEMA = "repro.trace/1"
@@ -94,21 +93,6 @@ class SpanTracer:
             if stack:
                 stack[-1].child_s += record.duration
             self._finish(record)
-
-    def traced(self, name: Optional[str] = None, **attrs: Any) -> Callable:
-        """Decorator form of :meth:`span`."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     # -- sinks ---------------------------------------------------------
 
@@ -274,7 +258,3 @@ def span(name: str, **attrs: Any):
     """``with span("name", k=v):`` on the global tracer."""
     return TRACER.span(name, **attrs)
 
-
-def traced(name: Optional[str] = None, **attrs: Any) -> Callable:
-    """Decorator timing a function on the global tracer."""
-    return TRACER.traced(name, **attrs)

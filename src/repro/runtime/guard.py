@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ReproError, SimulationError
 from repro.obs.logging import get_logger
-from repro.obs.metrics import counter, histogram
+from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.predictors.specs import PredictorSpec
 from repro.sim.reference import simulate_reference
@@ -72,7 +72,7 @@ def result_invariant_violation(
 
 
 def _timed_engine(kind: str, run, spec: PredictorSpec, trace: BranchTrace):
-    """Run one engine call under a span, reporting throughput metrics.
+    """Run one engine call under a span, counting what it simulated.
 
     ``engine.<kind>`` is the one span per engine call; the stage spans
     inside it (``index_stream``, ``counter_update``, ``fsm_scan``) and
@@ -90,8 +90,6 @@ def _timed_engine(kind: str, run, spec: PredictorSpec, trace: BranchTrace):
     counter("sim.branches").inc(len(trace))
     counter("sim.wall_s").inc(elapsed)
     counter("sim.cpu_s").inc(elapsed)
-    if elapsed > 0:
-        histogram("engine.branches_per_sec").observe(len(trace) / elapsed)
     return result
 
 

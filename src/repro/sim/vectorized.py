@@ -17,7 +17,7 @@ C library (:mod:`repro.sim.native`), or, without a compiler, through
 the scalar :class:`repro.predictors.bht.BranchHistoryTable` the
 reference engine uses. It depends only on (trace, entries, assoc), not
 on the second-level shape, so one pass is shared by an entire Figure-10
-surface via a small cache.
+surface: the miss stream is cached on the trace object and dies with it.
 
 Equivalence with the scalar reference engine is asserted
 prediction-by-prediction in ``tests/test_sim_equivalence.py``.
@@ -25,8 +25,8 @@ prediction-by-prediction in ``tests/test_sim_equivalence.py``.
 
 from __future__ import annotations
 
-import zlib
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -182,15 +182,13 @@ def per_address_history_stream(
 
 
 # ----------------------------------------------------------------------
-# First-level BHT simulation (stateful; cached per trace geometry)
+# First-level BHT simulation (stateful; cached per trace and geometry)
 # ----------------------------------------------------------------------
 
-_BHT_CACHE: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-_BHT_CACHE_LIMIT = 64
-
-
-def _trace_fingerprint(trace: BranchTrace) -> int:
-    return zlib.crc32(trace.pc.tobytes()) ^ (len(trace) << 32)
+#: trace -> {(entries, assoc): miss stream}. Keyed by the trace object
+#: (traces are immutable by convention), so a lookup hashes nothing and
+#: an entry is dropped when its trace is collected.
+_MISS_STREAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def bht_miss_stream(
@@ -201,11 +199,12 @@ def bht_miss_stream(
     Semantically identical to driving
     :class:`repro.predictors.bht.BranchHistoryTable.lookup` per access.
     Independent of history length and of the second-level shape, so the
-    result is cached: a whole PAs surface shares one pass.
+    result is cached per trace object: a whole PAs surface shares one
+    pass.
     """
     check_bht_geometry(entries, assoc)
-    key = (_trace_fingerprint(trace), len(trace), entries, assoc)
-    cached = _BHT_CACHE.get(key)
+    streams = _MISS_STREAMS.setdefault(trace, {})
+    cached = streams.get((entries, assoc))
     if cached is not None:
         return cached
 
@@ -227,9 +226,7 @@ def bht_miss_stream(
         )
         counter("sim.native_calls").inc()
 
-    if len(_BHT_CACHE) >= _BHT_CACHE_LIMIT:
-        _BHT_CACHE.pop(next(iter(_BHT_CACHE)))
-    _BHT_CACHE[key] = miss
+    streams[(entries, assoc)] = miss
     return miss
 
 
@@ -406,7 +403,6 @@ def _gskew_predictions(
     All banks use the total-update policy (train on every outcome), so
     each bank is an independent counter table over its own hash.
     """
-    from repro.predictors.dealiased import GskewPredictor
     from repro.utils.bits import fold_xor
 
     row_bits = spec.history_bits
@@ -425,7 +421,6 @@ def _gskew_predictions(
     ) & row_mask
     # The scalar GskewPredictor computes the same three hashes; keeping
     # the expressions in sync is asserted by the equivalence tests.
-    del GskewPredictor
 
     votes = np.zeros(len(trace), dtype=np.int8)
     for bank_rows in (base, skew1, skew2):

@@ -1,26 +1,22 @@
-"""Tests for export, convergence, and trace interleaving."""
+"""Tests for export and trace interleaving."""
 
 import csv
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    convergence_report,
     diff_grid_to_csv,
     series_to_csv,
-    steady_state_rate,
     surface_to_csv,
     surface_to_json,
     surface_to_rows,
-    windowed_rates,
 )
 from repro.analysis.compare import DiffGrid
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors import make_predictor_spec
-from repro.sim.results import SimulationResult, TierPoint, TierSurface
+from repro.sim.results import TierPoint, TierSurface
 from repro.traces import BranchTrace, interleave_traces
 
 
@@ -37,21 +33,6 @@ def make_surface():
                 ),
             )
     return surface
-
-
-def make_result(wrong_head=True):
-    # 100 accesses; first 20 all wrong, rest all right (a training
-    # transient caricature).
-    predictions = np.ones(100, dtype=bool)
-    taken = np.ones(100, dtype=bool)
-    if wrong_head:
-        taken[:20] = False
-    return SimulationResult(
-        spec=make_predictor_spec("bimodal", cols=4),
-        trace_name="t",
-        predictions=predictions,
-        taken=taken,
-    )
 
 
 class TestSurfaceExport:
@@ -97,41 +78,6 @@ class TestDiffExport:
         parsed = list(csv.reader(io.StringIO(diff_grid_to_csv(grid))))
         assert parsed[1][3:5] == ["4", "0"]
         assert parsed[2][3:5] == ["5", "1"]
-
-
-class TestConvergence:
-    def test_windowed_rates_show_transient(self):
-        rates = windowed_rates(make_result(), windows=5)
-        assert rates[0] == 1.0
-        assert rates[-1] == 0.0
-
-    def test_windows_validated(self):
-        with pytest.raises(ConfigurationError):
-            windowed_rates(make_result(), windows=0)
-        with pytest.raises(ConfigurationError):
-            windowed_rates(make_result(), windows=1000)
-
-    def test_steady_state_discards_head(self):
-        estimate = steady_state_rate(make_result(), head_fraction=0.2)
-        assert estimate.rate == 0.0
-        assert estimate.head_rate == 1.0
-        assert estimate.training_transient == 1.0
-        assert estimate.tail_accesses == 80
-
-    def test_steady_state_error_positive_when_noisy(self):
-        result = make_result(wrong_head=False)
-        result.taken[::3] = False  # 1/3 of everything wrong
-        estimate = steady_state_rate(result)
-        assert estimate.standard_error > 0
-
-    def test_head_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            steady_state_rate(make_result(), head_fraction=0.0)
-
-    def test_report_renders(self):
-        text = convergence_report(make_result(), windows=4)
-        assert "steady-state" in text
-        assert "training transient" in text
 
 
 class TestInterleave:

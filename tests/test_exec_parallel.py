@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.exec import parallel
 from repro.exec.parallel import PointTask, run_points
 from repro.obs import get_tracer, reset_metrics, snapshot
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 from repro.serve.results import ResultStore, point_key
 from repro.sim.sweep import compute_point, sweep_tiers
@@ -314,18 +313,18 @@ class TestAliasingFix:
 
 
 class TestTelemetryMerge:
-    def test_histogram_absorb(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("engine.branches_per_sec")
-        histogram.observe(1.0)
-        histogram.absorb(
-            {"count": 2, "total": 6.0, "min": 2.0, "max": 4.0}
-        )
-        summary = registry.snapshot()["histograms"]["engine.branches_per_sec"]
-        assert summary["count"] == 3
-        assert summary["total"] == 7.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
+    def test_worker_telemetry_is_counters_and_spans(self, trace):
+        sweep_tiers("gas", trace, size_bits=[4])
+        telemetry = parallel._telemetry()
+        assert set(telemetry) == {"counters", "spans"}
+        assert all(telemetry["counters"].values())  # zeros are dropped
+        branches = telemetry["counters"]["sim.branches"]
+        reset_metrics()
+        get_tracer().reset()
+        parallel._absorb(telemetry)
+        assert snapshot()["counters"]["sim.branches"] == branches
+        assert snapshot()["counters"]["sim.wall_s"] == 0  # parent's own
+        assert get_tracer().aggregates()["engine.vectorized"]["count"] == 5
 
     def test_tracer_absorb_aggregates(self):
         tracer = SpanTracer()

@@ -16,7 +16,6 @@ from repro.obs import (
     span,
     summarize_path,
     teardown_logging,
-    traced,
     write_metrics,
 )
 from repro.obs.logging import JsonFormatter, KeyValueFormatter, setup_logging
@@ -126,14 +125,6 @@ class TestSpans:
         assert attrs["n"] == 3
         assert isinstance(attrs["obj"], str)
 
-    def test_traced_decorator(self):
-        @traced("decorated")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert get_tracer().aggregates()["decorated"]["count"] == 1
-
     def test_global_span_helper(self):
         with span("global_helper"):
             pass
@@ -151,62 +142,13 @@ class TestMetrics:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_histogram_semantics(self):
+    def test_reset_restores_declared_counters(self):
         registry = MetricsRegistry()
-        h = registry.histogram("h")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        summary = registry.snapshot()["histograms"]["h"]
-        assert summary["count"] == 3
-        assert summary["total"] == 6.0
-        assert summary["mean"] == 2.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-        # Bucketed percentiles are upper-bound estimates clamped to the
-        # observed range; every observation landed in a real bucket.
-        assert 1.0 <= summary["p50"] <= summary["p90"] <= summary["p99"] <= 3.0
-        assert sum(n for _, n in summary["buckets"]) == 3
-
-    def test_histogram_percentiles_spread(self):
-        from repro.obs.metrics import BUCKET_BOUNDS, Histogram
-
-        h = Histogram("h")
-        for v in [0.001] * 90 + [10.0] * 10:
-            h.observe(v)
-        summary = h.summary()
-        # p50 sits in the low mode, p99 in the high tail; the bucketed
-        # estimate is within one log-spaced bucket of the true value.
-        assert summary["p50"] <= BUCKET_BOUNDS[Histogram.bucket_index(0.001)]
-        assert summary["p99"] >= 1.0
-        assert summary["min"] == 0.001 and summary["max"] == 10.0
-
-    def test_histogram_absorb_merges_buckets(self):
-        from repro.obs.metrics import Histogram
-
-        a = Histogram("a")
-        b = Histogram("b")
-        for v in (0.01, 0.02, 0.03):
-            a.observe(v)
-        for v in (5.0, 6.0, 7.0):
-            b.observe(v)
-        a.absorb(b.summary())
-        merged = a.summary()
-        assert merged["count"] == 6
-        assert merged["min"] == 0.01 and merged["max"] == 7.0
-        # The distribution survives the merge: the median stays near the
-        # low half while p99 reflects the absorbed tail.
-        assert merged["p50"] < 1.0
-        assert merged["p99"] > 1.0
-        assert sum(n for _, n in merged["buckets"]) == 6
-
-    def test_gauge_and_reset(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(7)
-        assert registry.snapshot()["gauges"]["g"] == 7
+        registry.counter("x").inc(7)
         registry.counter("guard.degradations").inc()
         registry.reset()
         snap = registry.snapshot()
-        assert "g" not in snap["gauges"]
+        assert "x" not in snap["counters"]
         assert snap["counters"]["guard.degradations"] == 0
 
     def test_well_known_counters_predeclared(self):
@@ -433,27 +375,44 @@ class TestCliTelemetry:
         assert "cannot write metrics" in capsys.readouterr().err
 
 
-class TestCollectExtras:
-    def test_extras_namespaced_under_extra(self):
-        report = collect(extra={"experiment": "fig2", "note": 1})
-        assert report["extra"] == {"experiment": "fig2", "note": 1}
-        assert "experiment" not in report  # never a top-level key
+class TestMetricsSchema:
+    def test_metrics_file_has_exactly_four_keys(self, tmp_path, trace):
+        sweep_tiers("gas", trace, size_bits=[4])
+        path = tmp_path / "m.json"
+        write_metrics(str(path))
+        report = json.loads(path.read_text())
+        assert report["schema"] == "repro.run_metrics/2"
+        assert set(report) == {"schema", "counters", "spans", "derived"}
 
-    def test_reserved_keys_rejected(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError) as excinfo:
-            collect(extra={"counters": {}, "schema": "x", "ok": 1})
-        assert "counters" in str(excinfo.value)
-        assert "schema" in str(excinfo.value)
-
-    def test_no_extra_key_without_extras(self):
-        assert "extra" not in collect()
-        assert "extra" not in collect(extra={})
-
-    def test_render_summary_shows_extras(self):
-        text = render_summary(collect(extra={"experiment": "fig2"}))
-        assert "extra" in text and "fig2" in text
+    def test_v1_metrics_file_still_summarizes(self, tmp_path):
+        """An older file renders its spans, counters and derived rows;
+        its gauge, histogram and extra blocks are ignored."""
+        old = {
+            "schema": "repro.run_metrics/1",
+            "counters": {"sweep.points_computed": 5},
+            "gauges": {"queue.depth": 3},
+            "histograms": {
+                "engine.branches_per_sec": {
+                    "count": 1, "total": 9.0, "mean": 9.0, "min": 9.0,
+                    "max": 9.0, "p50": 9.0, "p90": 9.0, "p99": 9.0,
+                    "buckets": [[20, 1]],
+                },
+            },
+            "spans": {
+                "sweep_tiers": {"count": 1, "total_s": 0.5, "self_s": 0.1,
+                                "mean_s": 0.5, "min_s": 0.5, "max_s": 0.5},
+            },
+            "derived": {"branches_per_sec": 1234.0},
+            "extra": {"experiment": "fig2"},
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        text = summarize_path(str(path))
+        assert "sweep_tiers" in text
+        assert "sweep.points_computed" in text
+        assert "branches_per_sec" in text
+        for ignored in ("queue.depth", "engine.branches_per_sec", "fig2"):
+            assert ignored not in text
 
 
 class TestDerivedRates:

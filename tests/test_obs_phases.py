@@ -59,8 +59,9 @@ class TestEngineSpans:
             assert spans[name]["count"] == points
             assert 0.0 <= spans[name]["self_s"] <= spans[name]["total_s"]
         assert "simulate" not in spans and "sweep.point" not in spans
-        assert not [h for h in report["histograms"] if h.startswith("sim.phase.")]
-        assert "sweep.point_s" not in report["histograms"]
+        # Spans are the one timing record: no second timing instrument.
+        assert "histograms" not in report and "gauges" not in report
+        assert not [s for s in spans if s.startswith("sim.phase.")]
 
     def test_phase_sum_matches_wall_on_micro_sweep(self, trace):
         """Engine self time plus its stage spans' self time tile sim.wall_s."""

@@ -7,6 +7,8 @@ guarantee those engines implement precisely the semantics of the
 both synthetic random traces and calibrated workload traces.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,7 +100,7 @@ class TestEngineEquivalence:
         from repro.sim import native, vectorized
 
         monkeypatch.setattr(native, "library", lambda: None)
-        monkeypatch.setattr(vectorized, "_BHT_CACHE", {})
+        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
         _assert_engines_agree(spec, random_trace(13))
 
     @given(st.integers(0, 2**32 - 1))
@@ -190,6 +192,25 @@ class TestBhtMissStream:
         b = bht_miss_stream(trace, entries=8, assoc=2)
         assert a is b
 
+    def test_cache_is_keyed_by_trace_object(self, monkeypatch):
+        """A hit runs no kernel; the entry is collected with its trace."""
+        import gc
+
+        from repro.obs import snapshot
+        from repro.sim import vectorized
+
+        streams = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(vectorized, "_MISS_STREAMS", streams)
+        trace = random_trace(23)
+        first = bht_miss_stream(trace, entries=8, assoc=2)
+        calls = snapshot()["counters"]["sim.native_calls"]
+        assert bht_miss_stream(trace, entries=8, assoc=2) is first
+        assert snapshot()["counters"]["sim.native_calls"] == calls
+        assert len(streams) == 1
+        del trace
+        gc.collect()
+        assert len(streams) == 0
+
     def test_geometry_validated(self):
         from repro.errors import ConfigurationError
 
@@ -216,7 +237,7 @@ class TestBhtMissStream:
             pytest.skip("no C compiler")
         if engine == "fallback":
             monkeypatch.setattr(native, "library", lambda: None)
-        monkeypatch.setattr(vectorized, "_BHT_CACHE", {})
+        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
         for seed in range(4):
             rng = np.random.default_rng(seed)
             pc = (rng.integers(0, 3 * entries + 5, size=700) * 4
