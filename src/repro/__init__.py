@@ -7,8 +7,8 @@ The library provides:
 * :mod:`repro.workloads`  -- calibrated synthetic workload generator
 * :mod:`repro.predictors` -- the full two-level predictor design space
 * :mod:`repro.sim`        -- scalar reference + vectorized numpy engines
-* :mod:`repro.runtime`    -- resilient runs: checkpoints, cooperative
-  interrupts, engine guarding
+* :mod:`repro.runtime`    -- resilient runs: sweep keys, atomic writes,
+  cooperative interrupts
 * :mod:`repro.obs`        -- observability: span tracing, metrics,
   structured logging, run reports, progress
 * :mod:`repro.aliasing`   -- aliasing instrumentation and classification
@@ -31,7 +31,6 @@ from repro.errors import (
     ConfigurationError,
     ExperimentError,
     ReproError,
-    SimulationError,
     TraceError,
     WorkloadError,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "TraceError",
     "WorkloadError",
     "ExperimentError",
-    "SimulationError",
     "CheckpointError",
     "BranchTrace",
     "characterize",

@@ -26,11 +26,11 @@ from typing import List, Optional
 from repro.check.findings import CheckReport, Finding
 from repro.errors import CheckError
 from repro.obs.metrics import counter
-from repro.runtime.durable import quarantine_path
 
 
 def _quarantine_artifact(path: str) -> None:
-    os.replace(path, quarantine_path(path))
+    """Set a damaged file aside, keeping its pre-repair bytes."""
+    os.replace(path, path + ".quarantine")
     counter("doctor.repairs").inc()
 
 

@@ -69,14 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--paranoid",
-        action="store_true",
-        help=(
-            "cross-check the vectorized engine against the scalar "
-            "reference on a trace prefix at every sweep point"
-        ),
-    )
-    run.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -231,11 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--bht-assoc", type=int, default=4)
     simulate.add_argument("--engine", default="auto",
                           choices=("auto", "vectorized", "reference"))
-    simulate.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="cross-check vectorized vs reference engines on a prefix",
-    )
     _add_trace_options(simulate)
     _add_obs_options(simulate)
 
@@ -470,6 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         tracer.configure_sink(trace_out)
+    code = None
     try:
         code = _dispatch(args)
     except ReproError as error:
@@ -487,16 +475,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 128 + 13
     finally:
+        # Also on an unexpected exception (an engine bug's traceback):
+        # the telemetry of the points that landed is still written.
         tracer.close_sink()
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        try:
-            from repro.obs.report import write_metrics
+        metrics_out = getattr(args, "metrics_out", None)
+        if metrics_out:
+            try:
+                from repro.obs.report import write_metrics
 
-            write_metrics(metrics_out)
-        except (ReproError, OSError) as error:
-            diag.error("error: cannot write metrics: %s", error)
-            code = code or EXIT_ERROR
+                write_metrics(metrics_out)
+            except (ReproError, OSError) as error:
+                diag.error("error: cannot write metrics: %s", error)
+                code = code or EXIT_ERROR
     return code
 
 
@@ -552,7 +542,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             benchmarks=args.benchmarks,
             size_bits=tuple(args.sizes) if args.sizes else DEFAULT_SIZE_BITS,
             checkpoint_dir=args.checkpoint_dir,
-            paranoid=args.paranoid,
             on_point=on_point,
             workers=args.workers,
             use_cache=args.use_cache,
@@ -643,25 +632,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return report.exit_code(args.strict)
 
     if args.command == "store":
+        from repro.runtime.durable import lru_rows
+        from repro.serve.results import ResultStore, gc_stores
         from repro.workloads.store import TraceStore
 
-        store = TraceStore(args.store_dir)
-        result_store = None
+        stores = [TraceStore(args.store_dir)]
         if args.results_dir is not None:
-            from repro.serve.results import ResultStore
-
-            result_store = ResultStore(args.results_dir)
+            stores.append(ResultStore(args.results_dir))
         if args.store_command == "ls":
             import time as _time
 
-            rows = store.ls()
-            noun = "trace"
-            if result_store is not None:
-                rows = sorted(
-                    rows + result_store.ls(),
-                    key=lambda row: (row["used_at"], row["path"]),
-                )
-                noun = "artifact"
+            rows = lru_rows(p for s in stores for p in s.stored_files())
+            noun = "artifact" if len(stores) > 1 else "trace"
             for row in rows:
                 used = _time.strftime(
                     "%Y-%m-%d %H:%M:%S",
@@ -674,17 +656,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             return 0
         if args.store_command == "gc":
-            if result_store is not None:
-                from repro.serve.results import gc_stores
-
-                stores = [store, result_store]
-                before = sum(s.total_bytes() for s in stores)
-                evicted = gc_stores(stores, args.max_bytes)
-                after = sum(s.total_bytes() for s in stores)
-            else:
-                before = store.total_bytes()
-                evicted = store.gc(args.max_bytes)
-                after = store.total_bytes()
+            before = sum(s.total_bytes() for s in stores)
+            evicted = gc_stores(stores, args.max_bytes)
+            after = sum(s.total_bytes() for s in stores)
             for path in evicted:
                 print(f"evicted {path}")
             print(
@@ -721,9 +695,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 length=args.length or DEFAULT_LENGTH,
                 seed=args.seed,
             )
-            result = simulate(
-                spec, trace, engine=args.engine, paranoid=args.paranoid
-            )
+            result = simulate(spec, trace, engine=args.engine)
             if reporter is not None:
                 reporter.update(index + 1, len(benchmarks), detail=benchmark)
             line = (

@@ -34,15 +34,6 @@ class ExperimentError(ReproError):
     """An experiment could not be assembled or executed."""
 
 
-class SimulationError(ReproError):
-    """A simulation engine failed or produced an invalid result.
-
-    Examples: the vectorized engine raising mid-scan, a result whose
-    misprediction count falls outside ``[0, len(trace)]``, or a paranoid
-    cross-check disagreeing with the reference engine.
-    """
-
-
 class CheckError(ReproError):
     """A static-analysis pass itself failed (not: it found problems).
 

@@ -66,7 +66,7 @@ class PointTask:
     bht_entries: Optional[int] = None
     bht_assoc: int = 4
 
-    def compute(self, engine: str, paranoid: bool) -> TierPoint:
+    def compute(self) -> TierPoint:
         return compute_point(
             self.scheme,
             self.trace,
@@ -74,8 +74,6 @@ class PointTask:
             self.row_bits,
             bht_entries=self.bht_entries,
             bht_assoc=self.bht_assoc,
-            engine=engine,
-            paranoid=paranoid,
         )
 
 
@@ -112,7 +110,7 @@ def _telemetry() -> Dict[str, Any]:
     }
 
 
-def _worker_main(conn, tasks, engine, paranoid, parent_pid) -> None:
+def _worker_main(conn, tasks, parent_pid) -> None:
     """Process body: compute the tasks the parent sends until told to stop.
 
     A task that raises is reported back; anything stronger (a
@@ -139,7 +137,7 @@ def _worker_main(conn, tasks, engine, paranoid, parent_pid) -> None:
         tracer.reset()
         point = error = None
         try:
-            point = tasks[index].compute(engine, paranoid)
+            point = tasks[index].compute()
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         conn.send((index, point, error, _telemetry()))
@@ -159,8 +157,6 @@ def run_points(
     on_result: Callable[[PointTask, TierPoint], None],
     *,
     workers: int,
-    engine: str = "auto",
-    paranoid: bool = False,
     poll: Callable[[], None] = lambda: None,
 ) -> Dict[str, BaseException]:
     """Compute ``tasks`` on ``workers`` processes; returns per-key errors.
@@ -189,13 +185,7 @@ def run_points(
         parent_conn, child_conn = context.Pipe()
         process = context.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                tasks,
-                engine,
-                paranoid,
-                os.getpid(),
-            ),
+            args=(child_conn, tasks, os.getpid()),
             daemon=True,
         )
         process.start()
@@ -280,7 +270,7 @@ def run_points(
                 poll()
                 task = tasks[index]
                 try:
-                    point = task.compute(engine, paranoid)
+                    point = task.compute()
                 except Exception as exc:
                     errors[task.key] = exc
                     log.error(

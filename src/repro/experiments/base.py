@@ -33,9 +33,8 @@ class ExperimentOptions:
     names the result store every finished sweep point is written to (and
     restored from on a re-run; without it, ``$REPRO_RESULT_STORE`` names
     the store); ``use_cache`` false reads no point from the store and
-    simulates them all (``--no-cache``; see :mod:`repro.serve.results`);
-    ``paranoid`` cross-checks the vectorized engine against the scalar
-    reference on every point (see :mod:`repro.runtime`). ``on_point`` is
+    simulates them all (``--no-cache``; see :mod:`repro.serve.results`).
+    ``on_point`` is
     the sweep progress hook ``on_point(point, done, total)`` — the
     CLI's ``--progress`` heartbeat plugs in here (see :mod:`repro.obs`).
     ``workers`` runs sweep points on a worker pool (see
@@ -47,7 +46,6 @@ class ExperimentOptions:
     benchmarks: Optional[Sequence[str]] = None
     size_bits: Sequence[int] = DEFAULT_SIZE_BITS
     checkpoint_dir: Optional[str] = None
-    paranoid: bool = False
     on_point: Optional[Callable[[Any, int, int], None]] = None
     workers: int = 1
     use_cache: bool = True
@@ -56,7 +54,6 @@ class ExperimentOptions:
         """Runtime keyword arguments for :func:`repro.sim.sweep.sweep_tiers`."""
         return {
             "checkpoint_dir": self.checkpoint_dir,
-            "paranoid": self.paranoid,
             "on_point": self.on_point,
             "workers": self.workers,
             "use_cache": self.use_cache,

@@ -1,16 +1,16 @@
 """Process-local counters.
 
 The runtime and simulation layers report what they *did* — branches
-simulated, engine degradations, points restored, retries — into one
-global :class:`MetricsRegistry`; the report layer snapshots it at the
-end of a run. No sampling, no background threads, no dependencies:
+simulated, points restored, worker failures — into one global
+:class:`MetricsRegistry`; the report layer snapshots it at the end of a
+run. No sampling, no background threads, no dependencies:
 every operation is a dict lookup plus an add under a lock, cheap enough
 to leave enabled everywhere (instruments fire per *sweep point*, never
 per branch).
 
 Well-known counters are pre-declared (:data:`WELL_KNOWN`), so a
-metrics snapshot always carries the full schema — a run with zero
-degradations reports ``guard.degradations: 0`` rather than omitting the
+metrics snapshot always carries the full schema — a run with no worker
+failures reports ``exec.worker_failures: 0`` rather than omitting the
 key, which keeps downstream tooling free of existence checks. Timings
 are not metrics: they are spans (:mod:`repro.obs.spans`).
 """
@@ -47,9 +47,6 @@ WELL_KNOWN: Tuple[str, ...] = (
     "sim.wall_s",              # seconds spent inside simulation engines
     "engine.vectorized.runs",
     "engine.reference.runs",
-    "guard.degradations",      # vectorized -> reference fallbacks
-    "guard.paranoid_checks",
-    "guard.paranoid_disagreements",
     "sweep.points_computed",   # simulated this run
     "sweep.points_restored",   # points restored from a result store
     "interrupt.deferred",      # SIGINTs held to the next point boundary

@@ -16,11 +16,12 @@ reading it.
 Discipline mirrors the trace store exactly: loads count ``cache.hits``
 and touch the file's mtime (the LRU order), lookups that must simulate
 count ``cache.misses``, ``ls``/``total_bytes``/``gc`` provide the same
-hygiene surface, and a corrupt artifact reads as a miss (left in place
-for ``repro doctor`` to quarantine). :meth:`ResultStore.verify` is the
-one definition of a sound artifact; reads and the doctor both use it. :func:`gc_stores` evicts across a
-trace store *and* a result store under one byte cap, oldest first,
-regardless of which store a file lives in.
+hygiene surface (both stores share :mod:`repro.runtime.durable`'s LRU
+helpers), and a corrupt artifact reads as a miss (left in place for
+``repro doctor`` to quarantine). :meth:`ResultStore.verify` is the one
+definition of a sound artifact; reads and the doctor both use it.
+:func:`gc_stores` evicts across a trace store *and* a result store under
+one byte cap, oldest first, regardless of which store a file lives in.
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import counter
-from repro.runtime.durable import atomic_write_text, sweep_key
+from repro.runtime.durable import (
+    Row,
+    atomic_write_text,
+    evict_lru,
+    lru_rows,
+    sweep_key,
+    touch,
+)
 from repro.sim.results import TierPoint
 
 #: Environment variable naming the shared result-store directory.
@@ -59,7 +67,8 @@ def point_key(
     (``size_bits=[n]``, ``row_bits_filter=[row_bits]``), so the digest
     covers everything that determines the point's result and nothing
     that does not (the engine is excluded: both engines are
-    bit-identical).
+    bit-identical, as ``tests/test_sim_equivalence.py`` and the e2e
+    benchmark's ``checks.py`` assert).
     """
     return sweep_key(
         scheme,
@@ -134,7 +143,7 @@ class ResultStore:
             counter("cache.misses").inc()
             return None
         counter("cache.hits").inc()
-        self._touch(self._path(key))
+        touch(self._path(key))
         return _point_from_json(payload["point"])
 
     def peek(self, key: str) -> Optional[TierPoint]:
@@ -210,75 +219,28 @@ class ResultStore:
             if f.startswith(_PREFIX) and f.endswith(_SUFFIX)
         )
 
-    def ls(self) -> List[Dict[str, Union[str, int, float]]]:
+    def ls(self) -> List[Row]:
         """One row per artifact: path, bytes, last-use mtime (LRU order)."""
-        rows: List[Dict[str, Union[str, int, float]]] = []
-        for path in self.stored_files():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            rows.append(
-                {
-                    "path": path,
-                    "bytes": stat.st_size,
-                    "used_at": stat.st_mtime,
-                }
-            )
-        rows.sort(key=lambda row: (row["used_at"], row["path"]))
-        return rows
+        return lru_rows(self.stored_files())
 
     def total_bytes(self) -> int:
         return sum(int(row["bytes"]) for row in self.ls())
 
     def gc(self, max_bytes: int) -> List[str]:
         """Evict least-recently-used results until the cap is met."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        return _evict(self.ls(), max_bytes)
-
-    @staticmethod
-    def _touch(path: str) -> None:
-        try:
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - racing gc
-            pass
-
-
-def _evict(
-    rows: List[Dict[str, Union[str, int, float]]], max_bytes: int
-) -> List[str]:
-    """Remove oldest-first until the rows fit under ``max_bytes``."""
-    total = sum(int(row["bytes"]) for row in rows)
-    evicted: List[str] = []
-    for row in rows:
-        if total <= max_bytes:
-            break
-        path = str(row["path"])
-        try:
-            os.remove(path)
-        except OSError:
-            continue
-        total -= int(row["bytes"])
-        evicted.append(path)
-        counter("store.evictions").inc()
-    return evicted
+        return evict_lru(self.ls(), max_bytes)
 
 
 def gc_stores(stores, max_bytes: int) -> List[str]:
     """LRU-evict across several stores under one combined byte cap.
 
-    ``stores`` is any mix of trace and result stores (anything with an
-    ``ls()`` returning ``{path, bytes, used_at}`` rows). Eviction is
-    strictly oldest-first across the union, so a hot trace outlives a
-    cold result and vice versa — one cap governs the whole artifact
-    budget, which is what ``repro store gc`` exposes when both stores
-    are named.
+    ``stores`` is any mix of trace and result stores (anything with a
+    ``stored_files()`` listing). Eviction is strictly oldest-first
+    across the union, so a hot trace outlives a cold result and vice
+    versa — one cap governs the whole artifact budget, which is what
+    ``repro store gc`` exposes when both stores are named.
     """
-    if max_bytes < 0:
-        raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-    rows: List[Dict[str, Union[str, int, float]]] = []
-    for store in stores:
-        rows.extend(store.ls())
-    rows.sort(key=lambda row: (row["used_at"], row["path"]))
-    return _evict(rows, max_bytes)
+    return evict_lru(
+        lru_rows(path for store in stores for path in store.stored_files()),
+        max_bytes,
+    )

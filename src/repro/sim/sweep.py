@@ -94,8 +94,6 @@ def compute_point(
     *,
     bht_entries: Optional[int] = None,
     bht_assoc: int = 4,
-    engine: str = "auto",
-    paranoid: bool = False,
 ) -> TierPoint:
     """Simulate one tier point.
 
@@ -109,7 +107,7 @@ def compute_point(
         bht_entries=bht_entries,
         bht_assoc=bht_assoc,
     )
-    result = simulate(spec, trace, engine=engine, paranoid=paranoid)
+    result = simulate(spec, trace)
     counter("sweep.points_computed").inc()
     return TierPoint(
         col_bits=n - row_bits,
@@ -144,10 +142,8 @@ def sweep_tiers(
     size_bits: Iterable[int] = PAPER_SIZE_BITS,
     bht_entries: Optional[int] = None,
     bht_assoc: int = 4,
-    engine: str = "auto",
     row_bits_filter: Optional[Sequence[int]] = None,
     checkpoint_dir: Optional[str] = None,
-    paranoid: bool = False,
     on_point: Optional[Callable[[TierPoint, int, int], None]] = None,
     workers: int = 1,
     use_cache: bool = True,
@@ -176,9 +172,6 @@ def sweep_tiers(
         :class:`~repro.serve.results.ResultStore`. Without it,
         ``$REPRO_RESULT_STORE`` names the store (if set). Every computed
         point is written to the store the moment it lands.
-    paranoid:
-        Cross-check vectorized vs reference engines per point. A
-        paranoid sweep reads no point from the store.
     on_point:
         Optional progress hook ``on_point(point, done, total)`` called
         after every point lands in the surface — restored points
@@ -236,7 +229,7 @@ def sweep_tiers(
         if row_bits_filter is None or row_bits in row_bits_filter
     ]
     store = _result_store(checkpoint_dir)
-    readable = store is not None and use_cache and not paranoid
+    readable = store is not None and use_cache
     fingerprint = trace.fingerprint()
     keys = {
         (n, row_bits): point_key(
@@ -303,8 +296,6 @@ def sweep_tiers(
                 tasks,
                 lambda task, point: persist(task.n, point),
                 workers=workers,
-                engine=engine,
-                paranoid=paranoid,
                 poll=interrupt.checkpoint,
             )
             if errors:
@@ -321,8 +312,6 @@ def sweep_tiers(
                         row_bits,
                         bht_entries=bht_entries,
                         bht_assoc=bht_assoc,
-                        engine=engine,
-                        paranoid=paranoid,
                     ),
                 )
     # Restored and pooled points land out of plan order; re-impose it so

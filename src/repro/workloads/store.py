@@ -19,9 +19,10 @@ that had to generate counts ``store.misses``.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 from repro.obs.metrics import counter
+from repro.runtime.durable import Row, evict_lru, lru_rows, touch
 from repro.traces.io import load_trace, save_trace
 from repro.traces.trace import BranchTrace
 from repro.workloads.registry import make_workload
@@ -73,7 +74,7 @@ class TraceStore:
         path = self._path(name, length, seed, trace_seed)
         if os.path.exists(path):
             counter("store.hits").inc()
-            self._touch(path)
+            touch(path)
             return load_trace(path)
         counter("store.misses").inc()
         trace = make_workload(
@@ -111,28 +112,13 @@ class TraceStore:
 
     # -- hygiene -------------------------------------------------------
 
-    def ls(self) -> List[Dict[str, Union[str, int, float]]]:
+    def ls(self) -> List[Row]:
         """One row per stored trace: path, bytes, last-use time.
 
-        Last use is the file's mtime — loads touch it (see
-        :meth:`_touch`), so the listing doubles as the LRU order used
-        by :meth:`gc` (oldest first).
+        Last use is the file's mtime — loads touch it, so the listing
+        doubles as the LRU order used by :meth:`gc` (oldest first).
         """
-        rows: List[Dict[str, Union[str, int, float]]] = []
-        for path in self.stored_files():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            rows.append(
-                {
-                    "path": path,
-                    "bytes": stat.st_size,
-                    "used_at": stat.st_mtime,
-                }
-            )
-        rows.sort(key=lambda row: (row["used_at"], row["path"]))
-        return rows
+        return lru_rows(self.stored_files())
 
     def total_bytes(self) -> int:
         """Bytes currently held by the store."""
@@ -146,28 +132,4 @@ class TraceStore:
         Everything evicted is regenerable (that is the store's
         contract), so gc never needs confirmation.
         """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        rows = self.ls()
-        total = sum(int(row["bytes"]) for row in rows)
-        evicted: List[str] = []
-        for row in rows:
-            if total <= max_bytes:
-                break
-            path = str(row["path"])
-            try:
-                os.remove(path)
-            except OSError:
-                continue
-            total -= int(row["bytes"])
-            evicted.append(path)
-            counter("store.evictions").inc()
-        return evicted
-
-    @staticmethod
-    def _touch(path: str) -> None:
-        """Refresh a file's mtime so the LRU order tracks real use."""
-        try:
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - racing gc
-            pass
+        return evict_lru(self.ls(), max_bytes)

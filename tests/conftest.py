@@ -96,11 +96,11 @@ def worker_sigint(monkeypatch):
 def crashing_vectorized(monkeypatch):
     """Make vectorized engine calls crash with a ``RuntimeError``, as an
     engine bug would: ``arm()`` crashes every call, ``arm({1, 3})`` only
-    the first and third. The guard must degrade to the reference engine.
+    the first and third. The exception propagates out of ``simulate``.
     """
-    import repro.runtime.guard as guard
+    import repro.sim.vectorized as vectorized
 
-    real = guard.simulate_vectorized
+    real = vectorized.simulate_vectorized
 
     def arm(crash_on=None):
         calls = []
@@ -111,6 +111,6 @@ def crashing_vectorized(monkeypatch):
                 raise RuntimeError("vectorized engine crashed")
             return real(spec, trace)
 
-        monkeypatch.setattr(guard, "simulate_vectorized", crashing)
+        monkeypatch.setattr(vectorized, "simulate_vectorized", crashing)
 
     return arm

@@ -320,20 +320,12 @@ class TestResilience:
         assert capsys.readouterr().out == baseline
         assert list(env_store.iterdir()) == []
 
-    def test_paranoid_run_reads_no_point(self, tmp_path, capsys):
-        run = self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpt")]
-        assert main(run) == 0
-        counters = self._counters(
-            run + ["--paranoid"], tmp_path / "m.json"
-        )
-        assert counters["sweep.points_restored"] == 0
-        assert counters["sweep.points_computed"] == 5
-        assert counters["cache.hits"] == counters["cache.misses"] == 0
-
     @pytest.mark.parametrize(
         "argv",
         [
             RUN + ["--resume"],
+            RUN + ["--paranoid"],
+            ["simulate", "--scheme", "gas", "--paranoid"],
             RUN + ["--no-precheck"],
             RUN + ["--dashboard"],
             RUN + ["--plan-from-estimate", "0"],
@@ -350,7 +342,7 @@ class TestResilience:
             ["check", "--validate"],
             ["check", "--micro", "mixed-field"],
         ],
-        ids=["resume", "no-precheck", "dashboard", "plan-from-estimate",
+        ids=["resume", "paranoid", "simulate-paranoid", "no-precheck", "dashboard", "plan-from-estimate",
              "store-verify", "profile", "trace-out-format",
              "summarize-phases", "chaos", "obs-history", "obs-diff",
              "obs-regress", "obs-export-prom", "check-dealias",
@@ -361,15 +353,23 @@ class TestResilience:
             main(argv)
         assert exit_info.value.code == 2
 
-    def test_paranoid_run_succeeds(self, capsys):
-        assert main(self.RUN + ["--paranoid"]) == 0
-        assert "2^4" in capsys.readouterr().out
-
-    def test_engine_fault_degrades_instead_of_dying(
-        self, capsys, crashing_vectorized
+    def test_engine_fault_stops_run_then_rerun_resumes(
+        self, tmp_path, capsys, monkeypatch, crashing_vectorized
     ):
         assert main(self.RUN) == 0
         baseline = capsys.readouterr().out
-        crashing_vectorized()
-        assert main(self.RUN) == 0
+        run = self.RUN + ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        crashing_vectorized({3})
+        faulted = tmp_path / "faulted.json"
+        with pytest.raises(RuntimeError, match="vectorized engine crashed"):
+            main(run + ["--metrics-out", str(faulted)])
+        assert len(list((tmp_path / "ckpt").glob("rs-*.json"))) == 2
+        # The telemetry of the points that landed is still written.
+        counters = json.loads(faulted.read_text())["counters"]
+        assert counters["sweep.points_computed"] == 2
+        monkeypatch.undo()
+        capsys.readouterr()
+        counters = self._counters(run, tmp_path / "m.json")
+        assert counters["sweep.points_restored"] == 2
+        assert counters["sweep.points_computed"] == 3
         assert capsys.readouterr().out == baseline

@@ -380,7 +380,7 @@ STALLED_WORKERS = (
     "import sys, time\n"
     "from repro.cli import main\n"
     "from repro.exec.parallel import PointTask\n"
-    "PointTask.compute = lambda self, engine, paranoid: time.sleep(60)\n"
+    "PointTask.compute = lambda self: time.sleep(60)\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
 

@@ -145,15 +145,15 @@ class TestMetrics:
     def test_reset_restores_declared_counters(self):
         registry = MetricsRegistry()
         registry.counter("x").inc(7)
-        registry.counter("guard.degradations").inc()
+        registry.counter("exec.worker_failures").inc()
         registry.reset()
         snap = registry.snapshot()
         assert "x" not in snap["counters"]
-        assert snap["counters"]["guard.degradations"] == 0
+        assert snap["counters"]["exec.worker_failures"] == 0
 
     def test_well_known_counters_predeclared(self):
         snap = snapshot()
-        for name in ("guard.degradations", "exec.worker_failures",
+        for name in ("engine.reference.runs", "exec.worker_failures",
                      "sweep.points_restored", "cache.hits"):
             assert snap["counters"][name] == 0
 
@@ -179,14 +179,21 @@ class TestSweepTelemetry:
         assert counters["sweep.points_restored"] == 5
         assert counters["sweep.points_computed"] == 0
 
-    def test_fault_injected_degradation_increments_guard_counter(
-        self, crashing_vectorized, trace
+    def test_engine_fault_rerun_counts_restored_points(
+        self, tmp_path, monkeypatch, crashing_vectorized, trace
     ):
-        crashing_vectorized({1})
-        sweep_tiers("gas", trace, size_bits=[4])
+        crashing_vectorized({3})
+        with pytest.raises(RuntimeError):
+            sweep_tiers("gas", trace, size_bits=[4],
+                        checkpoint_dir=str(tmp_path))
+        monkeypatch.undo()
+        reset_metrics()
+        sweep_tiers("gas", trace, size_bits=[4],
+                    checkpoint_dir=str(tmp_path))
         counters = snapshot()["counters"]
-        assert counters["guard.degradations"] == 1
-        assert counters["engine.reference.runs"] >= 1
+        assert counters["sweep.points_restored"] == 2
+        assert counters["sweep.points_computed"] == 3
+        assert counters["engine.reference.runs"] == 0
 
     def test_on_point_hook_sees_every_point(self, tmp_path, trace):
         calls = []
@@ -319,7 +326,7 @@ class TestCliTelemetry:
         report = json.loads(metrics.read_text())
         assert report["schema"] == METRICS_SCHEMA
         assert report["derived"]["branches_per_sec"] > 0
-        assert report["counters"]["guard.degradations"] == 0
+        assert report["counters"]["exec.worker_failures"] == 0
         assert report["counters"]["sweep.points_restored"] == 0
         lines = [json.loads(l) for l in spans.read_text().splitlines()]
         assert any(r["name"] == "sweep_tiers" for r in lines)
@@ -333,16 +340,18 @@ class TestCliTelemetry:
     def test_metrics_capture_checkpoint_and_fault_counters(
         self, tmp_path, capsys, crashing_vectorized
     ):
+        # Each of the two workers crashes on its first point; both
+        # points are re-dispatched and land.
         crashing_vectorized({1})
         metrics = tmp_path / "m.json"
         code = main(
             self.RUN
             + ["--checkpoint-dir", str(tmp_path / "ckpt"),
-               "--metrics-out", str(metrics)]
+               "--workers", "2", "--metrics-out", str(metrics)]
         )
         assert code == 0
         counters = json.loads(metrics.read_text())["counters"]
-        assert counters["guard.degradations"] == 1
+        assert counters["exec.worker_failures"] == 2
         assert counters["sweep.points_computed"] == 2
         assert len(list((tmp_path / "ckpt").glob("rs-*.json"))) == 2
 
