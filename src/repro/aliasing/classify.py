@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.aliasing.instrumentation import conflict_mask, neighbour_conflicts
 from repro.errors import ConfigurationError, TraceError
 from repro.predictors.specs import PredictorSpec
-from repro.sim.vectorized import global_history_stream, index_stream
+from repro.sim.vectorized import index_stream
 from repro.traces.trace import BranchTrace
 
 
@@ -57,15 +58,8 @@ def classify_conflicts(
     """Count conflicts and split them into harmless/destructive."""
     if len(trace) == 0:
         raise TraceError("cannot classify conflicts on an empty trace")
-    indices = index_stream(spec, trace)
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_pc = trace.pc[order]
+    order, conflict = neighbour_conflicts(index_stream(spec, trace), trace.pc)
     sorted_taken = trace.taken[order]
-
-    same_counter = sorted_idx[1:] == sorted_idx[:-1]
-    other_branch = sorted_pc[1:] != sorted_pc[:-1]
-    conflict = same_counter & other_branch
     agreeing = sorted_taken[1:] == sorted_taken[:-1]
 
     conflicts = int(np.count_nonzero(conflict))
@@ -95,20 +89,10 @@ def all_ones_conflict_share(
     if len(trace) == 0:
         raise TraceError("cannot classify conflicts on an empty trace")
     indices = index_stream(spec, trace)
-    history = global_history_stream(trace.taken, spec.history_bits)
-    row_mask = spec.rows - 1
-    all_ones = (history & row_mask) == row_mask
-
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_pc = trace.pc[order]
-    sorted_ones = all_ones[order]
-
-    conflict = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_pc[1:] != sorted_pc[:-1]
-    )
+    conflict = conflict_mask(indices, trace.pc)
     total = int(np.count_nonzero(conflict))
     if total == 0:
         return 0.0
-    ones = int(np.count_nonzero(conflict & sorted_ones[1:]))
-    return ones / total
+    # The row is the global history's low bits: all ones is the last row.
+    all_ones = (indices >> spec.column_bits) == spec.rows - 1
+    return int(np.count_nonzero(conflict & all_ones)) / total

@@ -11,8 +11,25 @@ from repro.predictors.specs import PredictorSpec
 from repro.sim.fsm_scan import segmented_counter_predictions
 from repro.sim.results import TierPoint, TierSurface
 from repro.sim.sweep import SWEEPABLE_SCHEMES, spec_for_point
-from repro.sim.vectorized import index_stream
+from repro.sim.vectorized import index_stream, pc_ids
 from repro.traces.trace import BranchTrace
+
+
+def neighbour_conflicts(
+    indices: np.ndarray, pc: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, conflict)`` of the stream stably sorted by counter.
+
+    Within the sorted stream, neighbours are consecutive accesses to
+    one counter; ``conflict[i]`` holds when sorted accesses i and i + 1
+    hit one counter from two branches.
+    """
+    order = np.argsort(indices, kind="stable")
+    sorted_idx = indices[order]
+    sorted_pc = pc[order]
+    return order, (sorted_idx[1:] == sorted_idx[:-1]) & (
+        sorted_pc[1:] != sorted_pc[:-1]
+    )
 
 
 def conflict_mask(indices: np.ndarray, pc: np.ndarray) -> np.ndarray:
@@ -20,23 +37,13 @@ def conflict_mask(indices: np.ndarray, pc: np.ndarray) -> np.ndarray:
 
     Access t conflicts when the previous access to the same counter
     came from a different branch — the paper's direct-mapped-cache
-    analogy, computed with one stable sort: within the sorted-by-index
-    stream, neighbours are consecutive accesses to one counter.
+    analogy, computed with one stable sort.
     """
     if len(indices) != len(pc):
         raise TraceError("indices and pc must have equal lengths")
-    total = len(indices)
-    conflicts = np.zeros(total, dtype=bool)
-    if total < 2:
-        return conflicts
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
-    sorted_pc = pc[order]
-    hit_same_counter = sorted_idx[1:] == sorted_idx[:-1]
-    from_other_branch = sorted_pc[1:] != sorted_pc[:-1]
-    sorted_conflicts = np.zeros(total, dtype=bool)
-    sorted_conflicts[1:] = hit_same_counter & from_other_branch
-    conflicts[order] = sorted_conflicts
+    conflicts = np.zeros(len(indices), dtype=bool)
+    order, conflict = neighbour_conflicts(indices, pc)
+    conflicts[order[1:]] = conflict
     return conflicts
 
 
@@ -73,13 +80,8 @@ def observed_alias_sets(
     """
     if len(trace) == 0:
         raise TraceError("cannot observe aliasing on an empty trace")
-    indices = index_stream(spec, trace)
-    order = np.argsort(indices, kind="stable")
-    sorted_idx = indices[order]
+    order, conflict = neighbour_conflicts(index_stream(spec, trace), trace.pc)
     sorted_pc = trace.pc[order]
-    conflict = (sorted_idx[1:] == sorted_idx[:-1]) & (
-        sorted_pc[1:] != sorted_pc[:-1]
-    )
 
     parent: Dict[int, int] = {}
 
@@ -128,8 +130,7 @@ def _private_predictions(
     spec: PredictorSpec, trace: BranchTrace, indices: np.ndarray
 ) -> np.ndarray:
     """:func:`interference_free_predictions` over a computed stream."""
-    _, branch_ids = np.unique(trace.pc, return_inverse=True)
-    private = branch_ids.astype(np.int64) * spec.num_counters + indices
+    private = pc_ids(trace) * spec.num_counters + indices
     return segmented_counter_predictions(
         private, trace.taken, counter_bits=spec.counter_bits
     )

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.check.findings import Finding
 from repro.errors import AnalysisError
-from repro.sim.vectorized import global_history_stream
+from repro.sim.vectorized import global_history, pc_ids, run_history
 from repro.traces.stats import outcome_entropy
 from repro.traces.trace import BranchTrace
 
@@ -338,16 +338,18 @@ def analyze_trace(
     taken = trace.taken
     # The k outcomes before each position, newest in bit 0, zero-padded
     # during warm-up as a register starts from reset: the global
-    # register over the whole stream, the local one over a branch's own.
-    global_hist = global_history_stream(taken, history_bits)
+    # register over the whole stream, the local one (keyed by PC) over
+    # a branch's own.
+    global_hist = global_history(taken, history_bits)
+    ids = pc_ids(trace)
+    local_hist = run_history(
+        taken, 1, history_bits, np.zeros(int(ids.max()) + 1, np.uint64),
+        key=ids,
+    )
     num_contexts = 1 << history_bits
 
-    order = np.argsort(trace.pc, kind="stable")
-    pcs_sorted = trace.pc[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], pcs_sorted[1:] != pcs_sorted[:-1]))
-    )
-    groups = np.split(order, boundaries[1:])
+    order = np.argsort(ids, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(ids))[:-1])
 
     branches: List[BranchPredictability] = []
     for group in groups:
@@ -358,7 +360,7 @@ def analyze_trace(
         entropy = outcome_entropy(rate)
 
         contexts = global_hist[group]
-        local = global_history_stream(outcomes, history_bits)
+        local = local_hist[group]
 
         global_ce = _conditional_entropy(contexts, outcomes, num_contexts)
         local_ce = _conditional_entropy(local, outcomes, num_contexts)

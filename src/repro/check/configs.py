@@ -9,7 +9,6 @@ index contracts the engines rely on:
 * the flat counter index (the shared formula in
   :func:`repro.predictors.specs.counter_index`) cannot exceed the
   table bounds for any reachable row/history value;
-* the history length fits the row-selection register exactly;
 * PA-family first-level geometry is consistent (entries divisible by
   associativity — the precondition ``bht_miss_stream`` enforces at
   simulation time).
@@ -202,13 +201,6 @@ def verify_spec(
                 "die on an out-of-bounds access",
                 max_index=bound,
             )
-        if (1 << spec.history_bits) != spec.rows:
-            add(
-                "config.history-register",
-                "error",
-                f"history length {spec.history_bits} addresses "
-                f"{1 << spec.history_bits} rows, table has {spec.rows}",
-            )
     elif spec.scheme in PER_ADDRESS_COLUMN_SCHEMES:
         add(
             "config.unbounded",
@@ -216,16 +208,6 @@ def verify_spec(
             "idealized per-address columns: second-level size grows "
             "with the static branch population (not a fixed budget)",
         )
-
-    if spec.scheme == "path":
-        slots = -(-spec.history_bits // spec.path_bits_per_branch)
-        if slots * spec.path_bits_per_branch < spec.history_bits:
-            add(
-                "config.history-register",
-                "error",
-                f"{slots} path chunks of {spec.path_bits_per_branch} "
-                f"bits cannot fill a {spec.history_bits}-bit row index",
-            )
 
     if spec.bht_entries is not None and spec.scheme in PER_ADDRESS_SCHEMES:
         if spec.bht_entries % spec.bht_assoc != 0:

@@ -13,11 +13,12 @@ this codebase relies on:
   or a literal tuple/list. Anything else — iterating a trace, an
   array, ``range(len(...))``, ``range(n)`` for an arbitrary ``n`` —
   scales with accesses and is flagged. Sequential per-access state
-  (the counter table, the first-level LRU) lives in C
-  (``sim/kernels.c``), so the hot files carry no allow marker. The
-  no-compiler twins of those loops sit outside the hot files, beside
-  the scalar models they mirror:
-  :func:`repro.predictors.counters.drive_automata` and
+  (the counter table, the history registers, the first-level LRU)
+  lives in C (``sim/kernels.c``), so the hot files carry no allow
+  marker. The no-compiler twins of those loops sit outside the hot
+  files, beside the scalar models they mirror:
+  :func:`repro.predictors.counters.drive_automata`,
+  :func:`repro.predictors.bht.drive_history` and
   :meth:`repro.predictors.bht.BranchHistoryTable.miss_stream`.
 * ``code.metric-name`` — every literal counter name passed to
   ``counter()`` must be pre-declared in

@@ -12,7 +12,8 @@ taken or all not taken branches."
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,16 +33,11 @@ def reset_history(history_bits: int) -> int:
     ones for every length >= 2, which is exactly why the paper chose it.
     """
     check_positive_int(history_bits, "history_bits")
-    if history_bits >= RESET_PATTERN_BITS:
-        # Left-extend by repeating the pattern; only the paper's 16 bits
-        # are specified, longer histories keep the same prefix idea.
-        value = RESET_PATTERN
-        bits = RESET_PATTERN_BITS
-        while bits < history_bits:
-            value = (value << RESET_PATTERN_BITS) | RESET_PATTERN
-            bits += RESET_PATTERN_BITS
-        return value >> (bits - history_bits)
-    return RESET_PATTERN >> (RESET_PATTERN_BITS - history_bits)
+    # Only the paper's 16 bits are specified; longer histories repeat
+    # the pattern, keeping the same prefix idea.
+    pattern = format(RESET_PATTERN, f"0{RESET_PATTERN_BITS}b")
+    repeats = history_bits // RESET_PATTERN_BITS + 1
+    return int((pattern * repeats)[:history_bits], 2)
 
 
 def check_bht_geometry(entries: int, assoc: int) -> None:
@@ -185,3 +181,34 @@ class PerfectHistoryTable:
     @property
     def storage_bits(self) -> int:
         return 0  # idealized
+
+
+def drive_history(
+    key: Optional[np.ndarray],
+    reset_at: Optional[np.ndarray],
+    chunk: np.ndarray,
+    shift: int,
+    register_mask: int,
+    reset: int,
+    regs: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Python twin of ``repro_history`` (``sim/kernels.c``).
+
+    Access t takes register ``regs[key[t]]`` (``regs[0]`` without a
+    key), sets it to ``reset`` where ``reset_at[t]`` holds, writes it
+    to ``out[t]`` and stores ``((r << shift) | chunk[t]) & mask`` back
+    into the caller's ``regs``. Trusts its arguments as the C loop
+    does; :func:`repro.sim.vectorized.run_history` checks them.
+    """
+    n = len(chunk)
+    registers = regs.tolist()
+    keys = repeat(0, n) if key is None else key.tolist()
+    resets = repeat(0, n) if reset_at is None else reset_at.tolist()
+    values = [0] * n
+    for t, (k, reset_now, c) in enumerate(zip(keys, resets, chunk.tolist())):
+        r = reset if reset_now else registers[k]
+        values[t] = r
+        registers[k] = ((r << shift) | c) & register_mask
+    regs[:] = registers
+    out[:] = values

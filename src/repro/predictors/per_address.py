@@ -149,5 +149,10 @@ class PApPredictor(BranchPredictor):
         self.history_table.reset()
 
     @property
+    def first_level_miss_rate(self) -> float:
+        """Always 0.0: the perfect first level never misses."""
+        return self.history_table.miss_rate
+
+    @property
     def storage_bits(self) -> int:
         return sum(c.storage_bits for c in self._columns.values())

@@ -72,7 +72,8 @@ class PredictorSpec:
     #: PAs family: first-level set associativity (paper uses 4-way).
     bht_assoc: int = 4
     #: Path scheme: target-address bits recorded per branch (Nair's
-    #: "small number of bits from the addresses of branch targets").
+    #: "small number of bits from the addresses of branch targets"),
+    #: at most 8.
     path_bits_per_branch: int = 2
     #: Static scheme: "taken", "not_taken", or "btfn".
     static_policy: str = "taken"
@@ -185,6 +186,11 @@ class PredictorSpec:
                     f"path_bits_per_branch ({self.path_bits_per_branch}) "
                     f"exceeds the row-index width ({self.history_bits})"
                 )
+            if self.path_bits_per_branch > 8:
+                raise ConfigurationError(
+                    "path_bits_per_branch above 8: the history loop "
+                    "shifts in one byte per branch"
+                )
 
         if self.scheme == "tournament":
             if self.component_a is None or self.component_b is None:
@@ -256,26 +262,6 @@ ROW_MAJOR_SCHEMES: Tuple[str, ...] = (
 #: Idealized designs whose second level grows with the static branch
 #: population (one column per address) — unbounded by construction.
 PER_ADDRESS_COLUMN_SCHEMES: Tuple[str, ...] = ("gap", "pap")
-
-#: Where each scheme's row index comes from (reporting/docs).
-ROW_SOURCES = {
-    "static": "none",
-    "bimodal": "none",
-    "gag": "global history",
-    "gas": "global history",
-    "gap": "global history",
-    "gshare": "global history xor PC",
-    "path": "path register",
-    "pag": "per-address history",
-    "pas": "per-address history",
-    "pap": "per-address history",
-    "sag": "per-set history",
-    "sas": "per-set history",
-    "agree": "global history xor PC",
-    "bimode": "global history xor PC",
-    "gskew": "skewed hashes of history and PC",
-    "tournament": "components",
-}
 
 
 def word_index(pc: IntOrArray) -> IntOrArray:

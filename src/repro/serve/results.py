@@ -15,13 +15,14 @@ reading it.
 
 Discipline mirrors the trace store exactly: loads count ``cache.hits``
 and touch the file's mtime (the LRU order), lookups that must simulate
-count ``cache.misses``, ``ls``/``total_bytes``/``gc`` provide the same
+count ``cache.misses``, ``ls``/``total_bytes`` provide the same
 hygiene surface (both stores share :mod:`repro.runtime.durable`'s LRU
 helpers), and a corrupt artifact reads as a miss (left in place for
 ``repro doctor`` to quarantine). :meth:`ResultStore.verify` is the one
 definition of a sound artifact; reads and the doctor both use it.
-:func:`gc_stores` evicts across a trace store *and* a result store under
-one byte cap, oldest first, regardless of which store a file lives in.
+:func:`gc_stores` is the one eviction: across any trace and result
+stores under one byte cap, oldest first, regardless of which store a
+file lives in.
 """
 
 from __future__ import annotations
@@ -225,10 +226,6 @@ class ResultStore:
 
     def total_bytes(self) -> int:
         return sum(int(row["bytes"]) for row in self.ls())
-
-    def gc(self, max_bytes: int) -> List[str]:
-        """Evict least-recently-used results until the cap is met."""
-        return evict_lru(self.ls(), max_bytes)
 
 
 def gc_stores(stores, max_bytes: int) -> List[str]:

@@ -4,10 +4,10 @@ Two engines with identical semantics:
 
 * :mod:`repro.sim.reference` — a scalar loop driving the predictor
   objects from :mod:`repro.predictors`; obviously correct, slow.
-* :mod:`repro.sim.vectorized` — numpy index streams feeding the
-  counter kernel (:mod:`repro.sim.fsm_scan`), one sequential C pass
-  per configuration (:mod:`repro.sim.native`), or, without a
-  compiler, the same loop transcribed into Python: the paper simulated
+* :mod:`repro.sim.vectorized` — index streams from one history loop
+  feeding the counter kernel (:mod:`repro.sim.fsm_scan`), sequential
+  C passes per configuration (:mod:`repro.sim.native`), or, without a
+  compiler, the same loops transcribed into Python: the paper simulated
   hundreds of millions of branches per configuration, and the
   configuration sweeps of Figures 4-10 multiply that by ~80 shapes.
 

@@ -44,18 +44,34 @@ _SPARSE_FACTOR = 4
 _DENSE_FLOOR = 1 << 20
 
 
-def _as_indices(idx: np.ndarray) -> np.ndarray:
+def _as_indices(idx: np.ndarray, what: str = "counter indices") -> np.ndarray:
     """``idx`` as a contiguous, non-negative int64 vector."""
     idx = np.asarray(idx)
     if idx.ndim != 1 or idx.dtype.kind not in "biu":
         raise ConfigurationError(
-            f"counter indices must be a 1-D integer array, got "
+            f"{what} must be a 1-D integer array, got "
             f"{idx.ndim}-D {idx.dtype}"
         )
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if len(idx) and int(idx.min()) < 0:
-        raise ConfigurationError("counter indices must be >= 0")
+        raise ConfigurationError(f"{what} must be >= 0")
     return idx
+
+
+def _check_table(table: np.ndarray, dtype: type, name: str) -> None:
+    """Raise unless ``table`` is a writeable, contiguous 1-D array of
+    ``dtype``: a caller-owned table a C loop updates in place."""
+    if not (
+        isinstance(table, np.ndarray)
+        and table.dtype == dtype
+        and table.ndim == 1
+        and table.flags.c_contiguous
+        and table.flags.writeable
+    ):
+        raise ConfigurationError(
+            f"{name} must be a writeable, contiguous 1-D "
+            f"{np.dtype(dtype).name} array"
+        )
 
 
 def run_automaton(
@@ -91,16 +107,7 @@ def run_automaton(
             f"input symbols must lie in [0, {n_inputs})"
         )
     inputs = np.ascontiguousarray(inputs, dtype=np.uint8)
-    if not (
-        isinstance(state, np.ndarray)
-        and state.dtype == np.uint8
-        and state.ndim == 1
-        and state.flags.c_contiguous
-        and state.flags.writeable
-    ):
-        raise ConfigurationError(
-            "state must be a writeable, contiguous 1-D uint8 array"
-        )
+    _check_table(state, np.uint8, "state")
     if len(idx) and int(idx.max()) >= len(state):
         raise ConfigurationError(
             f"counter index {int(idx.max())} outside a state table of "

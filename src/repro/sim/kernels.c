@@ -1,7 +1,7 @@
 /* Sequential simulation kernels, loaded through ctypes by
  * repro.sim.native.
  *
- * Both loops trust their arguments: the Python callers check every
+ * The loops trust their arguments: the Python callers check every
  * bound an out-of-range read or write would need (index range, input
  * alphabet, state range, array lengths) before calling in.
  */
@@ -24,6 +24,23 @@ void repro_automaton(const int64_t *idx, const uint8_t *inputs, int64_t n,
         uint8_t s = *entry;
         before[t] = s;
         *entry = transitions[(int64_t)inputs[t] * n_states + s];
+    }
+}
+
+/* A table of shift registers over an access stream: access t takes
+ * register regs[key[t]] (regs[0] when key is NULL), sets it to reset
+ * where reset_at[t] is set (reset_at may be NULL), writes it to out[t]
+ * and stores ((r << shift) | chunk[t]) & mask back into regs[]. */
+void repro_history(const int64_t *key, const uint8_t *reset_at,
+                   const uint8_t *chunk, int64_t n, int64_t shift,
+                   uint64_t mask, uint64_t reset, uint64_t *regs,
+                   int64_t *out)
+{
+    for (int64_t t = 0; t < n; t++) {
+        uint64_t *reg = regs + (key ? key[t] : 0);
+        uint64_t r = (reset_at && reset_at[t]) ? reset : *reg;
+        out[t] = (int64_t)r;
+        *reg = ((r << shift) | chunk[t]) & mask;
     }
 }
 

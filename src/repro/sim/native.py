@@ -14,6 +14,7 @@ rebuilt once. When there is no compiler, or the build or load fails
 again, :func:`library` returns ``None`` for the rest of the process and
 logs one warning; the callers then run the same loops in Python
 (:func:`repro.predictors.counters.drive_automata`,
+:func:`repro.predictors.bht.drive_history`,
 :meth:`repro.predictors.bht.BranchHistoryTable.miss_stream`), which give
 the same results more slowly.
 """
@@ -38,6 +39,7 @@ _PTR = ctypes.c_void_p
 _SIGNATURES = {
     "repro_automaton": (_PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR),
     "repro_lru": (_PTR, _I64, _U64, _I64, _PTR, _PTR, _PTR),
+    "repro_history": (_PTR, _PTR, _PTR, _I64, _I64, _U64, _U64, _PTR, _PTR),
 }
 
 #: ``None`` until the first :func:`library` call, then the loaded
@@ -119,6 +121,6 @@ def library() -> Optional[ctypes.CDLL]:
             _lib = False
             get_logger("repro.sim.native").warning(
                 "native kernels unavailable (%s); using the Python "
-                "counter and LRU loops, which are much slower", exc,
+                "counter, history and LRU loops, which are much slower", exc,
             )
     return _lib if isinstance(_lib, ctypes.CDLL) else None

@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import TraceError
 from repro.predictors.base import BranchPredictor
 from repro.predictors.factory import build_predictor
-from repro.predictors.per_address import PerAddressPredictor
 from repro.predictors.specs import PredictorSpec
 from repro.sim.results import SimulationResult
 from repro.traces.trace import BranchTrace
@@ -48,9 +47,8 @@ def simulate_reference(
         predictions[i] = predict(pc, target)
         update(pc, taken, target)
 
-    miss_rate = None
-    if isinstance(predictor, PerAddressPredictor):
-        miss_rate = predictor.first_level_miss_rate
+    # Per-address predictors (PAg/PAs/PAp) report their first level.
+    miss_rate = getattr(predictor, "first_level_miss_rate", None)
     return SimulationResult(
         spec=spec,
         trace_name=trace.name,

@@ -2,10 +2,14 @@
 
 Every engine here follows the same two-phase plan:
 
-1. compute, with numpy array operations only, the *counter index* each
-   dynamic branch accesses (this is possible because every row-selection
-   box in the paper is a function of the outcome/target stream and the
-   PC stream, never of predictor state);
+1. compute the *counter index* each dynamic branch accesses (possible
+   up front because every row-selection box in the paper is a function
+   of the outcome/target stream and the PC stream, never of predictor
+   state). Each box is a table of shift registers picked by a key: one
+   register for global history and Nair's path register, one per
+   branch for PAg/PAs/PAp, one per set for SAg/SAs. One sequential
+   loop, :func:`run_history`, runs all of them (in C, or its Python
+   twin without a compiler); the index arithmetic around it is numpy;
 2. hand the ``(index, outcome)`` stream to the counter kernel
    (:func:`repro.sim.fsm_scan.segmented_counter_predictions`), one
    sequential C pass (its Python twin without a compiler), to obtain
@@ -17,7 +21,8 @@ C library (:mod:`repro.sim.native`), or, without a compiler, through
 the scalar :class:`repro.predictors.bht.BranchHistoryTable` the
 reference engine uses. It depends only on (trace, entries, assoc), not
 on the second-level shape, so one pass is shared by an entire Figure-10
-surface: the miss stream is cached on the trace object and dies with it.
+surface: the miss stream, like the dense PC ids, is cached on the trace
+object and dies with it.
 
 Equivalence with the scalar reference engine is asserted
 prediction-by-prediction in ``tests/test_sim_equivalence.py``.
@@ -36,16 +41,26 @@ from repro.obs.spans import span
 from repro.predictors.bht import (
     BranchHistoryTable,
     check_bht_geometry,
+    drive_history,
     reset_history,
 )
-from repro.predictors.counters import counter_init_state, counter_outputs
+from repro.predictors.counters import (
+    counter_init_state,
+    counter_outputs,
+    counter_transitions,
+)
 from repro.predictors.specs import (
     PredictorSpec,
     bht_set_index,
     counter_index,
     word_index,
 )
-from repro.sim.fsm_scan import run_automaton, segmented_counter_predictions
+from repro.sim.fsm_scan import (
+    _as_indices,
+    _check_table,
+    run_automaton,
+    segmented_counter_predictions,
+)
 from repro.sim.results import SimulationResult
 from repro.traces.trace import BranchTrace
 
@@ -84,111 +99,124 @@ def has_vectorized_engine(spec: PredictorSpec) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Row-selection streams
+# Row-selection streams: one keyed shift-register loop
 # ----------------------------------------------------------------------
 
 
-def global_history_stream(taken: np.ndarray, bits: int) -> np.ndarray:
-    """``gh[t]`` = directions of the last ``bits`` branches before t,
-    newest outcome in bit 0 (the scalar register's convention)."""
-    gh = np.zeros(len(taken), dtype=np.int64)
-    if bits < 1 or len(taken) < 2:
-        return gh
-    gh[1:] = taken[:-1]
-    # Doubling: a width-w register ORed with itself w branches earlier,
-    # shifted up w bits, is the width-2w register. log2(bits) passes,
-    # in place, instead of one pass (and one temporary) per bit.
-    older = np.empty_like(gh)
-    width = 1
-    while width < bits:
-        np.left_shift(gh[:-width], width, out=older[:-width])
-        gh[width:] |= older[:-width]
-        width *= 2
-    if width > bits:
-        gh &= (1 << bits) - 1
-    return gh
-
-
-def path_register_stream(
-    trace: BranchTrace, row_bits: int, bits_per_target: int
-) -> np.ndarray:
-    """Nair's register: low target bits of recent control-flow
-    destinations, newest chunk in the low bits."""
-    went = np.where(
-        trace.taken, trace.target, trace.pc + np.uint64(4)
-    ).astype(np.int64)
-    chunks = (went >> 2) & ((1 << bits_per_target) - 1)
-    register = np.zeros(len(trace), dtype=np.int64)
-    slots = -(-row_bits // bits_per_target)  # ceil
-    for age in range(1, slots + 1):
-        register[age:] |= chunks[:-age] << ((age - 1) * bits_per_target)
-    return register & ((1 << row_bits) - 1)
-
-
-def per_address_history_stream(
-    trace: BranchTrace,
+def run_history(
+    chunk: np.ndarray,
+    shift: int,
     bits: int,
-    miss: Optional[np.ndarray] = None,
-    group_key: Optional[np.ndarray] = None,
+    regs: np.ndarray,
+    key: Optional[np.ndarray] = None,
+    reset_at: Optional[np.ndarray] = None,
+    reset: int = 0,
 ) -> np.ndarray:
-    """Per-branch history register values at each access.
+    """Values of a table of ``bits``-wide shift registers at each access.
 
-    With ``miss=None`` histories are perfect (the paper's PAs(inf)).
-    With a hit/miss stream from :func:`bht_miss_stream`, a miss resets
-    the register to the 0xC3FF prefix and accumulation restarts — the
-    exact first-level pollution model of the paper's Figure 10.
+    Access t takes register ``regs[key[t]]`` (``regs[0]`` without a
+    key), sets it to ``reset`` where ``reset_at[t]`` holds, reports it,
+    then shifts in ``chunk[t]`` (an outcome bit, or a ``shift``-bit
+    target chunk). ``regs`` (uint64) is updated in place, so a stream
+    run in two pieces equals one run. Returns the int64 values.
 
-    ``group_key`` overrides the register-sharing key (default: the PC,
-    one register per branch). Passing an untagged-table index instead
-    yields the per-*set* histories of SAg/SAs, where colliding branches
-    silently interleave into one register.
+    Every bound the C loop trusts is checked first, as in
+    :func:`repro.sim.fsm_scan.run_automaton`; without a compiler the
+    loop runs in Python (:func:`repro.predictors.bht.drive_history`).
     """
-    total = len(trace)
-    key = trace.pc if group_key is None else group_key
-    order = np.argsort(key, kind="stable")
-    sorted_pc = key[order]
-    sorted_taken = trace.taken[order].astype(np.int64)
+    chunk = np.ascontiguousarray(chunk)
+    if chunk.dtype == bool:
+        chunk = chunk.view(np.uint8)
+    n = len(chunk)
+    if chunk.ndim != 1 or chunk.dtype != np.uint8:
+        raise ConfigurationError("chunks must be a 1-D bool or uint8 array")
+    if not (0 < shift < 64 and 0 <= bits < 64):
+        raise ConfigurationError(f"bad shift {shift} or width {bits}")
+    register_mask = (1 << bits) - 1
+    if n and int(chunk.max()) >> shift or not 0 <= reset <= register_mask:
+        raise ConfigurationError("a chunk or the reset value is too wide")
+    _check_table(regs, np.uint64, "regs")
+    if key is not None:
+        key = _as_indices(key, "register keys")
+    if reset_at is not None:
+        reset_at = np.ascontiguousarray(reset_at)
+        if reset_at.dtype != bool:
+            raise ConfigurationError("reset_at must be a bool array")
+        reset_at = reset_at.view(np.uint8)
+    for column in (key, reset_at):
+        if column is not None and column.shape != chunk.shape:
+            raise ConfigurationError("key, reset_at and chunk lengths differ")
+    if n and (int(key.max()) if key is not None else 0) >= len(regs):
+        raise ConfigurationError(f"a key falls outside {len(regs)} registers")
 
-    new_group = np.empty(total, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_pc[1:] != sorted_pc[:-1]
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return out
+    from repro.sim import native  # first use only, as in fsm_scan
 
-    if miss is None:
-        run_start = new_group
-    else:
-        # A run is broken by the branch's own first-level misses: the
-        # entry was stolen, the history reset.
-        run_start = new_group | miss[order]
-    # Rank within run: positions since the last run start.
-    indices = np.arange(total)
-    start_positions = np.where(run_start, indices, 0)
-    np.maximum.accumulate(start_positions, out=start_positions)
-    depth = indices - start_positions  # 0 at the run-start access
+    lib = native.library()
+    if lib is None:
+        drive_history(
+            key, reset_at, chunk, shift, register_mask, reset, regs, out
+        )
+        return out
+    lib.repro_history(
+        None if key is None else key.ctypes.data,
+        None if reset_at is None else reset_at.ctypes.data,
+        chunk.ctypes.data, n, shift, register_mask, reset,
+        regs.ctypes.data, out.ctypes.data,
+    )
+    counter("sim.native_calls").inc()
+    return out
 
-    reset = reset_history(bits)
-    history_sorted = np.zeros(total, dtype=np.int64)
-    for bit in range(bits):
-        from_outcome = depth > bit
-        outcome_bit = np.zeros(total, dtype=np.int64)
-        if total > bit + 1:
-            outcome_bit[bit + 1 :] = sorted_taken[: -(bit + 1)]
-        pad_index = np.clip(bit - depth, 0, bits - 1)
-        reset_bit = (reset >> pad_index) & 1
-        history_sorted |= np.where(from_outcome, outcome_bit, reset_bit) << bit
 
-    history = np.empty(total, dtype=np.int64)
-    history[order] = history_sorted
-    return history
+def global_history(taken: np.ndarray, bits: int) -> np.ndarray:
+    """The global register at each access: the outcomes of the last
+    ``bits`` branches, newest in bit 0, zero before the first."""
+    return run_history(taken, 1, bits, np.zeros(1, dtype=np.uint64))
+
+
+def _first_level_history(
+    spec: PredictorSpec, trace: BranchTrace, words: np.ndarray
+) -> np.ndarray:
+    """Per-address (PAg/PAs/PAp) or per-set (SAg/SAs) histories.
+
+    One register per branch, or per set of the untagged per-set table
+    (colliding branches interleave). Each starts at the 0xC3FF prefix;
+    a branch's miss in a finite tagged table resets its register to it
+    (the first-level pollution model of the paper's Figure 10).
+    """
+    bits = max(1, spec.history_bits)
+    initial = reset_history(bits)
+    per_set = spec.scheme in ("sag", "sas")
+    key = bht_set_index(spec, words) if per_set else pc_ids(trace)
+    miss = None
+    if spec.scheme in ("pag", "pas") and spec.bht_entries is not None:
+        miss = bht_miss_stream(trace, spec.bht_entries, spec.bht_assoc)
+    regs = np.full(int(key.max(initial=-1)) + 1, initial, dtype=np.uint64)
+    return run_history(
+        trace.taken, 1, bits, regs, key=key, reset_at=miss, reset=initial
+    )
 
 
 # ----------------------------------------------------------------------
-# First-level BHT simulation (stateful; cached per trace and geometry)
+# Per-trace arrays: dense PC ids and the first-level BHT (cached)
 # ----------------------------------------------------------------------
 
-#: trace -> {(entries, assoc): miss stream}. Keyed by the trace object
-#: (traces are immutable by convention), so a lookup hashes nothing and
-#: an entry is dropped when its trace is collected.
-_MISS_STREAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: trace -> {"pc_ids": dense PC ids, (entries, assoc): miss stream}.
+#: Keyed by the trace object (traces are immutable by convention), so
+#: a lookup hashes nothing and the entries die with their trace.
+_TRACE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def pc_ids(trace: BranchTrace) -> np.ndarray:
+    """Dense int64 id of each access's PC, in PC order from 0: the
+    per-address register keys and the gap/pap columns."""
+    derived = _TRACE_CACHE.setdefault(trace, {})
+    if "pc_ids" not in derived:
+        ids = np.unique(trace.pc, return_inverse=True)[1]
+        derived["pc_ids"] = ids.astype(np.int64, copy=False)
+    return derived["pc_ids"]
 
 
 def bht_miss_stream(
@@ -203,8 +231,8 @@ def bht_miss_stream(
     pass.
     """
     check_bht_geometry(entries, assoc)
-    streams = _MISS_STREAMS.setdefault(trace, {})
-    cached = streams.get((entries, assoc))
+    derived = _TRACE_CACHE.setdefault(trace, {})
+    cached = derived.get((entries, assoc))
     if cached is not None:
         return cached
 
@@ -226,7 +254,7 @@ def bht_miss_stream(
         )
         counter("sim.native_calls").inc()
 
-    streams[(entries, assoc)] = miss
+    derived[(entries, assoc)] = miss
     return miss
 
 
@@ -251,57 +279,34 @@ def index_stream(spec: PredictorSpec, trace: BranchTrace) -> np.ndarray:
 def _index_stream(spec: PredictorSpec, trace: BranchTrace) -> np.ndarray:
     scheme = spec.scheme
     words = word_index(trace.pc)
-    row_mask = spec.rows - 1
-
     if scheme == "bimodal":
         return counter_index(spec, 0, words)
-    if scheme in ("gag", "gas"):
-        rows = global_history_stream(trace.taken, spec.history_bits)
-        return counter_index(spec, rows, words)
+    if scheme in ("gag", "gas", "gap", "gshare", "agree"):
+        rows = global_history(trace.taken, spec.history_bits)
+    elif scheme == "path":
+        # Nair's register records where control went: the target when
+        # taken, the fall-through otherwise.
+        went = np.where(trace.taken, trace.target, trace.pc + np.uint64(4))
+        shift = spec.path_bits_per_branch
+        chunk = (word_index(went) & ((1 << shift) - 1)).astype(np.uint8)
+        regs = np.zeros(1, dtype=np.uint64)
+        rows = run_history(chunk, shift, spec.history_bits, regs)
+    elif scheme in ("pag", "pas", "pap", "sag", "sas"):
+        rows = _first_level_history(spec, trace, words)
+    else:
+        raise ConfigurationError(
+            f"no index stream for scheme {spec.scheme!r}"
+        )
+    if scheme in ("gap", "pap"):
+        rows &= spec.rows - 1
+        return pc_ids(trace) * spec.rows + rows
     if scheme == "gshare":
-        history = global_history_stream(trace.taken, spec.history_bits)
-        rows = history ^ (words >> spec.column_bits)
-        return counter_index(spec, rows, words)
-    if scheme == "path":
-        rows = path_register_stream(
-            trace, spec.history_bits, spec.path_bits_per_branch
-        )
-        return counter_index(spec, rows, words)
-    if scheme in ("pag", "pas"):
-        miss = None
-        if spec.bht_entries is not None:
-            miss = bht_miss_stream(trace, spec.bht_entries, spec.bht_assoc)
-        history = per_address_history_stream(
-            trace, max(1, spec.history_bits), miss
-        )
-        return counter_index(spec, history, words)
-    if scheme == "gap":
-        rows = global_history_stream(trace.taken, spec.history_bits) & row_mask
-        columns = _dense_pc_ids(trace.pc)
-        return columns * spec.rows + rows
-    if scheme == "pap":
-        history = per_address_history_stream(trace, max(1, spec.history_bits))
-        columns = _dense_pc_ids(trace.pc)
-        return columns * spec.rows + (history & row_mask)
-    if scheme in ("sag", "sas"):
-        set_index = bht_set_index(spec, words)
-        history = per_address_history_stream(
-            trace, max(1, spec.history_bits), group_key=set_index
-        )
-        return counter_index(spec, history, words)
-    if scheme == "agree":
-        history = global_history_stream(trace.taken, spec.history_bits)
+        rows ^= words >> spec.column_bits
+    elif scheme == "agree":
         # cols == 1 for agree, so the row-major flat index reduces to
         # the hashed row itself.
-        return counter_index(spec, history ^ words, words)
-    raise ConfigurationError(
-        f"no index stream for scheme {spec.scheme!r}"
-    )
-
-
-def _dense_pc_ids(pc: np.ndarray) -> np.ndarray:
-    _, inverse = np.unique(pc, return_inverse=True)
-    return inverse.astype(np.int64)
+        rows ^= words
+    return counter_index(spec, rows, words)
 
 
 # ----------------------------------------------------------------------
@@ -321,24 +326,20 @@ def simulate_vectorized(
             "reference engine"
         )
     scheme = spec.scheme
-    if scheme == "static":
-        predictions = _static_predictions(spec, trace)
-        miss_rate = None
-    elif scheme == "agree":
-        predictions = _agree_predictions(spec, trace)
-        miss_rate = None
-    elif scheme == "gskew":
-        predictions = _gskew_predictions(spec, trace)
-        miss_rate = None
-    elif scheme == "tournament":
-        predictions = _tournament_predictions(spec, trace)
-        miss_rate = None
+    own_engine = {
+        "static": _static_predictions,
+        "agree": _agree_predictions,
+        "gskew": _gskew_predictions,
+        "tournament": _tournament_predictions,
+    }.get(scheme)
+    miss_rate = None
+    if own_engine is not None:
+        predictions = own_engine(spec, trace)
     else:
         indices = index_stream(spec, trace)
         predictions = segmented_counter_predictions(
             indices, trace.taken, counter_bits=spec.counter_bits
         )
-        miss_rate = None
         if scheme in ("pag", "pas") and spec.bht_entries is not None:
             miss = bht_miss_stream(trace, spec.bht_entries, spec.bht_assoc)
             miss_rate = float(np.count_nonzero(miss)) / len(trace)
@@ -373,7 +374,7 @@ def _agree_predictions(
     counter stream is then the *agreement* stream, scanned as usual.
     """
     bias_entries = 4096  # matches AgreePredictor's default
-    words = (trace.pc >> np.uint64(2)).astype(np.int64)
+    words = word_index(trace.pc)
     bias_index = words & (bias_entries - 1)
     _, first_occurrence = np.unique(bias_index, return_index=True)
     bias_value = np.zeros(bias_entries, dtype=bool)
@@ -408,8 +409,8 @@ def _gskew_predictions(
     row_bits = spec.history_bits
     bits = max(row_bits, 1)
     row_mask = spec.rows - 1
-    words = (trace.pc >> np.uint64(2)).astype(np.int64)
-    history = global_history_stream(trace.taken, row_bits)
+    words = word_index(trace.pc)
+    history = global_history(trace.taken, row_bits)
 
     base = (history ^ words) & row_mask
     skew1 = (
@@ -445,14 +446,12 @@ def _tournament_predictions(
     b_correct = pred_b == trace.taken
 
     nbits = spec.counter_bits
-    states = 1 << nbits
-    identity = np.arange(states, dtype=np.uint8)
-    decrement = np.maximum(np.arange(states) - 1, 0).astype(np.uint8)
-    increment = np.minimum(np.arange(states) + 1, states - 1).astype(np.uint8)
+    decrement, increment = counter_transitions(nbits)
+    identity = np.arange(len(decrement), dtype=np.uint8)
     # Input encoding: a_correct + 2*b_correct.
     transitions = np.stack([identity, decrement, increment, identity])
 
-    words = (trace.pc >> np.uint64(2)).astype(np.int64)
+    words = word_index(trace.pc)
     chooser_index = words & (spec.chooser_rows - 1)
     inputs = a_correct.astype(np.uint8) + 2 * b_correct.astype(np.uint8)
 

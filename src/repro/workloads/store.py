@@ -22,7 +22,7 @@ import os
 from typing import List, Optional
 
 from repro.obs.metrics import counter
-from repro.runtime.durable import Row, evict_lru, lru_rows, touch
+from repro.runtime.durable import Row, lru_rows, touch
 from repro.traces.io import load_trace, save_trace
 from repro.traces.trace import BranchTrace
 from repro.workloads.registry import make_workload
@@ -116,20 +116,10 @@ class TraceStore:
         """One row per stored trace: path, bytes, last-use time.
 
         Last use is the file's mtime — loads touch it, so the listing
-        doubles as the LRU order used by :meth:`gc` (oldest first).
+        doubles as the LRU order ``gc_stores`` evicts in (oldest first).
         """
         return lru_rows(self.stored_files())
 
     def total_bytes(self) -> int:
         """Bytes currently held by the store."""
         return sum(int(row["bytes"]) for row in self.ls())
-
-    def gc(self, max_bytes: int) -> List[str]:
-        """Evict least-recently-used traces until the cap is met.
-
-        Returns the evicted paths. A ``max_bytes`` of 0 empties the
-        store; a cap the store already satisfies evicts nothing.
-        Everything evicted is regenerable (that is the store's
-        contract), so gc never needs confirmation.
-        """
-        return evict_lru(self.ls(), max_bytes)

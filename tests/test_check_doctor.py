@@ -15,6 +15,7 @@ from repro.check.doctor import run_doctor, scan_result_store, scan_store
 from repro.cli import main
 from repro.errors import CheckError
 from repro.obs import reset_metrics, snapshot
+from repro.serve.results import gc_stores
 from repro.sim.results import TierPoint
 from repro.workloads.store import TraceStore
 
@@ -148,17 +149,17 @@ class TestStoreHygiene:
         rows = store.ls()
         keep = int(rows[-1]["bytes"])
         before = snapshot()["counters"]["store.evictions"]
-        evicted = store.gc(keep)
+        evicted = gc_stores([store], keep)
         assert evicted == [str(rows[0]["path"]), str(rows[1]["path"])]
         assert store.total_bytes() <= keep
         assert snapshot()["counters"]["store.evictions"] == before + 2
-        assert store.gc(keep) == []  # already under the cap
+        assert gc_stores([store], keep) == []  # already under the cap
 
     def test_gc_zero_empties_negative_rejected(self, tmp_path):
         store = self._fill(tmp_path, count=2)
         with pytest.raises(ValueError):
-            store.gc(-1)
-        assert len(store.gc(0)) == 2
+            gc_stores([store], -1)
+        assert len(gc_stores([store], 0)) == 2
         assert store.total_bytes() == 0
 
 

@@ -137,7 +137,7 @@ class TestResultStore:
             os.utime(path, (1000 + index, 1000 + index))
         store.get(keys[0])
         survivor_budget = store.total_bytes() - 1
-        store.gc(survivor_budget)
+        gc_stores([store], survivor_budget)
         remaining = store.stored_files()
         assert len(remaining) == 2
         assert store.peek(keys[0]) is not None  # recently used survives

@@ -51,6 +51,8 @@ SPECS = [
     make_predictor_spec("pas", rows=8, cols=2, bht_entries=4, bht_assoc=2),
     make_predictor_spec("pag", rows=16, bht_entries=8, bht_assoc=1),
     make_predictor_spec("pap", rows=8),
+    make_predictor_spec("sag", rows=16, bht_entries=8),
+    make_predictor_spec("sas", rows=8, cols=2, bht_entries=16, bht_assoc=1),
     make_predictor_spec("agree", rows=16),
     make_predictor_spec("gskew", rows=16),
     make_predictor_spec(
@@ -69,10 +71,7 @@ def _assert_engines_agree(spec, trace):
     assert mismatches.size == 0, (
         f"{spec.describe()} first mismatch at access {mismatches[:5]}"
     )
-    if slow.first_level_miss_rate is not None:
-        assert fast.first_level_miss_rate == pytest.approx(
-            slow.first_level_miss_rate
-        )
+    assert fast.first_level_miss_rate == slow.first_level_miss_rate
 
 
 class TestEngineEquivalence:
@@ -100,7 +99,7 @@ class TestEngineEquivalence:
         from repro.sim import native, vectorized
 
         monkeypatch.setattr(native, "library", lambda: None)
-        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(vectorized, "_TRACE_CACHE", weakref.WeakKeyDictionary())
         _assert_engines_agree(spec, random_trace(13))
 
     @given(st.integers(0, 2**32 - 1))
@@ -200,7 +199,7 @@ class TestBhtMissStream:
         from repro.sim import vectorized
 
         streams = weakref.WeakKeyDictionary()
-        monkeypatch.setattr(vectorized, "_MISS_STREAMS", streams)
+        monkeypatch.setattr(vectorized, "_TRACE_CACHE", streams)
         trace = random_trace(23)
         first = bht_miss_stream(trace, entries=8, assoc=2)
         calls = snapshot()["counters"]["sim.native_calls"]
@@ -237,7 +236,7 @@ class TestBhtMissStream:
             pytest.skip("no C compiler")
         if engine == "fallback":
             monkeypatch.setattr(native, "library", lambda: None)
-        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(vectorized, "_TRACE_CACHE", weakref.WeakKeyDictionary())
         for seed in range(4):
             rng = np.random.default_rng(seed)
             pc = (rng.integers(0, 3 * entries + 5, size=700) * 4

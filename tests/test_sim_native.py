@@ -30,7 +30,7 @@ def fresh(monkeypatch, tmp_path):
     the suite's own library comes back afterwards."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native, "_lib", None)
-    monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(vectorized, "_TRACE_CACHE", weakref.WeakKeyDictionary())
     return tmp_path
 
 
@@ -73,7 +73,7 @@ class TestFallback:
         assert native._lib
 
         monkeypatch.setattr(native, "_lib", None)
-        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(vectorized, "_TRACE_CACHE", weakref.WeakKeyDictionary())
         monkeypatch.setattr(native, "compiler", lambda: None)
         # An empty cache: the loader has to build and cannot.
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh / "empty"))
@@ -110,7 +110,7 @@ class TestFallback:
         native_out = capsys.readouterr().out
 
         monkeypatch.setattr(native, "_lib", None)
-        monkeypatch.setattr(vectorized, "_MISS_STREAMS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(vectorized, "_TRACE_CACHE", weakref.WeakKeyDictionary())
         monkeypatch.setattr(native, "compiler", lambda: None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(fresh / "empty"))
         with caplog.at_level(logging.WARNING, logger="repro.sim.native"):
