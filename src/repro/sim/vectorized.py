@@ -188,11 +188,16 @@ def _first_level_history(
     """
     bits = max(1, spec.history_bits)
     initial = reset_history(bits)
-    per_set = spec.scheme in ("sag", "sas")
-    key = bht_set_index(spec, words) if per_set else pc_ids(trace)
     miss = None
-    if spec.scheme in ("pag", "pas") and spec.bht_entries is not None:
+    if spec.scheme in ("sag", "sas"):
+        key = bht_set_index(spec, words)
+    elif spec.scheme in ("pag", "pas") and spec.bht_entries is not None:
+        # A tagged table holds one entry per word (``pc >> 2``), as
+        # BranchHistoryTable does: PCs in one word share a register.
+        key = pc_ids(trace, per_word=True)
         miss = bht_miss_stream(trace, spec.bht_entries, spec.bht_assoc)
+    else:
+        key = pc_ids(trace)
     regs = np.full(int(key.max(initial=-1)) + 1, initial, dtype=np.uint64)
     return run_history(
         trace.taken, 1, bits, regs, key=key, reset_at=miss, reset=initial
@@ -203,20 +208,25 @@ def _first_level_history(
 # Per-trace arrays: dense PC ids and the first-level BHT (cached)
 # ----------------------------------------------------------------------
 
-#: trace -> {"pc_ids": dense PC ids, (entries, assoc): miss stream}.
-#: Keyed by the trace object (traces are immutable by convention), so
-#: a lookup hashes nothing and the entries die with their trace.
+#: trace -> {"pc_ids"/"word_ids": dense ids, (entries, assoc): miss
+#: stream}. Keyed by the trace object (traces are immutable by
+#: convention), so a lookup hashes nothing and the entries die with
+#: their trace.
 _TRACE_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def pc_ids(trace: BranchTrace) -> np.ndarray:
+def pc_ids(trace: BranchTrace, per_word: bool = False) -> np.ndarray:
     """Dense int64 id of each access's PC, in PC order from 0: the
-    per-address register keys and the gap/pap columns."""
+    per-address register keys and the gap/pap columns. ``per_word``
+    numbers words (``pc >> 2``) instead, the entries of a tagged
+    first-level table; on word-aligned PCs both numberings agree."""
+    name = "word_ids" if per_word else "pc_ids"
     derived = _TRACE_CACHE.setdefault(trace, {})
-    if "pc_ids" not in derived:
-        ids = np.unique(trace.pc, return_inverse=True)[1]
-        derived["pc_ids"] = ids.astype(np.int64, copy=False)
-    return derived["pc_ids"]
+    if name not in derived:
+        values = word_index(trace.pc) if per_word else trace.pc
+        ids = np.unique(values, return_inverse=True)[1]
+        derived[name] = ids.astype(np.int64, copy=False)
+    return derived[name]
 
 
 def bht_miss_stream(

@@ -1,10 +1,12 @@
 """Per-branch outcome models.
 
-Each static branch in a synthetic program carries a behaviour object that
-produces its outcome stream. The walker executes a routine one loop
-*invocation* at a time; a behaviour is asked for the branch's outcomes
-over all ``iterations`` of that invocation at once, which keeps trace
-generation vectorized.
+Each static branch in a synthetic program carries a behaviour object: a
+parameter record describing how its outcomes arise. Behaviours compute
+nothing during a walk. The trace walker
+(:mod:`repro.workloads.generator`) reads their parameters once into its
+per-program arrays and builds the outcomes of many invocations at a
+time; behaviours also feed calibration (:meth:`Behavior.expected_taken_rate`)
+and program dumps (:func:`behavior_summary`).
 
 The behaviour classes mirror the branch populations the paper describes:
 
@@ -24,9 +26,8 @@ them directly (taken on every iteration but the last).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,35 +35,8 @@ from repro.errors import ConfigurationError
 from repro.utils.validation import check_in_range
 
 
-@dataclass
-class BehaviorContext:
-    """Per-invocation context handed to behaviours.
-
-    ``body_outcomes`` maps body-slot index to the outcome array (length =
-    iterations) already computed for that slot this invocation; the
-    walker fills it in body order, so correlated branches can reference
-    any earlier slot.
-
-    ``store`` is a per-*trace* persistent dictionary (keyed by behaviour
-    identity) for state that must survive across invocations, such as a
-    pattern's phase. Keeping this state in the context rather than on
-    the behaviour object makes trace generation a pure function of
-    (program, seed): generating twice from one program yields identical
-    traces.
-    """
-
-    body_outcomes: Dict[int, np.ndarray] = field(default_factory=dict)
-    store: Dict[int, object] = field(default_factory=dict)
-
-
-class Behavior(ABC):
+class Behavior:
     """Outcome model of one static branch."""
-
-    @abstractmethod
-    def outcomes(
-        self, rng: np.random.Generator, iterations: int, ctx: BehaviorContext
-    ) -> np.ndarray:
-        """Return a bool array of ``iterations`` outcomes (True = taken)."""
 
     def expected_taken_rate(self) -> float:
         """Long-run taken probability; used for profile calibration tests."""
@@ -77,11 +51,6 @@ class BiasedBehavior(Behavior):
 
     def __post_init__(self) -> None:
         check_in_range(self.p_taken, "p_taken", 0.0, 1.0)
-
-    def outcomes(
-        self, rng: np.random.Generator, iterations: int, ctx: BehaviorContext
-    ) -> np.ndarray:
-        return rng.random(iterations) < self.p_taken
 
     def expected_taken_rate(self) -> float:
         return self.p_taken
@@ -105,15 +74,6 @@ class PatternBehavior(Behavior):
             )
         self.pattern = tuple(bool(b) for b in self.pattern)
 
-    def outcomes(
-        self, rng: np.random.Generator, iterations: int, ctx: BehaviorContext
-    ) -> np.ndarray:
-        period = len(self.pattern)
-        phase = int(ctx.store.get(id(self), 0))  # type: ignore[arg-type]
-        idx = (phase + np.arange(iterations)) % period
-        ctx.store[id(self)] = (phase + iterations) % period
-        return np.asarray(self.pattern, dtype=bool)[idx]
-
     def expected_taken_rate(self) -> float:
         return sum(self.pattern) / len(self.pattern)
 
@@ -135,13 +95,6 @@ class LoopPositionBehavior(Behavior):
 
     def __post_init__(self) -> None:
         check_in_range(self.fraction, "fraction", 0.0, 1.0)
-
-    def outcomes(
-        self, rng: np.random.Generator, iterations: int, ctx: BehaviorContext
-    ) -> np.ndarray:
-        cut = int(np.ceil(self.fraction * iterations))
-        out = np.arange(iterations) < cut
-        return ~out if self.invert else out
 
     def expected_taken_rate(self) -> float:
         return 1.0 - self.fraction if self.invert else self.fraction
@@ -168,27 +121,6 @@ class CorrelatedBehavior(Behavior):
                 f"source_slot must be >= 0, got {self.source_slot}"
             )
         check_in_range(self.noise, "noise", 0.0, 1.0)
-
-    def outcomes(
-        self, rng: np.random.Generator, iterations: int, ctx: BehaviorContext
-    ) -> np.ndarray:
-        if self.source_slot not in ctx.body_outcomes:
-            raise ConfigurationError(
-                f"correlated branch references slot {self.source_slot}, "
-                "which has no outcomes yet; sources must precede their "
-                "dependents in the loop body"
-            )
-        source = ctx.body_outcomes[self.source_slot]
-        if len(source) != iterations:
-            raise ConfigurationError(
-                "source outcome length mismatch: "
-                f"{len(source)} != {iterations}"
-            )
-        out = source ^ self.invert
-        if self.noise > 0.0:
-            flips = rng.random(iterations) < self.noise
-            out = out ^ flips
-        return out
 
     def expected_taken_rate(self) -> float:
         # Depends on the source's rate; 0.5 is the uninformed prior and

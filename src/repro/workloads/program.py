@@ -24,8 +24,8 @@ the temporal side of the paper's aliasing story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.workloads.layout import (
     place_routines,
 )
 from repro.workloads.profiles import WorkloadProfile
+
+if TYPE_CHECKING:
+    from repro.workloads.generator import WalkTables
 
 
 @dataclass
@@ -103,6 +106,12 @@ class Program:
     #: Per phase: (routine indices, sampling probabilities).
     phases: List[Tuple[np.ndarray, np.ndarray]]
     seed: int
+    #: The program as arrays for the trace walker, built by the first
+    #: :func:`~repro.workloads.generator.generate_trace` call; a program
+    #: is not changed once it has been walked.
+    walk_tables: Optional["WalkTables"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_static_branches(self) -> int:
@@ -139,9 +148,17 @@ class Program:
 _HOT_BIAS_EXPONENT_RANGE = (-3.0, -1.3)  # p = 1 - 10^u -> 0.95 .. 0.999
 
 
-def _draw_behavior_class(profile: WorkloadProfile, rng: np.random.Generator) -> str:
+def _behavior_class_cdf(profile: WorkloadProfile) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Class names and the CDF ``rng.choice(names, p=...)`` would build.
+
+    Drawing ``names[cdf.searchsorted(rng.random(), side="right")]``
+    consumes one double and picks the same class as ``choice``, without
+    rebuilding the array and its CDF on every body slot.
+    """
     names, probs = zip(*profile.behavior_mix.as_probabilities())
-    return str(rng.choice(names, p=np.asarray(probs)))
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return names, cdf
 
 
 def _is_random_source(behavior: Behavior) -> bool:
@@ -304,6 +321,7 @@ def build_program(
         rng=make_rng(seed, f"layout:{profile.name}"),
     )
 
+    class_names, class_cdf = _behavior_class_cdf(profile)
     trip_lo, trip_hi = profile.trip_count_range
     routines: List[Routine] = []
     cursor = 0
@@ -327,7 +345,10 @@ def build_program(
         # Draw behaviour classes for the body, then instantiate in body
         # order so correlated branches can reference earlier slots.
         body_order = rng.permutation(body_count)
-        classes = [_draw_behavior_class(profile, rng) for _ in range(body_count)]
+        classes = [
+            class_names[int(class_cdf.searchsorted(rng.random(), side="right"))]
+            for _ in range(body_count)
+        ]
         body: List[StaticBranch] = []
         final_behaviors: List[Behavior] = []
         for slot in range(body_count):

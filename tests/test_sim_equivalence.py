@@ -115,6 +115,26 @@ class TestEngineEquivalence:
             slow = simulate_reference(spec, trace)
             assert np.array_equal(fast.predictions, slow.predictions)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_predictor_spec("pas", rows=16, cols=2, bht_entries=16,
+                                bht_assoc=2),
+            make_predictor_spec("pag", rows=16, bht_entries=8, bht_assoc=1),
+        ],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_finite_bht_on_unaligned_pcs(self, spec):
+        """A tagged first-level entry holds a word (``pc >> 2``), so PCs
+        inside one word share one history register in both engines."""
+        rng = np.random.default_rng(0)
+        pc = (0x1000 + rng.integers(0, 40, size=3_000)).astype(np.uint64)
+        trace = BranchTrace(
+            pc=pc, taken=rng.random(3_000) < 0.6, target=pc + np.uint64(64),
+            name="unaligned",
+        )
+        _assert_engines_agree(spec, trace)
+
     def test_bimode_falls_back_to_reference(self):
         spec = make_predictor_spec("bimode", rows=16)
         assert not has_vectorized_engine(spec)
