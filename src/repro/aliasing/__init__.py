@@ -28,7 +28,6 @@ from repro.aliasing.instrumentation import (
     conflict_mask,
     dealias_delta,
     interference_free_predictions,
-    observed_alias_sets,
     sweep_aliasing,
 )
 from repro.aliasing.report import aliasing_report
@@ -41,7 +40,6 @@ __all__ = [
     "conflict_mask",
     "dealias_delta",
     "interference_free_predictions",
-    "observed_alias_sets",
     "sweep_aliasing",
     "aliasing_report",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -61,50 +61,6 @@ def aliasing_rate(spec: PredictorSpec, trace: BranchTrace) -> float:
     indices = index_stream(spec, trace)
     return float(np.count_nonzero(conflict_mask(indices, trace.pc))) / len(
         trace
-    )
-
-
-def observed_alias_sets(
-    spec: PredictorSpec, trace: BranchTrace
-) -> List[Tuple[int, ...]]:
-    """Groups of branch PCs observed conflicting with each other.
-
-    Builds the transitive closure (union-find) over dynamic conflict
-    pairs — consecutive accesses to one counter from distinct branches.
-    This is the *observed* counterpart of the ahead-of-time partition
-    :func:`repro.check.static_alias.alias_sets` computes; the static
-    sets are provably a superset (tested exact on micro workloads).
-
-    Returns sorted tuples of PCs, one per multi-branch group, sorted by
-    first member.
-    """
-    if len(trace) == 0:
-        raise TraceError("cannot observe aliasing on an empty trace")
-    order, conflict = neighbour_conflicts(index_stream(spec, trace), trace.pc)
-    sorted_pc = trace.pc[order]
-
-    parent: Dict[int, int] = {}
-
-    def find(pc: int) -> int:
-        root = pc
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[pc] != root:  # path compression
-            parent[pc], pc = root, parent[pc]
-        return root
-
-    for position in np.flatnonzero(conflict):
-        a = find(int(sorted_pc[position]))
-        b = find(int(sorted_pc[position + 1]))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: Dict[int, List[int]] = {}
-    for pc in parent:
-        groups.setdefault(find(pc), []).append(pc)
-    return sorted(
-        tuple(sorted(members)) for members in groups.values()
-        if len(members) > 1
     )
 
 

@@ -25,7 +25,7 @@ class Finding:
     """One statement emitted by a check pass.
 
     ``check`` identifies the rule (``config.budget``,
-    ``code.hot-loop``, ``alias.pressure`` ...), ``why`` is the
+    ``code.hot-loop``, ``predict.hard-branch`` ...), ``why`` is the
     human-readable justification, and the optional coordinates say
     where: ``scheme``/``point`` for configuration-space findings,
     ``location`` (``path:line``) for source findings.

@@ -14,13 +14,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.check.configs import check_configs, load_spec_file
 from repro.check.findings import CheckReport, Finding
 from repro.check.lint import HOT_PATH_SUFFIXES, lint_paths
-from repro.check.static_alias import check_aliasing
 from repro.errors import CheckError, ReproError
 from repro.obs.metrics import counter
 from repro.obs.spans import span
 
 #: Pass names in execution order; "all" expands to this.
-PASSES = ("configs", "aliasing", "code")
+PASSES = ("configs", "code")
 
 
 def run_checks(
@@ -28,15 +27,11 @@ def run_checks(
     spec_file: Optional[str] = None,
     paths: Optional[Sequence[str]] = None,
     hot_suffixes: Sequence[str] = (),
-    benchmarks: Optional[Sequence[str]] = None,
     schemes: Optional[Sequence[str]] = None,
     size_bits: Optional[Sequence[int]] = None,
-    seed: int = 0,
     fix: bool = False,
-    bht_entries: Optional[int] = None,
-    bht_assoc: int = 4,
 ) -> CheckReport:
-    """Run one pass (or all core passes) and aggregate the findings."""
+    """Run one pass (or both) and aggregate the findings."""
     if which != "all" and which not in PASSES:
         raise CheckError(
             f"unknown check pass {which!r}; choose from "
@@ -54,14 +49,6 @@ def run_checks(
             schemes=schemes,
             size_bits=size_bits,
             fix=fix,
-        ),
-        "aliasing": lambda: check_aliasing(
-            benchmarks=benchmarks,
-            schemes=schemes,
-            size_bits=size_bits,
-            seed=seed,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
         ),
         "code": lambda: lint_paths(
             paths=paths,

@@ -24,6 +24,8 @@ from repro.errors import ReproError
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.predictors.specs import KNOWN_SCHEMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="static verification: configs, aliasing analysis, code lint",
+        help="static verification: configs and code lint",
         description=(
             "Run the static check passes. Exit code 0 = clean, "
             "1 = findings, 2 = a pass failed internally."
@@ -103,15 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "check_pass",
         nargs="?",
         default="all",
-        choices=(
-            "configs",
-            "aliasing",
-            "code",
-            "all",
-        ),
+        choices=("configs", "code", "all"),
         metavar="pass",
-        help="which pass to run: configs, aliasing, code, or all "
-        "(default)",
+        help="which pass to run: configs, code, or all (default)",
     )
     check.add_argument(
         "--json",
@@ -149,46 +145,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "pass (repeatable; adds to the built-in hot set)",
     )
     check.add_argument(
-        "--benchmark",
-        action="append",
-        dest="benchmarks",
-        help="benchmark for the aliasing pass (repeatable; default: "
-        "the paper's focus trio)",
-    )
-    check.add_argument(
         "--scheme",
         action="append",
         dest="schemes",
-        help="scheme for the configs/aliasing passes (repeatable)",
+        help="scheme for the configs pass (repeatable)",
     )
     check.add_argument(
         "--sizes",
         type=int,
         nargs="+",
         metavar="N",
-        help="tier exponents (2^N counters) for configs/aliasing passes",
+        help="tier exponents (2^N counters) for the configs pass",
     )
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument(
         "--fix",
         action="store_true",
         help="configs pass: attach the nearest sound (c, r) split to "
         "budget-mismatch findings",
-    )
-    check.add_argument(
-        "--bht-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="first-level table entries for the aliasing pass "
-        "(PA/set families; default: perfect histories)",
-    )
-    check.add_argument(
-        "--bht-assoc",
-        type=int,
-        default=4,
-        metavar="W",
-        help="first-level associativity for the aliasing pass",
     )
     _add_obs_options(check)
 
@@ -216,7 +189,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = sub.add_parser("simulate", help="simulate one configuration")
-    simulate.add_argument("--scheme", required=True)
+    simulate.add_argument(
+        "--scheme",
+        required=True,
+        # A tournament is built from two component specs, which these
+        # options cannot name.
+        choices=[s for s in KNOWN_SCHEMES if s != "tournament"],
+    )
     simulate.add_argument("--rows", type=int, default=1)
     simulate.add_argument("--cols", type=int, default=1)
     simulate.add_argument("--bht-entries", type=int, default=None)
@@ -560,13 +539,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             spec_file=args.spec_file,
             paths=args.paths,
             hot_suffixes=tuple(args.hot_suffixes or ()),
-            benchmarks=args.benchmarks,
             schemes=args.schemes,
             size_bits=tuple(args.sizes) if args.sizes else None,
-            seed=args.seed,
             fix=args.fix,
-            bht_entries=args.bht_entries,
-            bht_assoc=args.bht_assoc,
         )
         print(render(report, as_json=args.json, strict=args.strict))
         return report.exit_code(args.strict)

@@ -237,11 +237,11 @@ class PredictorSpec:
 # Index-function API
 # ----------------------------------------------------------------------
 # Stateless index arithmetic shared by the vectorized engines
-# (:func:`repro.sim.vectorized.index_stream`), the dynamic aliasing
-# instrumentation built on them (:mod:`repro.aliasing`), and the static
-# checker (:mod:`repro.check`). Keeping "which counter does this PC
-# reach" in exactly one place is what lets alias sets be *proved*
-# ahead of time instead of merely observed after a simulation.
+# (:func:`repro.sim.vectorized.index_stream`), the aliasing
+# instrumentation built on them (:mod:`repro.aliasing`), and the config
+# prover (:mod:`repro.check.configs`). "Which counter does this PC
+# reach" lives in exactly one place, so the aliasing a figure reports
+# is measured on the very indices the simulated predictor used.
 
 #: Schemes whose second level is the row-major ``row * cols + column``
 #: grid of Figure 1 (everything except the idealized per-address-column
@@ -324,36 +324,3 @@ def bht_set_index(spec: PredictorSpec, word: IntOrArray) -> IntOrArray:
         entries = spec.bht_entries or DEFAULT_SET_ENTRIES
         return word & (entries - 1)
     return word % bht_set_count(spec)
-
-
-def static_collision_key(
-    spec: PredictorSpec, word: IntOrArray
-) -> Optional[IntOrArray]:
-    """Partition key for ahead-of-time second-level alias analysis.
-
-    Two static branches *can* share a counter for some reachable
-    dynamic state if and only if their keys are equal; distinct keys
-    provably never collide. ``None`` means the scheme has no shared
-    second-level table (static predictors, tournament composites).
-
-    The key is exact because every row-selection source in the paper
-    (global history, per-address history, per-set history, path
-    register) ranges over its full value domain, so the only static
-    constraint two colliding branches must satisfy is column equality;
-    schemes that hash the PC into the *row* (agree, gskew) can collide
-    across columns too, collapsing all branches into one class, and the
-    idealized per-address-column designs (GAp/PAp) dedicate a column
-    per branch, so no two branches ever collide.
-    """
-    scheme = spec.scheme
-    if scheme in ("static", "tournament", "bimode"):
-        return None
-    if scheme in PER_ADDRESS_COLUMN_SCHEMES:
-        return word  # dense column per address: singleton classes
-    if scheme in ("agree", "gskew"):
-        # The PC feeds the row hash: any pair of branches can land on
-        # one counter for some history value.
-        if isinstance(word, np.ndarray):
-            return np.zeros_like(word)
-        return 0
-    return column_index(spec, word)

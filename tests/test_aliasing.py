@@ -18,6 +18,7 @@ from repro.predictors import make_predictor_spec
 from repro.predictors.specs import PredictorSpec
 from repro.sim.engine import simulate
 from repro.sim.sweep import spec_for_point
+from repro.sim.vectorized import bht_miss_stream
 from repro.traces import BranchTrace
 from repro.workloads import make_workload
 from repro.workloads.micro import (
@@ -78,11 +79,21 @@ class TestAliasingRate:
         spec = make_predictor_spec("bimodal", cols=64)
         assert aliasing_rate(spec, trace) == 0.0
 
+    def test_per_address_columns_never_alias(self):
+        # GAp dedicates a column to every static branch.
+        trace = biased_field_trace(branches=24, executions_each=10)
+        spec = make_predictor_spec("gap", rows=4)
+        assert aliasing_rate(spec, trace) == 0.0
+
+    def test_oversubscribed_first_level_sets_always_miss(self):
+        # 32 branches round-robin over 4 sets of 4 ways: each set cycles
+        # through 8 branches, so LRU evicts every history before reuse.
+        trace = biased_field_trace(branches=32, executions_each=4)
+        assert bht_miss_stream(trace, entries=16, assoc=4).all()
+
     def test_direct_mapped_first_level_identity(self):
         """Paper section 5: address-indexed second-level aliasing ==
         direct-mapped first-level conflict rate."""
-        from repro.sim.vectorized import bht_miss_stream
-
         trace = make_workload("mpeg_play", length=20_000, seed=4)
         spec = make_predictor_spec("bimodal", cols=256)
         conflict = aliasing_rate(spec, trace)
@@ -134,6 +145,33 @@ class TestClassification:
         )
         assert stats.conflicts == 0
         assert stats.harmless_share == 0.0
+
+    def test_one_counter_same_direction_is_harmless(self):
+        # Two steady-taken branches share the single counter: every
+        # collision is the paper's harmless all-agreeing kind.
+        records = [(0x1000, True), (0x1004, True)] * 20
+        stats = classify_conflicts(
+            PredictorSpec(scheme="bimodal", cols=1), trace_of(records)
+        )
+        assert stats.aliasing_rate > 0.9
+        assert stats.harmless_share == 1.0
+
+    def test_one_counter_mixed_direction_is_harmful(self):
+        records = [(0x1000, True), (0x1004, False)] * 20
+        stats = classify_conflicts(
+            PredictorSpec(scheme="bimodal", cols=1), trace_of(records)
+        )
+        assert stats.harmless == 0
+        assert stats.destructive == stats.conflicts > 0
+
+    def test_unaliased_field_has_no_conflicts(self):
+        # Eight adjacent branches in a 64-column table: one counter each.
+        records = [(0x1000 + 4 * i, True) for i in range(8)] * 10
+        stats = classify_conflicts(
+            PredictorSpec(scheme="bimodal", cols=64), trace_of(records)
+        )
+        assert stats.conflicts == 0
+        assert stats.aliasing_rate == 0.0
 
     def test_accessors_consistent(self):
         trace = make_workload("espresso", length=10_000, seed=2)

@@ -4,17 +4,16 @@ import json
 
 import pytest
 
-from repro.check import (
-    CheckReport,
-    Finding,
+from repro.check.configs import (
     canonical_specs,
     check_configs,
+    load_spec_file,
     nearest_sound_split,
     verify_spec,
     verify_spec_dict,
     verify_sweep_plan,
 )
-from repro.check.configs import load_spec_file
+from repro.check.findings import CheckReport, Finding
 from repro.errors import CheckError, ConfigurationError
 from repro.obs.metrics import counter, reset_metrics
 from repro.predictors.specs import PredictorSpec

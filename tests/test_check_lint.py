@@ -3,7 +3,7 @@
 import json
 import textwrap
 
-from repro.check import lint_paths, lint_source
+from repro.check.lint import lint_paths, lint_source
 from repro.cli import EXIT_ERROR, main
 
 
@@ -374,6 +374,11 @@ class TestCheckCli:
     def test_check_all_on_repo_is_clean(self, capsys):
         assert main(["check", "all"]) == 0
         assert "-> OK" in capsys.readouterr().out
+
+    def test_check_all_is_configs_and_code_and_strict_clean(self, capsys):
+        assert main(["check", "all", "--strict", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passes"] == ["configs", "code"]
 
     def test_code_pass_default_invocation(self, capsys):
         assert main(["check", "code"]) == 0

@@ -341,12 +341,16 @@ class TestResilience:
             ["check", "dealias"],
             ["check", "--validate"],
             ["check", "--micro", "mixed-field"],
+            ["check", "aliasing"],
+            ["check", "--bht-entries", "64"],
+            ["simulate", "--scheme", "tournament"],
         ],
         ids=["resume", "paranoid", "simulate-paranoid", "no-precheck", "dashboard", "plan-from-estimate",
              "store-verify", "profile", "trace-out-format",
              "summarize-phases", "chaos", "obs-history", "obs-diff",
              "obs-regress", "obs-export-prom", "check-dealias",
-             "check-validate", "check-micro"],
+             "check-validate", "check-micro", "check-aliasing",
+             "check-bht-entries", "simulate-tournament"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.check.static_alias import check_aliasing
 from repro.cli import EXIT_INTERRUPT, main
 from repro.errors import ConfigurationError
 from repro.exec import parallel
@@ -301,16 +300,6 @@ class TestTraceStore:
         counters = snapshot()["counters"]
         assert counters["store.misses"] == 1
         assert counters["store.hits"] == 1
-
-class TestAliasingFix:
-    def test_without_fix_no_suggestion(self):
-        findings = check_aliasing(
-            benchmarks=["compress"], schemes=["gshare"], size_bits=[4]
-        )
-        assert all(
-            "suggested_budget_bits" not in f.data for f in findings
-        )
-
 
 class TestTelemetryMerge:
     def test_worker_telemetry_is_counters_and_spans(self, trace):

@@ -24,6 +24,7 @@ from repro.predictors.bht import (
 )
 from repro.predictors.global_history import GlobalHistoryRegister
 from repro.predictors.path_based import PathRegister
+from repro.predictors.specs import ROW_MAJOR_SCHEMES, word_index
 from repro.sim import native
 from repro.sim.vectorized import (
     bht_miss_stream,
@@ -33,6 +34,12 @@ from repro.sim.vectorized import (
     run_history,
 )
 from repro.traces import BranchTrace
+from repro.workloads.micro import (
+    aliasing_pair_trace,
+    biased_field_trace,
+    correlated_pair_trace,
+    loop_trace,
+)
 
 
 def random_trace(seed, length=300, npcs=10):
@@ -73,6 +80,57 @@ class TestIndexBounds:
         for spec in (BOUNDED_SPECS[2], BOUNDED_SPECS[3], BOUNDED_SPECS[6]):
             indices = index_stream(spec, trace)
             assert indices.max() < spec.num_counters
+
+
+MICRO_WORKLOADS = {
+    "pair": lambda: aliasing_pair_trace(400, stride_counters=8, opposite=False),
+    "field": lambda: biased_field_trace(branches=24, executions_each=80),
+    "correlated": lambda: correlated_pair_trace(1200, seed=1),
+    "loop": lambda: loop_trace(5, 40),
+}
+
+#: One spec per row-major scheme that takes columns (cols > 1).
+COLUMN_SPECS = {
+    "bimodal": make_predictor_spec("bimodal", cols=8),
+    "gas": make_predictor_spec("gas", rows=4, cols=4),
+    "gshare": make_predictor_spec("gshare", rows=4, cols=4),
+    "path": make_predictor_spec("path", rows=4, cols=4),
+    "pas": make_predictor_spec("pas", rows=4, cols=4),
+    "pas_bht": make_predictor_spec(
+        "pas", rows=4, cols=4, bht_entries=8, bht_assoc=2
+    ),
+    "sas": make_predictor_spec("sas", rows=4, cols=4, bht_entries=16),
+}
+
+
+def takes_columns(scheme):
+    for rows in (1, 4):
+        try:
+            make_predictor_spec(scheme, rows=rows, cols=4)
+            return True
+        except ConfigurationError:
+            pass
+    return False
+
+
+class TestColumnBits:
+    """Figure 1: the low word-address bits select the column whatever
+    row the history picks, so two branches can share a counter only if
+    those bits agree."""
+
+    @pytest.mark.parametrize("workload", sorted(MICRO_WORKLOADS))
+    @pytest.mark.parametrize("scheme", sorted(COLUMN_SPECS))
+    def test_low_bits_select_the_column(self, workload, scheme):
+        spec = COLUMN_SPECS[scheme]
+        trace = MICRO_WORKLOADS[workload]()
+        low = spec.cols - 1
+        np.testing.assert_array_equal(
+            index_stream(spec, trace) & low, word_index(trace.pc) & low
+        )
+
+    def test_every_column_scheme_is_covered(self):
+        covered = {spec.scheme for spec in COLUMN_SPECS.values()}
+        assert covered == {s for s in ROW_MAJOR_SCHEMES if takes_columns(s)}
 
 
 class TestGlobalHistoryStream:
