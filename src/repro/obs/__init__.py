@@ -15,11 +15,11 @@ report into (see the per-module docs):
 * :mod:`repro.obs.progress` -- throttled stderr heartbeats with ETA,
   the one live display for serial and parallel sweeps alike.
 
-The simulator's hot stages (``workload.generate``, ``trace_decode``,
-``index_stream``, ``counter_update`` with ``fsm_scan`` inside it, and
-``persist``) are spans like any other, so every run's span table is
-its phase breakdown: the self times of ``engine.<kind>`` and of the
-spans inside it sum to ``sim.wall_s``. Instrumentation is always on
+The simulator's hot stages (``workload.generate``, ``trace_encode``,
+``trace_decode``, ``index_stream``, ``counter_update`` with ``fsm_scan``
+inside it, and ``persist``) are spans like any other, so every run's
+span table is its phase breakdown: the self times of ``engine.<kind>``
+and of the spans inside it sum to ``sim.wall_s``. Instrumentation is always on
 but fires per sweep point / engine call (never per branch), so its
 cost is noise; the file sinks and log verbosity are opt-in via the CLI
 flags ``--trace-out``, ``--metrics-out``, ``--progress``, and

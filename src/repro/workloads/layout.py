@@ -17,12 +17,12 @@ separated by a few non-branch instructions, mirroring compiled code:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Tuple
-
-import numpy as np
 
 from repro.errors import WorkloadError
 from repro.traces.trace import INSTRUCTION_BYTES
+from repro.utils.rng import RandomSource
 
 USER_TEXT_BASE = 0x0040_0000  # Ultrix user text segment
 KERNEL_TEXT_BASE = 0x8003_0000  # kseg0, where Ultrix kernel code lives
@@ -40,7 +40,7 @@ class RoutinePlacement:
 def place_routines(
     body_sizes: List[int],
     kernel_fraction: float,
-    rng: np.random.Generator,
+    rng: RandomSource,
     min_gap_words: int = 2,
     max_gap_words: int = 9,
 ) -> List[RoutinePlacement]:
@@ -55,7 +55,7 @@ def place_routines(
     n = len(body_sizes)
     order = rng.permutation(n)
     n_kernel = int(round(kernel_fraction * n))
-    kernel_set = set(order[:n_kernel].tolist())
+    kernel_set = set(order[:n_kernel])
 
     placements: List[RoutinePlacement] = [None] * n  # type: ignore[list-item]
     cursors = {False: USER_TEXT_BASE, True: KERNEL_TEXT_BASE}
@@ -64,8 +64,9 @@ def place_routines(
         is_kernel = routine_index in kernel_set
         base = cursors[is_kernel]
         gaps = rng.integers(min_gap_words, max_gap_words + 1, size=size)
-        offsets = np.cumsum(gaps) * INSTRUCTION_BYTES
-        pcs = tuple(int(base + off) for off in offsets)
+        pcs = tuple(
+            base + int(words) * INSTRUCTION_BYTES for words in accumulate(gaps)
+        )
         # Pad past the last branch plus an epilogue before the next
         # routine starts.
         epilogue = int(rng.integers(4, 17)) * INSTRUCTION_BYTES
@@ -79,7 +80,7 @@ def place_routines(
 def choose_taken_target(
     pc: int,
     routine_base: int,
-    rng: np.random.Generator,
+    rng: RandomSource,
     far_target_prob: float = 0.10,
     text_span: int = 1 << 22,
 ) -> int:

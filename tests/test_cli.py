@@ -1,10 +1,32 @@
 """CLI tests."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, main
+from repro.check.configs import canonical_specs
+from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, _build_parser, main
+from repro.predictors.factory import make_predictor_spec
+from repro.sim.engine import simulate
+from repro.workloads.registry import make_workload
+
+
+def _simulate_scheme_choices():
+    """The ``repro simulate --scheme`` choices, read off the parser."""
+    (verbs,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    (scheme,) = [
+        action for action in verbs.choices["simulate"]._actions
+        if action.dest == "scheme"
+    ]
+    return list(scheme.choices)
+
+
+SIMULATE_SCHEMES = _simulate_scheme_choices()
+CANONICAL_SPECS = dict(canonical_specs())
 
 
 class TestListing:
@@ -152,6 +174,44 @@ class TestSimulate:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestSimulateEveryScheme:
+    """Every ``--scheme`` choice runs its canonical shape from the flags."""
+
+    def test_every_scheme_but_tournament_is_a_choice(self):
+        # A tournament names two component specs, which no flag can.
+        assert sorted(SIMULATE_SCHEMES) == sorted(set(CANONICAL_SPECS) - {"tournament"})
+
+    @pytest.mark.parametrize("scheme", SIMULATE_SCHEMES)
+    def test_canonical_shape_prints_the_engine_rate(self, scheme, capsys):
+        spec = CANONICAL_SPECS[scheme]
+        shape = dict(
+            rows=spec.rows, cols=spec.cols,
+            bht_entries=spec.bht_entries, bht_assoc=spec.bht_assoc,
+        )
+        # The four flags name the whole shape; every other field is the
+        # default the CLI leaves it at.
+        assert make_predictor_spec(scheme, **shape) == spec
+        flags = [
+            "--rows", str(spec.rows), "--cols", str(spec.cols),
+            "--bht-assoc", str(spec.bht_assoc),
+        ]
+        if spec.bht_entries is not None:
+            flags += ["--bht-entries", str(spec.bht_entries)]
+        code = main(
+            ["simulate", "--scheme", scheme, *flags,
+             "--benchmark", "compress", "--length", "3000"]
+        )
+        assert code == 0
+        result = simulate(spec, make_workload("compress", length=3000, seed=0))
+        expected = (
+            f"{'compress':12s} {spec.describe():40s} "
+            f"mispredict={result.misprediction_rate:.2%}"
+        )
+        if result.first_level_miss_rate is not None:
+            expected += f" L1-miss={result.first_level_miss_rate:.2%}"
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestAnalyze:

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.obs import get_tracer, reset_metrics, snapshot, summarize_path
 from repro.sim.sweep import sweep_tiers
 from repro.workloads.registry import clear_cache, make_workload
+from repro.workloads.store import TraceStore
 
 #: The spans one vectorized engine call opens, outermost first.
 ENGINE_SPANS = ("engine.vectorized", "index_stream", "counter_update", "fsm_scan")
@@ -97,6 +98,20 @@ class TestEngineSpans:
         run_experiment("fig4", options)
         experiment = get_tracer().aggregates()["experiment"]
         assert experiment["self_s"] <= 0.10 * experiment["total_s"]
+
+
+class TestTraceStoreSpans:
+    def test_cold_get_encodes_and_warm_get_decodes(self, tmp_path):
+        store = TraceStore(str(tmp_path))
+        store.get("compress", 2000)
+        cold = get_tracer().aggregates()
+        get_tracer().reset()
+        store.get("compress", 2000)
+        warm = get_tracer().aggregates()
+        assert cold["trace_encode"]["count"] == 1
+        assert "trace_decode" not in cold
+        assert warm["trace_decode"]["count"] == 1
+        assert "trace_encode" not in warm
 
 
 class TestSummary:

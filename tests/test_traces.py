@@ -1,5 +1,7 @@
 """Tests for the trace container, I/O, and characterization statistics."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,8 @@ from repro.traces import (
     per_branch_taken_rates,
     save_trace,
 )
+from repro.workloads.registry import make_workload
+from repro.workloads.store import TraceStore
 
 
 def make_trace(records, name="t"):
@@ -179,6 +183,75 @@ class TestIO:
         path.write_text("0x100 yes 0x104\n")
         with pytest.raises(TraceError):
             load_trace(str(path))
+
+
+#: The members of a trace archive, in the order both writers store them.
+NPZ_MEMBERS = ["pc.npy", "taken.npy", "target.npy", "name.npy", "instruction_count.npy"]
+
+
+def _savez_compressed(trace, path):
+    """Write ``trace`` as ``np.savez_compressed`` did, level-6 members."""
+    count = -1 if trace.instruction_count is None else trace.instruction_count
+    np.savez_compressed(
+        path,
+        pc=trace.pc,
+        taken=trace.taken,
+        target=trace.target,
+        name=np.array(trace.name),
+        instruction_count=np.array(count, dtype=np.int64),
+    )
+
+
+def _assert_same_trace(loaded, trace):
+    for field in ("pc", "taken", "target"):
+        got, want = getattr(loaded, field), getattr(trace, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert loaded.name == trace.name
+    assert loaded.instruction_count == trace.instruction_count
+    assert loaded.fingerprint() == trace.fingerprint()
+
+
+class TestArchiveFormat:
+    @pytest.fixture
+    def trace(self):
+        return make_workload("compress", length=3000, seed=0, cache=False)
+
+    def test_savez_compressed_archive_still_loads(self, tmp_path, trace):
+        path = tmp_path / "old.npz"
+        _savez_compressed(trace, path)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == NPZ_MEMBERS
+        _assert_same_trace(load_trace(path), trace)
+
+    def test_store_serves_a_savez_compressed_archive(
+        self, tmp_path, trace, monkeypatch
+    ):
+        store = TraceStore(str(tmp_path))
+        store.get("compress", 3000, seed=0)
+        (path,) = store.stored_files()
+        _savez_compressed(trace, path)
+
+        def regenerate(*args, **kwargs):
+            raise AssertionError("a stored trace was generated again")
+
+        monkeypatch.setattr("repro.workloads.store.make_workload", regenerate)
+        _assert_same_trace(store.get("compress", 3000, seed=0), trace)
+
+    def test_writer_is_a_plain_npz(self, tmp_path, trace):
+        path = save_trace(trace, tmp_path / "new.npz")
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == NPZ_MEMBERS
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        with np.load(path) as arrays:
+            for field in ("pc", "taken", "target"):
+                want = getattr(trace, field)
+                assert arrays[field].dtype == want.dtype
+                assert np.array_equal(arrays[field], want)
+            assert str(arrays["name"]) == trace.name
+            assert int(arrays["instruction_count"]) == trace.instruction_count
+        _assert_same_trace(load_trace(path), trace)
 
 
 class TestPerBranchStats:
