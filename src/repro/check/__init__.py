@@ -1,15 +1,17 @@
-"""Static verification: prove properties before spending simulation time.
+"""Static checks and store integrity.
 
-Two passes, exposed as ``repro check [configs|code|all]``:
+* :mod:`repro.check.lint` — ``repro check``: AST-based repo invariants
+  generic linters can't express (hot-path purity, trip-count-bounded
+  hot loops, pre-declared metric names, atomic artifact writes,
+  checkpoint-key stability).
+* :mod:`repro.check.doctor` — ``repro doctor``: every trace archive
+  and result artifact in a store must load and verify.
 
-* :mod:`repro.check.configs` — config contract verification: every
-  registered scheme spec and every ``(c, r)`` sweep split is proved
-  index-sound before a sweep starts; ``--fix`` attaches the nearest
-  sound split to budget mismatches.
-* :mod:`repro.check.lint` — AST-based repo invariants generic linters
-  can't express (hot-path purity, trip-count-bounded hot loops,
-  pre-declared metric names, atomic artifact writes, checkpoint-key
-  stability).
+Predictor configurations need no pass of their own:
+:class:`~repro.predictors.specs.PredictorSpec` refuses, at
+construction, every configuration the engines cannot simulate, and
+:func:`~repro.sim.sweep.sweep_tiers` builds all its specs before any
+point runs.
 
 Aliasing is measured, not predicted: :mod:`repro.aliasing` counts
 conflicts on the index streams the engines simulate
@@ -19,7 +21,7 @@ cost of removing them), and
 :func:`repro.sim.vectorized.bht_miss_stream` counts first-level misses
 (the ``L1-miss`` column of ``repro simulate``).
 
-All passes emit :class:`~repro.check.findings.Finding` records;
-exit codes are 0 (clean), 1 (findings), 2 (internal error).
+Both emit :class:`~repro.check.findings.Finding` records; exit codes
+are 0 (clean), 1 (findings), 2 (a file or store could not be read).
 Import the submodules directly; this package re-exports nothing.
 """

@@ -1,4 +1,4 @@
-"""Pass 3: repo-invariant lint — the rules generic linters can't know.
+"""``repro check``: the repo invariants generic linters can't know.
 
 Stdlib-``ast`` based, zero dependencies. The rules encode contracts
 this codebase relies on:

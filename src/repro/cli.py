@@ -9,8 +9,7 @@ Examples::
     repro characterize mpeg_play           # Table-1 row for one trace
     repro simulate --scheme gshare --rows 4096 --cols 4 \\
         --benchmark real_gcc               # one-off simulation
-    repro check                            # all static checks
-    repro check code --strict --json       # lint pass, warnings block
+    repro check --strict --json            # code lint, warnings block
 """
 
 from __future__ import annotations
@@ -95,19 +94,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="static verification: configs and code lint",
+        help="code lint: repo invariants generic linters can't express",
         description=(
-            "Run the static check passes. Exit code 0 = clean, "
-            "1 = findings, 2 = a pass failed internally."
+            "Lint the repro package (or --path) for this repo's "
+            "invariants. Exit code 0 = clean, 1 = findings, 2 = a file "
+            "could not be read."
         ),
-    )
-    check.add_argument(
-        "check_pass",
-        nargs="?",
-        default="all",
-        choices=("configs", "code", "all"),
-        metavar="pass",
-        help="which pass to run: configs, code, or all (default)",
     )
     check.add_argument(
         "--json",
@@ -118,15 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="treat warnings as blocking (exit 1), not just errors",
-    )
-    check.add_argument(
-        "--spec-file",
-        metavar="PATH",
-        default=None,
-        help=(
-            "also verify predictor specs from a JSON file (a list of "
-            "spec objects, or {\"specs\": [...]})"
-        ),
     )
     check.add_argument(
         "--path",
@@ -141,27 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="hot_suffixes",
         metavar="SUFFIX",
-        help="treat files ending in SUFFIX as hot paths for the code "
-        "pass (repeatable; adds to the built-in hot set)",
-    )
-    check.add_argument(
-        "--scheme",
-        action="append",
-        dest="schemes",
-        help="scheme for the configs pass (repeatable)",
-    )
-    check.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        metavar="N",
-        help="tier exponents (2^N counters) for the configs pass",
-    )
-    check.add_argument(
-        "--fix",
-        action="store_true",
-        help="configs pass: attach the nearest sound (c, r) split to "
-        "budget-mismatch findings",
+        help="treat files ending in SUFFIX as hot paths "
+        "(repeatable; adds to the built-in hot set)",
     )
     _add_obs_options(check)
 
@@ -532,19 +496,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "check":
-        from repro.check.runner import render, run_checks
+        from repro.check.findings import CheckReport
+        from repro.check.lint import HOT_PATH_SUFFIXES, lint_paths
 
-        report = run_checks(
-            which=args.check_pass,
-            spec_file=args.spec_file,
-            paths=args.paths,
-            hot_suffixes=tuple(args.hot_suffixes or ()),
-            schemes=args.schemes,
-            size_bits=tuple(args.sizes) if args.sizes else None,
-            fix=args.fix,
+        report = CheckReport()
+        report.extend(
+            "code",
+            lint_paths(
+                paths=args.paths,
+                hot_suffixes=HOT_PATH_SUFFIXES
+                + tuple(args.hot_suffixes or ()),
+            ),
         )
-        print(render(report, as_json=args.json, strict=args.strict))
-        return report.exit_code(args.strict)
+        return _print_report(report, args)
 
     if args.command == "characterize":
         from repro.traces.stats import characterize, frequency_breakdown
@@ -567,8 +531,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "calibrate":
-        from repro.experiments.base import DEFAULT_LENGTH
         from repro.workloads.calibration import calibrate
+        from repro.workloads.registry import DEFAULT_LENGTH
 
         report = calibrate(
             args.benchmark,
@@ -579,7 +543,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if args.command == "generate":
-        from repro.experiments.base import DEFAULT_LENGTH
+        from repro.workloads.registry import DEFAULT_LENGTH
         from repro.workloads.store import TraceStore
 
         store = TraceStore(args.store)
@@ -596,15 +560,13 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "doctor":
         from repro.check.doctor import run_doctor
-        from repro.check.runner import render
 
         report = run_doctor(
             store_dir=args.store_dir,
             results_dir=args.results_dir,
             repair=args.repair,
         )
-        print(render(report, as_json=args.json, strict=args.strict))
-        return report.exit_code(args.strict)
+        return _print_report(report, args)
 
     if args.command == "store":
         from repro.runtime.durable import lru_rows
@@ -646,10 +608,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
 
     if args.command == "simulate":
-        from repro.experiments.base import DEFAULT_LENGTH
         from repro.predictors.factory import make_predictor_spec
         from repro.sim.engine import simulate
-        from repro.workloads.registry import make_workload
+        from repro.workloads.registry import DEFAULT_LENGTH, make_workload
 
         spec = make_predictor_spec(
             args.scheme,
@@ -683,6 +644,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _print_report(report, args: argparse.Namespace) -> int:
+    """Print a findings report (``--json``/``--strict``); its exit code."""
+    if args.json:
+        print(report.render_json())
+    else:
+        print(report.render_text(args.strict))
+    return report.exit_code(args.strict)
 
 
 def _analysis_targets(target: str) -> list:

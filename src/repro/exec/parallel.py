@@ -37,6 +37,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, counter, reset_metrics, snapshot
 from repro.obs.spans import get_tracer, span
+from repro.predictors.specs import PredictorSpec
 from repro.sim.results import TierPoint
 from repro.sim.sweep import compute_point
 from repro.traces.trace import BranchTrace
@@ -59,22 +60,11 @@ class PointTask:
     """One sweep point to compute, and the content key it lands under."""
 
     key: str
-    scheme: str
+    spec: PredictorSpec
     trace: BranchTrace
-    n: int
-    row_bits: int
-    bht_entries: Optional[int] = None
-    bht_assoc: int = 4
 
     def compute(self) -> TierPoint:
-        return compute_point(
-            self.scheme,
-            self.trace,
-            self.n,
-            self.row_bits,
-            bht_entries=self.bht_entries,
-            bht_assoc=self.bht_assoc,
-        )
+        return compute_point(self.spec, self.trace)
 
 
 @dataclass
@@ -274,11 +264,9 @@ def run_points(
                 except Exception as exc:
                     errors[task.key] = exc
                     log.error(
-                        "point %s (%s n=%d r=%d) failed serially: %s",
+                        "point %s (%s) failed serially: %s",
                         task.key,
-                        task.scheme,
-                        task.n,
-                        task.row_bits,
+                        task.spec.describe(),
                         exc,
                     )
                     continue

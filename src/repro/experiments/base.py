@@ -8,13 +8,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import ExperimentError
 from repro.traces.trace import BranchTrace
 from repro.workloads.profiles import FOCUS_BENCHMARKS, PROFILES
-from repro.workloads.registry import make_workload
-
-#: Default dynamic conditional-branch count per benchmark trace. The
-#: paper simulates 5M-340M branches per benchmark; rate statistics at
-#: the table sizes studied converge much earlier, and EXPERIMENTS.md
-#: records the scale used for each regenerated artifact.
-DEFAULT_LENGTH = 150_000
+from repro.workloads.registry import DEFAULT_LENGTH, make_workload
 
 #: Default tier exponents. The paper's figures span 2^4..2^15; the
 #: default skips nothing.

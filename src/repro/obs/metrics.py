@@ -50,7 +50,6 @@ WELL_KNOWN: Tuple[str, ...] = (
     "sweep.points_computed",   # simulated this run
     "sweep.points_restored",   # points restored from a result store
     "interrupt.deferred",      # SIGINTs held to the next point boundary
-    "check.findings",          # actionable static-check findings
     "store.hits",              # trace-store loads that skipped generation
     "store.misses",            # trace-store requests that had to generate
     "exec.workers_spawned",    # pool worker processes started

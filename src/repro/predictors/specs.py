@@ -23,6 +23,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.predictors.bht import check_bht_geometry
 from repro.utils.bits import log2_exact
 from repro.utils.validation import check_positive_int, check_power_of_two
 
@@ -117,6 +118,11 @@ class PredictorSpec:
         check_power_of_two(self.rows, "rows")
         check_power_of_two(self.cols, "cols")
         check_positive_int(self.counter_bits, "counter_bits")
+        if self.counter_bits > 8:
+            raise ConfigurationError(
+                f"counter_bits above 8 (got {self.counter_bits}): "
+                "automaton states are uint8"
+            )
 
         if self.scheme == "static":
             if self.static_policy not in STATIC_POLICIES:
@@ -168,8 +174,10 @@ class PredictorSpec:
                     f"{PER_ADDRESS_SCHEMES + SET_SCHEMES}, "
                     f"not {self.scheme!r}"
                 )
-            check_power_of_two(self.bht_entries, "bht_entries")
-            check_positive_int(self.bht_assoc, "bht_assoc")
+            if self.scheme in PER_ADDRESS_SCHEMES:
+                check_bht_geometry(self.bht_entries, self.bht_assoc)
+            else:
+                check_power_of_two(self.bht_entries, "bht_entries")
         if self.scheme in SET_SCHEMES and self.bht_assoc not in (1, 4):
             # The per-set table is untagged and direct indexed;
             # associativity is meaningless. 1 states that explicitly,
@@ -237,11 +245,11 @@ class PredictorSpec:
 # Index-function API
 # ----------------------------------------------------------------------
 # Stateless index arithmetic shared by the vectorized engines
-# (:func:`repro.sim.vectorized.index_stream`), the aliasing
-# instrumentation built on them (:mod:`repro.aliasing`), and the config
-# prover (:mod:`repro.check.configs`). "Which counter does this PC
-# reach" lives in exactly one place, so the aliasing a figure reports
-# is measured on the very indices the simulated predictor used.
+# (:func:`repro.sim.vectorized.index_stream`) and the aliasing
+# instrumentation built on them (:mod:`repro.aliasing`). "Which counter
+# does this PC reach" lives in exactly one place, so the aliasing a
+# figure reports is measured on the very indices the simulated
+# predictor used.
 
 #: Schemes whose second level is the row-major ``row * cols + column``
 #: grid of Figure 1 (everything except the idealized per-address-column
@@ -258,11 +266,6 @@ ROW_MAJOR_SCHEMES: Tuple[str, ...] = (
     "sas",
     "agree",
 )
-
-#: Idealized designs whose second level grows with the static branch
-#: population (one column per address) — unbounded by construction.
-PER_ADDRESS_COLUMN_SCHEMES: Tuple[str, ...] = ("gap", "pap")
-
 
 def word_index(pc: IntOrArray) -> IntOrArray:
     """Word-aligned PC: the address bits every table index derives from."""
@@ -296,11 +299,6 @@ def counter_index(
     flat *= spec.cols  # in place on arrays: one temporary, not three
     flat += column_index(spec, word)
     return flat
-
-
-def max_counter_index(spec: PredictorSpec) -> int:
-    """Largest index :func:`counter_index` can produce for ``spec``."""
-    return int(counter_index(spec, spec.rows - 1, spec.cols - 1))
 
 
 def bht_set_count(spec: PredictorSpec) -> int:

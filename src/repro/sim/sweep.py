@@ -86,32 +86,17 @@ def spec_for_point(
     )
 
 
-def compute_point(
-    scheme: str,
-    trace: BranchTrace,
-    n: int,
-    row_bits: int,
-    *,
-    bht_entries: Optional[int] = None,
-    bht_assoc: int = 4,
-) -> TierPoint:
+def compute_point(spec: PredictorSpec, trace: BranchTrace) -> TierPoint:
     """Simulate one tier point.
 
     The one definition of a point's computation: the serial sweep, the
     pool workers and the pool's serial fallback all call it.
     """
-    spec = spec_for_point(
-        scheme,
-        col_bits=n - row_bits,
-        row_bits=row_bits,
-        bht_entries=bht_entries,
-        bht_assoc=bht_assoc,
-    )
     result = simulate(spec, trace)
     counter("sweep.points_computed").inc()
     return TierPoint(
-        col_bits=n - row_bits,
-        row_bits=row_bits,
+        col_bits=spec.column_bits,
+        row_bits=spec.history_bits,
         misprediction_rate=result.misprediction_rate,
         first_level_miss_rate=result.first_level_miss_rate,
     )
@@ -150,9 +135,9 @@ def sweep_tiers(
 ) -> TierSurface:
     """Simulate every (columns x rows) split of every requested tier.
 
-    Every planned spec is first verified statically (``repro check
-    configs`` semantics), so an unsound configuration fails in
-    milliseconds instead of mid-sweep.
+    Every planned spec is built before any point is read or simulated,
+    so a configuration :class:`PredictorSpec` rejects fails at once,
+    with a :class:`ConfigurationError` naming the point.
 
     Parameters
     ----------
@@ -192,42 +177,31 @@ def sweep_tiers(
     SIGINT stops the sweep at a point boundary; every point that landed
     before then is already in the store, so a re-run resumes from it.
     """
-    from repro.check.configs import verify_sweep_plan
     from repro.runtime.interrupt import CooperativeInterrupt
     from repro.serve.results import point_key
 
-    size_bits = list(size_bits)
     if workers < 1:
         raise ConfigurationError(
             f"workers must be >= 1, got {workers!r}"
         )
-    with span("check.configs", scheme=scheme, trace=trace.name):
-        findings = verify_sweep_plan(
-            scheme,
-            size_bits,
-            bht_entries=bht_entries,
-            bht_assoc=bht_assoc,
-            row_bits_filter=row_bits_filter,
-        )
-    problems = [f for f in findings if f.severity != "info"]
-    counter("check.findings").inc(len(problems))
-    blocking = [f for f in problems if f.severity == "error"]
-    if blocking:
-        detail = "; ".join(f.render() for f in blocking[:3])
-        more = len(blocking) - 3
-        if more > 0:
-            detail += f"; ... {more} more"
-        raise ConfigurationError(
-            f"sweep precheck rejected {len(blocking)} planned "
-            f"point(s) before simulation: {detail}"
-        )
-
-    plan = [
-        (n, row_bits)
-        for n in size_bits
-        for row_bits in range(n + 1)
-        if row_bits_filter is None or row_bits in row_bits_filter
-    ]
+    specs: Dict[Tuple[int, int], PredictorSpec] = {}
+    for n in size_bits:
+        for row_bits in range(n + 1):
+            if row_bits_filter is not None and row_bits not in row_bits_filter:
+                continue
+            try:
+                specs[(n, row_bits)] = spec_for_point(
+                    scheme,
+                    col_bits=n - row_bits,
+                    row_bits=row_bits,
+                    bht_entries=bht_entries,
+                    bht_assoc=bht_assoc,
+                )
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"{scheme} sweep point n={n} c={n - row_bits} "
+                    f"r={row_bits}: {exc}"
+                ) from exc
     store = _result_store(checkpoint_dir)
     readable = store is not None and use_cache
     fingerprint = trace.fingerprint()
@@ -240,9 +214,9 @@ def sweep_tiers(
             bht_entries=bht_entries,
             bht_assoc=bht_assoc,
         )
-        for n, row_bits in plan
+        for n, row_bits in specs
     }
-    total = len(plan)
+    total = len(specs)
     completed = 0
     surface = TierSurface(scheme=scheme, trace_name=trace.name)
 
@@ -253,7 +227,8 @@ def sweep_tiers(
         if on_point is not None:
             on_point(point, completed, total)
 
-    def persist(n: int, point: TierPoint) -> None:
+    def persist(point: TierPoint) -> None:
+        n = point.col_bits + point.row_bits
         key = keys[(n, point.row_bits)]
         if store is not None:
             try:
@@ -266,7 +241,7 @@ def sweep_tiers(
         land(n, point)
 
     pending: List[Tuple[int, int]] = []
-    for n, row_bits in plan:
+    for n, row_bits in specs:
         point = store.get(keys[(n, row_bits)]) if readable else None
         if point is None:
             pending.append((n, row_bits))
@@ -281,42 +256,24 @@ def sweep_tiers(
             from repro.exec.parallel import PointTask, run_points
 
             tasks = [
-                PointTask(
-                    keys[(n, row_bits)],
-                    scheme,
-                    trace,
-                    n,
-                    row_bits,
-                    bht_entries=bht_entries,
-                    bht_assoc=bht_assoc,
-                )
-                for n, row_bits in pending
+                PointTask(keys[plan_point], specs[plan_point], trace)
+                for plan_point in pending
             ]
             errors = run_points(
                 tasks,
-                lambda task, point: persist(task.n, point),
+                lambda task, point: persist(point),
                 workers=workers,
                 poll=interrupt.checkpoint,
             )
             if errors:
                 raise next(iter(errors.values()))
         else:
-            for n, row_bits in pending:
+            for plan_point in pending:
                 interrupt.checkpoint()
-                persist(
-                    n,
-                    compute_point(
-                        scheme,
-                        trace,
-                        n,
-                        row_bits,
-                        bht_entries=bht_entries,
-                        bht_assoc=bht_assoc,
-                    ),
-                )
+                persist(compute_point(specs[plan_point], trace))
     # Restored and pooled points land out of plan order; re-impose it so
     # every surface is identical to an uninterrupted serial run's.
-    tier_order: Dict[int, None] = dict.fromkeys(n for n, _ in plan)
+    tier_order: Dict[int, None] = dict.fromkeys(n for n, _ in specs)
     surface.tiers = {
         n: sorted(surface.tiers[n], key=lambda p: p.row_bits)
         for n in tier_order

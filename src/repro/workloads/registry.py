@@ -28,6 +28,13 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import PAPER_BENCHMARKS, PROFILES, get_profile
 from repro.workloads.program import build_program
 
+#: Default dynamic conditional-branch count per benchmark trace for
+#: the experiments and the CLI. The paper simulates 5M-340M branches
+#: per benchmark; rate statistics at the table sizes studied converge
+#: much earlier, and EXPERIMENTS.md records the scale used for each
+#: regenerated artifact.
+DEFAULT_LENGTH = 150_000
+
 _CACHE: Dict[Tuple[str, int, int, int], BranchTrace] = {}
 _CACHE_LIMIT = 32
 
@@ -80,7 +87,7 @@ def make_workload(
     """
     if trace_seed is None:
         trace_seed = seed
-    if is_real_workload(name):
+    if name not in PROFILES and is_real_workload(name):
         from repro.cfg.corpus import get_real_workload, make_real_workload
 
         if length is None:

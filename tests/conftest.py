@@ -78,14 +78,12 @@ def worker_sigint(monkeypatch):
     parent = os.getpid()
 
     def arm(n, row_bits):
-        def interrupting(scheme, trace, point_n, point_row_bits, **kwargs):
-            if os.getpid() != parent and (point_n, point_row_bits) == (
-                n,
-                row_bits,
-            ):
+        def interrupting(spec, trace):
+            point = (spec.column_bits + spec.history_bits, spec.history_bits)
+            if os.getpid() != parent and point == (n, row_bits):
                 os.kill(parent, signal.SIGINT)
                 time.sleep(0.5)
-            return real(scheme, trace, point_n, point_row_bits, **kwargs)
+            return real(spec, trace)
 
         monkeypatch.setattr(parallel, "compute_point", interrupting)
 

@@ -4,7 +4,7 @@ import json
 import textwrap
 
 from repro.check.lint import lint_paths, lint_source
-from repro.cli import EXIT_ERROR, main
+from repro.cli import main
 
 
 def lint(source, **kwargs):
@@ -371,17 +371,18 @@ class TestRepoIsClean:
 
 
 class TestCheckCli:
-    def test_check_all_on_repo_is_clean(self, capsys):
-        assert main(["check", "all"]) == 0
-        assert "-> OK" in capsys.readouterr().out
-
-    def test_check_all_is_configs_and_code_and_strict_clean(self, capsys):
-        assert main(["check", "all", "--strict", "--json"]) == 0
+    def test_check_is_the_code_pass_and_strict_clean(self, capsys):
+        assert main(["check", "--strict", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["passes"] == ["configs", "code"]
+        assert report["passes"] == ["code"]
+
+    def test_check_all_on_repo_is_clean(self, capsys):
+        # With no --path, the one pass covers the whole package.
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out.endswith("-> OK\n")
 
     def test_code_pass_default_invocation(self, capsys):
-        assert main(["check", "code"]) == 0
+        assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "code.coverage" in out
 
@@ -397,7 +398,7 @@ class TestCheckCli:
             "        out.append(i)\n"
             "    return out\n"
         )
-        code = main(["check", "code", "--path", str(tmp_path), "--json"])
+        code = main(["check", "--path", str(tmp_path), "--json"])
         assert code == 1
         report = json.loads(capsys.readouterr().out)
         findings = [
@@ -407,56 +408,16 @@ class TestCheckCli:
         assert findings[0]["severity"] == "error"
         assert findings[0]["location"].endswith("vectorized.py:3")
 
-    def test_unsound_spec_file_exits_1_with_json_finding(
-        self, tmp_path, capsys
-    ):
-        spec_file = tmp_path / "specs.json"
-        spec_file.write_text(
-            json.dumps(
-                [
-                    {"scheme": "gshare", "rows": 4, "cols": 4},
-                    {
-                        "scheme": "pas",
-                        "rows": 4,
-                        "cols": 4,
-                        "bht_entries": 1024,
-                        "bht_assoc": 3,
-                    },
-                ]
-            )
-        )
-        code = main(
-            [
-                "check", "configs", "--spec-file", str(spec_file),
-                "--json", "--sizes", "4",
-            ]
-        )
-        assert code == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["counts"]["error"] == 1
-        (finding,) = [
-            f for f in report["findings"] if f["severity"] == "error"
-        ]
-        assert finding["check"] == "config.first-level"
-        assert finding["scheme"] == "pas"
-        assert finding["point"] == "spec[1]"
-
     def test_strict_escalates_warnings(self, tmp_path, capsys):
         fixture = tmp_path / "module.py"
         fixture.write_text('open("out.txt", "w")\n')
-        relaxed = main(["check", "code", "--path", str(tmp_path)])
+        relaxed = main(["check", "--path", str(tmp_path)])
         capsys.readouterr()
         strict = main(
-            ["check", "code", "--path", str(tmp_path), "--strict"]
+            ["check", "--path", str(tmp_path), "--strict"]
         )
         assert (relaxed, strict) == (0, 1)
         assert "-> FAIL" in capsys.readouterr().out
-
-    def test_unreadable_spec_file_is_internal_error(self, tmp_path, capsys):
-        code = main(
-            ["check", "configs", "--spec-file", str(tmp_path / "none.json")]
-        )
-        assert code == EXIT_ERROR
 
     def test_unknown_pass_rejected_by_parser(self):
         try:

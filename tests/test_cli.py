@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from repro.check.configs import canonical_specs
 from repro.cli import EXIT_ERROR, EXIT_INTERRUPT, _build_parser, main
 from repro.predictors.factory import make_predictor_spec
+from repro.predictors.specs import KNOWN_SCHEMES, PredictorSpec
 from repro.sim.engine import simulate
 from repro.workloads.registry import make_workload
 
@@ -26,7 +26,38 @@ def _simulate_scheme_choices():
 
 
 SIMULATE_SCHEMES = _simulate_scheme_choices()
-CANONICAL_SPECS = dict(canonical_specs())
+
+_BIMODAL = PredictorSpec(scheme="bimodal", cols=1024)
+_GSHARE = PredictorSpec(scheme="gshare", rows=256, cols=4)
+#: One representative configuration per registered scheme, at the
+#: paper's mid-range operating points, so every scheme's code runs.
+CANONICAL_SPECS = {
+    "static": PredictorSpec(scheme="static"),
+    "bimodal": _BIMODAL,
+    "gag": PredictorSpec(scheme="gag", rows=1024),
+    "gas": PredictorSpec(scheme="gas", rows=64, cols=16),
+    "gap": PredictorSpec(scheme="gap", rows=16),
+    "gshare": _GSHARE,
+    "path": PredictorSpec(scheme="path", rows=64, cols=16),
+    "pag": PredictorSpec(
+        scheme="pag", rows=1024, bht_entries=512, bht_assoc=4
+    ),
+    "pas": PredictorSpec(
+        scheme="pas", rows=64, cols=16, bht_entries=512, bht_assoc=4
+    ),
+    "pap": PredictorSpec(scheme="pap", rows=16),
+    "sag": PredictorSpec(scheme="sag", rows=1024, bht_entries=1024),
+    "sas": PredictorSpec(scheme="sas", rows=64, cols=16, bht_entries=1024),
+    "agree": PredictorSpec(scheme="agree", rows=1024),
+    "bimode": PredictorSpec(scheme="bimode", rows=1024),
+    "gskew": PredictorSpec(scheme="gskew", rows=1024),
+    "tournament": PredictorSpec(
+        scheme="tournament",
+        component_a=_BIMODAL,
+        component_b=_GSHARE,
+        chooser_rows=1024,
+    ),
+}
 
 
 class TestListing:
@@ -168,6 +199,23 @@ class TestSimulate:
         )
         assert code == EXIT_ERROR
 
+    def test_unsound_first_level_is_a_one_line_error(self, capsys):
+        # 1024 entries do not split into 3-way sets: the spec refuses
+        # to construct, so nothing is generated or simulated.
+        code = main(
+            [
+                "simulate", "--scheme", "pas", "--rows", "4", "--cols", "4",
+                "--bht-entries", "1024", "--bht-assoc", "3",
+                "--length", "100",
+            ]
+        )
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "assoc" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_error_is_one_line_without_traceback(self, capsys):
         assert main(["run", "fig99", "--length", "100"]) == EXIT_ERROR
         err = capsys.readouterr().err
@@ -181,6 +229,7 @@ class TestSimulateEveryScheme:
 
     def test_every_scheme_but_tournament_is_a_choice(self):
         # A tournament names two component specs, which no flag can.
+        assert sorted(CANONICAL_SPECS) == sorted(KNOWN_SCHEMES)
         assert sorted(SIMULATE_SCHEMES) == sorted(set(CANONICAL_SPECS) - {"tournament"})
 
     @pytest.mark.parametrize("scheme", SIMULATE_SCHEMES)
@@ -403,6 +452,12 @@ class TestResilience:
             ["check", "--micro", "mixed-field"],
             ["check", "aliasing"],
             ["check", "--bht-entries", "64"],
+            ["check", "configs"],
+            ["check", "all"],
+            ["check", "--spec-file", "x.json"],
+            ["check", "--fix"],
+            ["check", "--scheme", "gas"],
+            ["check", "--sizes", "4"],
             ["simulate", "--scheme", "tournament"],
         ],
         ids=["resume", "paranoid", "simulate-paranoid", "no-precheck", "dashboard", "plan-from-estimate",
@@ -410,7 +465,9 @@ class TestResilience:
              "summarize-phases", "chaos", "obs-history", "obs-diff",
              "obs-regress", "obs-export-prom", "check-dealias",
              "check-validate", "check-micro", "check-aliasing",
-             "check-bht-entries", "simulate-tournament"],
+             "check-bht-entries", "check-configs", "check-all",
+             "check-spec-file", "check-fix", "check-scheme",
+             "check-sizes", "simulate-tournament"],
     )
     def test_removed_options_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -27,7 +27,7 @@ from repro.exec.parallel import PointTask, run_points
 from repro.obs import get_tracer, reset_metrics, snapshot
 from repro.obs.spans import SpanTracer
 from repro.serve.results import ResultStore, point_key
-from repro.sim.sweep import compute_point, sweep_tiers
+from repro.sim.sweep import compute_point, spec_for_point, sweep_tiers
 from repro.workloads.registry import make_workload
 from repro.workloads.store import TraceStore
 
@@ -98,16 +98,21 @@ class TestParallelIdentity:
             sweep_tiers("gas", trace, size_bits=[4], workers=0)
 
 
+def _point_of(spec):
+    """The ``(n, row_bits)`` tier point a sweep spec simulates."""
+    return spec.column_bits + spec.history_bits, spec.history_bits
+
+
 def _in_workers(monkeypatch, fail):
     """Substitute the pool's ``compute_point`` so that ``fail(n,
     row_bits)`` runs first in forked workers only; the parent's serial
     fallback computes normally."""
     parent = os.getpid()
 
-    def failing(scheme, trace, n, row_bits, **kwargs):
+    def failing(spec, trace):
         if os.getpid() != parent:
-            fail(n, row_bits)
-        return compute_point(scheme, trace, n, row_bits, **kwargs)
+            fail(*_point_of(spec))
+        return compute_point(spec, trace)
 
     monkeypatch.setattr(parallel, "compute_point", failing)
 
@@ -189,10 +194,11 @@ class TestPointFailure:
 
     @pytest.fixture()
     def failing_point(self, monkeypatch):
-        def failing(scheme, trace, n, row_bits, **kwargs):
-            if (n, row_bits) == self.BAD:
+        def failing(spec, trace):
+            if _point_of(spec) == self.BAD:
+                n, row_bits = self.BAD
                 raise ValueError(f"cannot simulate n={n} r={row_bits}")
-            return compute_point(scheme, trace, n, row_bits, **kwargs)
+            return compute_point(spec, trace)
 
         monkeypatch.setattr(parallel, "compute_point", failing)
 
@@ -200,7 +206,7 @@ class TestPointFailure:
         self, trace, failing_point
     ):
         tasks = [
-            PointTask(f"k{n}-{r}", "gas", trace, n, r)
+            PointTask(f"k{n}-{r}", spec_for_point("gas", n - r, r), trace)
             for n, r in [(4, 1), self.BAD, (4, 3)]
         ]
         landed = []

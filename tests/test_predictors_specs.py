@@ -49,6 +49,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_predictor_spec("tournament")
 
+    @pytest.mark.parametrize(
+        "entries, assoc", [(64, 3), (4, 8)], ids=["indivisible", "too-wide"]
+    )
+    @pytest.mark.parametrize("scheme", ["pag", "pas"])
+    def test_first_level_must_split_into_sets(self, scheme, entries, assoc):
+        # The engines would raise mid-simulation; construction refuses.
+        cols = 1 if scheme == "pag" else 4
+        with pytest.raises(ConfigurationError):
+            PredictorSpec(
+                scheme=scheme, rows=4, cols=cols,
+                bht_entries=entries, bht_assoc=assoc,
+            )
+
+    def test_counter_bits_above_8_rejected(self):
+        # Automaton states are uint8: 9 bits cannot be simulated.
+        PredictorSpec(scheme="bimodal", cols=16, counter_bits=8)
+        with pytest.raises(ConfigurationError, match="counter_bits"):
+            PredictorSpec(scheme="bimodal", cols=16, counter_bits=9)
+
     def test_components_only_for_tournament(self):
         with pytest.raises(ConfigurationError):
             make_predictor_spec(

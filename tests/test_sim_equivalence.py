@@ -7,14 +7,17 @@ guarantee those engines implement precisely the semantics of the
 both synthetic random traces and calibrated workload traces.
 """
 
+import functools
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.predictors import make_predictor_spec
+from repro.errors import ConfigurationError
+from repro.predictors import PredictorSpec, make_predictor_spec
+from repro.predictors.specs import KNOWN_SCHEMES
 from repro.sim import simulate, simulate_reference, simulate_vectorized
 from repro.sim.sweep import spec_for_point
 from repro.sim.vectorized import bht_miss_stream, has_vectorized_engine
@@ -72,6 +75,71 @@ def _assert_engines_agree(spec, trace):
         f"{spec.describe()} first mismatch at access {mismatches[:5]}"
     )
     assert fast.first_level_miss_rate == slow.first_level_miss_rate
+
+
+@functools.lru_cache(maxsize=None)
+def _espresso_600():
+    return make_workload("espresso", length=600, seed=3)
+
+
+class TestEveryConstructibleSpec:
+    """A spec either fails at construction or simulates: no
+    configuration ``PredictorSpec`` accepts may raise mid-run."""
+
+    @given(
+        scheme=st.sampled_from(
+            [s for s in KNOWN_SCHEMES if s not in ("static", "tournament")]
+        ),
+        row_bits=st.integers(0, 8),
+        # Half the schemes take no column bits: draw 0 often enough
+        # that most examples construct.
+        col_bits=st.just(0) | st.integers(0, 8),
+        bht_entries=st.one_of(
+            st.none(),
+            st.integers(0, 10).map(lambda bits: 1 << bits),
+            st.integers(1, 1 << 10),
+        ),
+        bht_assoc=st.integers(1, 8),
+        counter_bits=st.integers(1, 8),
+    )
+    @example(
+        scheme="pas", row_bits=2, col_bits=2, bht_entries=4, bht_assoc=8,
+        counter_bits=2,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_construct_or_simulate_identically(
+        self, scheme, row_bits, col_bits, bht_entries, bht_assoc,
+        counter_bits,
+    ):
+        try:
+            spec = PredictorSpec(
+                scheme=scheme,
+                rows=1 << row_bits,
+                cols=1 << col_bits,
+                counter_bits=counter_bits,
+                bht_entries=bht_entries,
+                bht_assoc=bht_assoc,
+            )
+        except ConfigurationError:
+            return
+        trace = _espresso_600()
+        if has_vectorized_engine(spec):
+            _assert_engines_agree(spec, trace)
+        else:
+            simulate_reference(spec, trace)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_predictor_spec("bimodal", cols=16, counter_bits=8),
+            make_predictor_spec("gshare", rows=16, cols=2, counter_bits=8),
+        ],
+        ids=["bimodal", "gshare"],
+    )
+    def test_eight_bit_counters_match(self, spec):
+        # The widest counter the uint8 automaton states hold.
+        _assert_engines_agree(spec, _espresso_600())
+        _assert_engines_agree(spec, random_trace(7))
 
 
 class TestEngineEquivalence:

@@ -179,3 +179,31 @@ class TestGenerateCli:
         )
         assert code == 0
         assert "loaded" in capsys.readouterr().out
+
+    def test_generate_loads_no_experiment_analysis_or_check(self, tmp_path):
+        # Generating a calibrated trace needs the workload layer only;
+        # run in a fresh interpreter so no other test's imports count.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = os.path.abspath(src)
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "argv = ['generate', 'real_gcc', '--length', '2000']\n"
+            f"assert main(argv + ['--store', {str(tmp_path)!r}]) == 0\n"
+            "layers = ('repro.experiments', 'repro.cfg', 'repro.check')\n"
+            "print(sorted(m for m in sys.modules if m in layers\n"
+            "             or m.startswith(tuple(p + '.' for p in layers))))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
